@@ -112,17 +112,14 @@ def certify_theorem_a(a: CarlesonSequence, k: int, p0: float, fs, p: float,
                       cstar: float | None = None) -> CertificationRecord:
     """Complexity collapse: ||A^k f|| against (k+1) ||sum_l A^0_{S_l} f|| in L^p(w)."""
     res = dominate(a, k, p0, fs, cstar=cstar, seed=seed or 0)
-    lhs_fun = eval_sparse_A(a, k, p0, fs)
-    rhs_vals = np.zeros_like(lhs_fun.values)
-    for sel in res.selections:
-        rhs_vals += eval_sparse_A(sel.family, 0, p0, fs).values
-    lhs = weighted_norm(lhs_fun, p, w)
-    denom = weighted_norm(GridFunction(lhs_fun.dim, lhs_fun.level, rhs_vals), p, w)
+    n, L = fs[0].dim, fs[0].level
+    lhs = weighted_norm(GridFunction(n, L, res.lhs), p, w)
+    denom = weighted_norm(GridFunction(n, L, res.rhs), p, w)
     rhs = (k + 1) * denom
     degenerate = rhs == 0.0 and lhs == 0.0
     return CertificationRecord(
         "theorem-a",
-        {"k": k, "p0": p0, "p": p, "L": fs[0].level, "n": fs[0].dim, "m": len(fs)},
+        {"k": k, "p0": p0, "p": p, "L": L, "n": n, "m": len(fs)},
         lhs, rhs,
         constants={
             "cell_constant": res.cell_constant,
@@ -217,8 +214,8 @@ def extremal_probe_tuple(t: WeightTuple, maxlevel: int | None = None):
 
 def power_weight_tuple(alpha: float, exponents, p0: float, n: int = 1, L: int = 8) -> WeightTuple:
     """Weight pair (dist^alpha, dist^-alpha) centred at 0 and 1/2 respectively."""
-    w1 = power_weight(alpha, center=0.0 if n == 1 else (0.0, 0.0), n=n, L=L)
-    w2 = power_weight(-alpha, center=0.5 if n == 1 else (0.5, 0.5), n=n, L=L)
+    w1 = power_weight(alpha, center=(0.0,) * n, n=n, L=L)
+    w2 = power_weight(-alpha, center=(0.5,) * n, n=n, L=L)
     weights = [w1, w2][: len(tuple(exponents))]
     while len(weights) < len(tuple(exponents)):
         weights.append(GridFunction.constant(n, L, 1.0))

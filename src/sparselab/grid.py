@@ -10,6 +10,8 @@ once their side length reaches 1.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -74,30 +76,14 @@ class DyadicCube:
         return DyadicCube(self.level - k, tuple(i >> k for i in self.index))
 
     def children(self) -> Iterator["DyadicCube"]:
-        lvl = self.level + 1
-        if self.dim == 1:
-            (i,) = self.index
-            for a in range(2):
-                yield DyadicCube(lvl, (2 * i + a,))
-        else:
-            i, j = self.index
-            for a in range(2):
-                for b in range(2):
-                    yield DyadicCube(lvl, (2 * i + a, 2 * j + b))
+        return self.descendants(1)
 
     def descendants(self, k: int) -> Iterator["DyadicCube"]:
         """All cubes exactly k levels below this one, in index order."""
-        lvl = self.level + k
         span = 1 << k
-        if self.dim == 1:
-            (i,) = self.index
-            for a in range(span):
-                yield DyadicCube(lvl, (i * span + a,))
-        else:
-            i, j = self.index
-            for a in range(span):
-                for b in range(span):
-                    yield DyadicCube(lvl, (i * span + a, j * span + b))
+        for offs in itertools.product(range(span), repeat=self.dim):
+            index = tuple(i * span + a for i, a in zip(self.index, offs))
+            yield DyadicCube(self.level + k, index)
 
     def contains(self, other: "DyadicCube") -> bool:
         if other.dim != self.dim or other.level < self.level:
@@ -118,13 +104,8 @@ class DyadicCube:
     def flat_cells(self, L: int) -> np.ndarray:
         """Flat (row-major) indices of this cube's cells at resolution L."""
         s = 1 << (L - self.level)
-        if self.dim == 1:
-            (i,) = self.index
-            return np.arange(i * s, (i + 1) * s, dtype=np.int64)
-        i, j = self.index
-        rows = np.arange(i * s, (i + 1) * s, dtype=np.int64)
-        cols = np.arange(j * s, (j + 1) * s, dtype=np.int64)
-        return (rows[:, None] * (1 << L) + cols[None, :]).ravel()
+        axes = (np.arange(i * s, (i + 1) * s, dtype=np.int64) for i in self.index)
+        return functools.reduce(lambda rows, cols: np.add.outer(rows << L, cols).ravel(), axes)
 
     def center(self) -> tuple[float, ...]:
         return tuple((i + 0.5) * self.side for i in self.index)
@@ -137,14 +118,8 @@ def root_cube(n: int) -> DyadicCube:
 
 def cubes_at_level(n: int, j: int) -> Iterator[DyadicCube]:
     _check_dim(n)
-    top = 1 << j
-    if n == 1:
-        for i in range(top):
-            yield DyadicCube(j, (i,))
-    else:
-        for i in range(top):
-            for k in range(top):
-                yield DyadicCube(j, (i, k))
+    for index in itertools.product(range(1 << j), repeat=n):
+        yield DyadicCube(j, index)
 
 
 def all_cubes(n: int, maxlevel: int) -> Iterator[DyadicCube]:
@@ -254,12 +229,29 @@ def block_reduce(values: np.ndarray, n: int, L: int, j: int, op: str = "mean") -
     """Reduce level-L cell values to one number per level-j cube (op: mean/sum/min/max/any)."""
     if j > L:
         raise DimensionError(f"cannot reduce to level {j} from resolution {L}")
-    s = 1 << (L - j)
-    if n == 1:
-        v = values.reshape(1 << j, s)
-        return getattr(v, op)(axis=1)
-    v = values.reshape(1 << j, s, 1 << j, s)
-    return getattr(v, op)(axis=(1, 3))
+    v = values.reshape((1 << j, 1 << (L - j)) * n)
+    return getattr(v, op)(axis=tuple(range(1, 2 * n, 2)))
+
+
+def upsample(arr: np.ndarray, s: int) -> np.ndarray:
+    """Repeat every entry s times along each axis: level-j values onto a level finer by log2(s)."""
+    grown = np.broadcast_to(arr.reshape([d for m in arr.shape for d in (m, 1)]),
+                            [d for m in arr.shape for d in (m, s)])
+    return grown.reshape([m * s for m in arr.shape])
+
+
+def argmax_cube(levels) -> tuple[float, DyadicCube]:
+    """Largest entry over (level, array) pairs and the cube attaining it.
+
+    Ties go to the first maximum in the caller's order of levels, row-major
+    within a level.
+    """
+    tops = []
+    for j, arr in levels:
+        idx = np.unravel_index(int(np.argmax(arr)), arr.shape)
+        tops.append((float(arr[idx]), j, idx))
+    value, j, idx = max(tops, key=lambda t: t[0])
+    return value, DyadicCube(j, tuple(int(i) for i in idx))
 
 
 def mean_pyramid(values: np.ndarray, n: int, L: int) -> list[np.ndarray]:
@@ -316,9 +308,7 @@ def dilate(Q: DyadicCube, k: int, L: int) -> np.ndarray:
     for i, c in zip(Q.index, Q.center()):
         rel = (centers - c + 0.5) % 1.0 - 0.5
         axes.append((-half <= rel) & (rel < half))
-    if n == 1:
-        return axes[0]
-    return axes[0][:, None] & axes[1][None, :]
+    return functools.reduce(np.logical_and.outer, axes)
 
 
 @dataclass(frozen=True)
@@ -358,11 +348,6 @@ def rearrangement(f: GridFunction, t: float) -> float:
         return 0.0
     a = np.abs(f.values).ravel()
     # k-th largest value
-    return float(np.partition(a, a.size - k)[a.size - k])
-
-
-def kth_largest(a: np.ndarray, k: int) -> float:
-    a = np.asarray(a).ravel()
     return float(np.partition(a, a.size - k)[a.size - k])
 
 
@@ -414,6 +399,8 @@ def parse_gfn(text: str) -> GridFunction:
                 values.append(float(tok))
             except ValueError:
                 raise FormatError(f"line {ln}, field {col}: not a number: {tok!r}") from None
+            if not math.isfinite(values[-1]):
+                raise FormatError(f"line {ln}, field {col}: non-finite value {tok!r}")
             if len(values) > expected:
                 raise FormatError(
                     f"line {ln}, field {col}: expected {expected} values, found more"

@@ -45,17 +45,10 @@ def random_carleson(rng, n: int, L: int, root: DyadicCube | None = None,
     coeffs: dict[DyadicCube, float] = {}
     for j in levels:
         side = 1 << (j - rl)
-        if n == 1:
-            (r0,) = root.index
-            picks = np.nonzero(rng.random(side) < density)[0]
-            for i in picks:
-                coeffs[DyadicCube(j, (r0 * side + int(i),))] = float(rng.uniform(0.05, 1.0))
-        else:
-            r0, r1 = root.index
-            mask = rng.random((side, side)) < density
-            for i, kk in zip(*np.nonzero(mask)):
-                cube = DyadicCube(j, (r0 * side + int(i), r1 * side + int(kk)))
-                coeffs[cube] = float(rng.uniform(0.05, 1.0))
+        mask = rng.random((side,) * n) < density
+        for offs in zip(*np.nonzero(mask)):
+            cube = DyadicCube(j, tuple(r * side + int(i) for r, i in zip(root.index, offs)))
+            coeffs[cube] = float(rng.uniform(0.05, 1.0))
     if not coeffs and levels:
         j = levels[-1]
         side = 1 << (j - rl)
@@ -90,11 +83,7 @@ def random_sparse_family(rng, n: int, L: int, starts: int = 3) -> SparseFamily:
     # distinct start cubes at a common level keep the branch budgets disjoint
     picks = rng.choice(side**n, size=count, replace=False)
     for flat in picks:
-        if n == 1:
-            Q = DyadicCube(lvl, (int(flat),))
-        else:
-            Q = DyadicCube(lvl, (int(flat) // side, int(flat) % side))
-        descend(Q)
+        descend(DyadicCube(lvl, tuple(int(i) for i in np.unravel_index(flat, (side,) * n))))
     if not chosen:
         chosen.add(root_cube(n))
     return greedy_witness(chosen, n, L)

@@ -19,9 +19,11 @@ from .grid import (
     DimensionError,
     DyadicCube,
     GridFunction,
+    argmax_cube,
     block_reduce,
     dilate,
     mean_pyramid,
+    upsample,
     weak_norm,
 )
 
@@ -46,6 +48,8 @@ class CarlesonSequence:
         self.root = root
         items = dict(coeffs)
         for Q, a in items.items():
+            if not math.isfinite(a):
+                raise DomainError(f"non-finite coefficient {a} at {Q}")
             if a < 0:
                 raise DomainError(f"negative coefficient {a} at {Q}")
             if not root.contains(Q):
@@ -70,12 +74,7 @@ class CarlesonSequence:
 
     def dense_levels(self) -> dict[int, np.ndarray]:
         """Coefficients as one dense array per populated level."""
-        out: dict[int, np.ndarray] = {}
-        n = self.dim
-        for Q, a in self.coeffs.items():
-            arr = out.setdefault(Q.level, np.zeros((1 << Q.level,) * n))
-            arr[Q.index if n == 2 else Q.index[0]] += a
-        return out
+        return _dense_levels(self.items(), self.dim)
 
     def scaled(self, factor: float) -> "CarlesonSequence":
         return CarlesonSequence(self.root, {Q: a * factor for Q, a in self.coeffs.items()})
@@ -86,6 +85,16 @@ class CarlesonSequence:
         if ratio <= 0:
             return self
         return self.scaled(1.0 / ratio)
+
+
+def _dense_levels(items, n: int) -> dict[int, np.ndarray]:
+    """(cube, coefficient) pairs as one dense array per populated level, indexed by Q.index."""
+    out: dict[int, np.ndarray] = {}
+    for Q, a in items:
+        if Q.level not in out:
+            out[Q.level] = np.zeros((1 << Q.level,) * n)
+        out[Q.level][Q.index] = a
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,29 +110,20 @@ def packing(a: CarlesonSequence) -> tuple[float, DyadicCube]:
     dense = a.dense_levels()
     if not dense:
         return 0.0, a.root
-    deepest = max(dense)
-    rl = a.root.level
-    # partial packing sums S(Q) accumulated from the deepest level upward
+    # partial packing sums S(Q) accumulated from the deepest level upward;
+    # ties go to the deepest cube
     S = None
-    best, where = -1.0, a.root
-    for j in range(deepest, rl - 1, -1):
+    ratios = []
+    for j in range(max(dense), a.root.level - 1, -1):
         vol = 2.0 ** (-n * j)
         cur = np.zeros((1 << j,) * n)
         if S is not None:
             cur += block_reduce(S, n, j + 1, j, "sum")
         if j in dense:
             cur += dense[j] * vol
-        ratios = cur / vol
-        i = int(np.argmax(ratios.ravel()))
-        if ratios.ravel()[i] > best:
-            best = float(ratios.ravel()[i])
-            if n == 1:
-                where = DyadicCube(j, (i,))
-            else:
-                side = 1 << j
-                where = DyadicCube(j, (i // side, i % side))
+        ratios.append((j, cur / vol))
         S = cur
-    return best, where
+    return argmax_cube(ratios)
 
 
 def verify_carleson(a: CarlesonSequence, tol: float = 1e-12) -> CarlesonReport:
@@ -266,20 +266,22 @@ def eval_sparse_A(obj, k: int, p0: float, fs) -> GridFunction:
     n, L = _check_tuple(fs)
     if dim != n:
         raise DimensionError("operator dimension does not match functions")
+    alpha = _dense_levels(items, n)
     pyramids = [mean_pyramid(np.abs(f.values) ** p0, n, L) for f in fs]
-    out = np.zeros((1 << L,) * n)
     inv = 1.0 / p0
-    for Q, alpha in items:
-        if Q.level - k < rootlvl:
+    # top-down: every level adds its term onto the sum of the coarser ones
+    out, top = np.zeros((1,) * n), 0
+    for j in sorted(alpha):
+        if j - k < rootlvl:
             continue
-        A = Q.ancestor(k)
-        coef = alpha
+        if j > L:
+            raise DimensionError(f"resolution {L} too coarse for level-{j} cubes")
+        term = alpha[j]
         for pyr in pyramids:
-            block = pyr[A.level]
-            v = block[A.index] if n == 2 else block[A.index[0]]
-            coef *= float(v) ** inv
-        out[Q.cell_slices(L)] += coef
-    return GridFunction(n, L, out)
+            term = term * upsample(pyr[j - k] ** inv, 1 << k)
+        out = upsample(out, 1 << (j - top)) + term
+        top = j
+    return GridFunction(n, L, upsample(out, 1 << (L - top)))
 
 
 def eval_sparse_T(obj, k: int, p0: float, fs) -> GridFunction:
@@ -393,15 +395,6 @@ def measure_weak_norm(a: CarlesonSequence, k: int, p0: float, m: int,
     return best
 
 
-def _dense_alpha(a: CarlesonSequence, L: int) -> dict[int, np.ndarray]:
-    dense = a.dense_levels()
-    return {j: arr for j, arr in dense.items() if j <= L}
-
-
-def _lookup(arr: np.ndarray, idx: tuple[int, ...], n: int) -> float:
-    return float(arr[idx] if n == 2 else arr[idx[0]])
-
-
 def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
                   cstar: float | None = None, seed: int = 0,
                   wnorm_trials: int = 8) -> SelectionResult:
@@ -438,14 +431,12 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
     if cstar <= 0:
         raise DomainError("cstar must be positive")
 
-    step = k if k >= 1 else 1
-    alpha = _dense_alpha(a, L)
+    step = max(k, 1)
+    alpha = a.dense_levels()
     pyramids = [mean_pyramid(f.values**p0, n, L) for f in fs]
     inv = 1.0 / p0
 
-    # gamma per tested level: block max of the coefficients k levels deeper
-    gamma: dict[int, np.ndarray] = {}
-    # support-at-or-below flags drive pruning of the walk
+    # support-at-or-below flags: below the root, the walk visits exactly these cubes
     sab: dict[int, np.ndarray] = {}
     prev = None
     for j in range(L, rl - 1, -1):
@@ -457,61 +448,57 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
         sab[j] = cur
         prev = cur
 
-    def gamma_at(lvl: int) -> np.ndarray | None:
-        if lvl + k > L and k >= 1:
-            return None
-        src_lvl = lvl + k
-        if src_lvl not in alpha:
-            return None
-        if lvl not in gamma:
-            gamma[lvl] = block_reduce(alpha[src_lvl], n, src_lvl, lvl, "max")
-        return gamma[lvl]
-
+    # one tested level at a time: reach marks the visited cubes, delta their budgets
     selected: list[DyadicCube] = []
-    stack: list[tuple[DyadicCube, float]] = [(a.root, 0.0)]
-    while stack:
-        P, delta = stack.pop()
+    reach = np.zeros((1 << rl,) * n, dtype=bool)
+    reach[a.root.index] = True
+    delta = np.zeros((1 << rl,) * n)
+    for j in range(rl, L + 1, step):
+        if j > rl:
+            reach = sab[j]
         prod = 1.0
         for pyr in pyramids:
-            prod *= _lookup(pyr[P.level], P.index, n) ** inv
-        g_arr = gamma_at(P.level)
-        g = _lookup(g_arr, P.index, n) if g_arr is not None else 0.0
-        base = delta
-        if delta - prod * g < 0.0:
-            selected.append(P)
-            base = delta + cstar * prod
-        nxt = P.level + step
-        if nxt <= L:
-            a_arr = alpha.get(nxt)
-            s_arr = sab[nxt]
-            # complexity 0 consumes the just-tested coefficient on the way
-            # down; complexity k >= 1 pays each arrival cube's own one
-            ap_own = g if k == 0 else 0.0
-            for C in P.descendants(step):
-                if not _lookup(s_arr, C.index, n):
-                    continue
-                if k >= 1:
-                    ac = _lookup(a_arr, C.index, n) if a_arr is not None else 0.0
-                else:
-                    ac = ap_own
-                stack.append((C, base - ac * prod))
+            prod = prod * pyr[j] ** inv
+        # gamma: block max of the coefficients k levels deeper
+        g = block_reduce(alpha[j + k], n, j + k, j, "max") if j + k in alpha else 0.0
+        hit = reach & (delta - prod * g < 0.0)
+        selected.extend(DyadicCube(j, tuple(map(int, idx))) for idx in np.argwhere(hit))
+        if j + step > L:
+            break
+        base = np.where(hit, delta + cstar * prod, delta)
+        # complexity 0 consumes the just-tested coefficient on the way down;
+        # complexity k >= 1 pays each arrival cube's own one
+        if k == 0:
+            delta = upsample(base - g * prod, 2)
+        else:
+            delta = upsample(base, 1 << k) - alpha.get(j + k, 0.0) * upsample(prod, 1 << k)
 
     family = greedy_witness(selected, n, L)
     lhs = eval_sparse_A(a, k, p0, fs).values
     rhs = eval_sparse_A(family, 0, p0, fs).values
-    pos = rhs > 0
-    pointwise = float(np.max(lhs[pos] / rhs[pos])) if pos.any() else 0.0
-    covered = bool(np.all(lhs[~pos] <= 1e-12 * max(1.0, float(np.max(lhs, initial=0.0)))))
+    pointwise, covered = _cell_ratio(lhs, rhs)
     return SelectionResult(family, float(cstar), w_hat, pointwise, covered,
                            tuple(sorted(selected)))
 
 
+def _cell_ratio(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, bool]:
+    """sup of lhs/rhs over cells where rhs > 0, and whether lhs vanishes elsewhere."""
+    pos = rhs > 0
+    ratio = float(np.max(lhs[pos] / rhs[pos])) if pos.any() else 0.0
+    covered = bool(np.all(lhs[~pos] <= 1e-12 * max(1.0, float(np.max(lhs, initial=0.0)))))
+    return ratio, covered
+
+
 @dataclass
 class DominationResult:
+    """Outcome of ``dominate``; lhs and rhs are the cellwise operator values it compared."""
+
     pieces: list[SlicePiece]
     selections: list[SelectionResult]
     cell_constant: float
     covered: bool
+    lhs: np.ndarray
+    rhs: np.ndarray
 
     def families(self) -> list[SparseFamily]:
         return [s.family for s in self.selections]
@@ -541,15 +528,12 @@ def dominate(a: CarlesonSequence, k: int, p0: float, fs,
         select_sparse(p.seq, k, p0, fs, cstar=cstar, seed=seed + 101 * i)
         for i, p in enumerate(pieces)
     ]
-    n, L = _check_tuple(fs)
     lhs = eval_sparse_A(a, k, p0, fs).values
     rhs = np.zeros_like(lhs)
     for sel in selections:
         rhs += eval_sparse_A(sel.family, 0, p0, fs).values
-    pos = rhs > 0
-    cell_c = float(np.max(lhs[pos] / rhs[pos])) if pos.any() else 0.0
-    covered = bool(np.all(lhs[~pos] <= 1e-12 * max(1.0, float(np.max(lhs, initial=0.0)))))
-    return DominationResult(pieces, selections, cell_c, covered)
+    cell_c, covered = _cell_ratio(lhs, rhs)
+    return DominationResult(pieces, selections, cell_c, covered, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +567,7 @@ def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Embedding
     for Q, alpha in a.items():
         prod = 1.0
         for pyr in pyramids:
-            prod *= _lookup(pyr[Q.level], Q.index, n)
+            prod *= float(pyr[Q.level][Q.index])
         total += alpha * prod**q * Q.volume
     lhs = total ** (1.0 / q)
     rhs = 1.0
@@ -669,7 +653,7 @@ def cz_decompose(fs, lam: float, p0: float, m: int, P: DyadicCube) -> CZDecompos
     for i, f in enumerate(fs):
         power = np.abs(f.values) ** p0
         pyr = mean_pyramid(power, n, L)
-        if _lookup(pyr[P.level], P.index, n) > thr_pow:
+        if pyr[P.level][P.index] > thr_pow:
             short.append(i)
             good.append(GridFunction(n, L, power))
             bad.append(GridFunction.constant(n, L, 0.0))
@@ -683,7 +667,7 @@ def cz_decompose(fs, lam: float, p0: float, m: int, P: DyadicCube) -> CZDecompos
                 if Q.level == L:
                     continue
                 for C in Q.children():
-                    if _lookup(pyr[C.level], C.index, n) > thr_pow:
+                    if pyr[C.level][C.index] > thr_pow:
                         cubes.append(C)
                     else:
                         nxt.append(C)
@@ -719,19 +703,12 @@ def dyadic_maximal(f: GridFunction, p0: float = 1.0, sigma: GridFunction | None 
         den = sigma.values
         for j in range(maxlevel + 1):
             ratio = block_reduce(num, n, L, j, "mean") / block_reduce(den, n, L, j, "mean")
-            out = np.maximum(out, _broadcast(ratio, n, L, j))
+            out = np.maximum(out, upsample(ratio, 1 << (L - j)))
         return GridFunction(n, L, out)
     if p0 < 1:
         raise DomainError("p0 must be >= 1")
     power = np.abs(f.values) ** p0
     for j in range(maxlevel + 1):
         avg = block_reduce(power, n, L, j, "mean")
-        out = np.maximum(out, _broadcast(avg, n, L, j))
+        out = np.maximum(out, upsample(avg, 1 << (L - j)))
     return GridFunction(n, L, out ** (1.0 / p0))
-
-
-def _broadcast(arr: np.ndarray, n: int, L: int, j: int) -> np.ndarray:
-    s = 1 << (L - j)
-    if n == 1:
-        return np.repeat(arr, s)
-    return np.repeat(np.repeat(arr, s, axis=0), s, axis=1)

@@ -18,6 +18,7 @@ from .grid import (
     DimensionError,
     DyadicCube,
     GridFunction,
+    argmax_cube,
     block_reduce,
     _match,
 )
@@ -62,24 +63,6 @@ class ConstantReport:
         }
 
 
-def _scan_max(per_level: list[np.ndarray], n: int) -> tuple[float, DyadicCube]:
-    """Max over all scanned cubes, deterministic witness (level asc, row-major)."""
-    best = -math.inf
-    where = None
-    for j, arr in enumerate(per_level):
-        flat = np.asarray(arr, dtype=float).ravel()
-        i = int(np.argmax(flat))
-        if flat[i] > best:
-            best = float(flat[i])
-            if n == 1:
-                where = DyadicCube(j, (i,))
-            else:
-                side = 1 << j
-                where = DyadicCube(j, (i // side, i % side))
-    assert where is not None
-    return best, where
-
-
 def _positive(w: GridFunction) -> None:
     if np.any(w.values <= 0):
         raise DomainError("weight must be strictly positive cellwise")
@@ -105,7 +88,7 @@ def ap_constant(w: GridFunction, p: float, maxlevel: int | None = None) -> Const
         else:
             a = mw * block_reduce(dual, n, L, j, "mean") ** (p - 1.0)
         per_level.append(a)
-    value, witness = _scan_max(per_level, n)
+    value, witness = argmax_cube(enumerate(per_level))
     return ConstantReport(value, witness, "dyadic", maxlevel)
 
 
@@ -125,7 +108,7 @@ def rh_constant(w: GridFunction, q: float, maxlevel: int | None = None) -> Const
         else:
             a = block_reduce(vals**q, n, L, j, "mean") ** (1.0 / q) / mw
         per_level.append(a)
-    value, witness = _scan_max(per_level, n)
+    value, witness = argmax_cube(enumerate(per_level))
     return ConstantReport(value, witness, "dyadic", maxlevel)
 
 
@@ -219,7 +202,7 @@ def multi_ap_constant(t: WeightTuple, r: float = 1.0, maxlevel: int | None = Non
         for d, ai in zip(duals, a_i):
             acc = acc * block_reduce(d, n, L, j, "mean") ** (a / conjugate(ai))
         per_level.append(acc)
-    value, witness = _scan_max(per_level, n)
+    value, witness = argmax_cube(enumerate(per_level))
     return ConstantReport(value, witness, "dyadic", maxlevel)
 
 

@@ -75,6 +75,16 @@ def test_constants_malformed_file(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_constants_non_finite_weight(capsys, tmp_path, token):
+    path = tmp_path / "w.gfn"
+    path.write_text(f"GFN1 1 2\n1 2 {token} 4\n")
+    code, out, err = run(capsys, "constants", "--weight", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 2, field 3" in err
+
+
 # --- decompose -------------------------------------------------------------------
 
 
@@ -142,6 +152,16 @@ def test_dominate_cli(capsys, alpha_file, function_file):
     rep = json.loads(out)
     assert rep["covered"]
     assert math.isfinite(rep["cell_constant"])
+
+
+def test_dominate_rejects_nan_coefficient(capsys, tmp_path, function_file):
+    path = tmp_path / "nan.seq"
+    path.write_text("2 1 0.5\n4 3 nan\n")
+    code, out, err = run(capsys, "dominate", "--alpha", str(path), "--f", function_file,
+                         "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert "non-finite coefficient" in err
 
 
 # --- certification -------------------------------------------------------------------

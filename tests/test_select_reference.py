@@ -1,0 +1,117 @@
+"""The level-wise selection walk against the per-cube stack walk it replaced."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sparselab.grid import DyadicCube, block_reduce, mean_pyramid
+from sparselab.samples import random_carleson, random_function, rng_from
+from sparselab.sparse import SparsityError, greedy_witness, select_sparse, slice_scales
+
+
+def reference_selection(a, k, p0, fs, cstar):
+    """The per-cube stack walk of select_sparse, kept as the reference.
+
+    Every cube carries its own budget down a Python stack.  The per-cube
+    products are read from the same numpy level arrays the level-wise walk
+    uses, so both walks compare identical floating-point numbers.
+    """
+    n, L = fs[0].dim, fs[0].level
+    rl = a.root.level
+    step = k if k >= 1 else 1
+    alpha = {j: arr for j, arr in a.dense_levels().items() if j <= L}
+    pyramids = [mean_pyramid(f.values**p0, n, L) for f in fs]
+    inv = 1.0 / p0
+    prods = {}
+    for j in range(L + 1):
+        prod = 1.0
+        for pyr in pyramids:
+            prod = prod * pyr[j] ** inv
+        prods[j] = prod
+
+    sab: dict[int, np.ndarray] = {}
+    prev = None
+    for j in range(L, rl - 1, -1):
+        cur = np.zeros((1 << j,) * n, dtype=bool)
+        if j in alpha:
+            cur |= alpha[j] > 0
+        if prev is not None:
+            cur |= block_reduce(prev, n, j + 1, j, "any")
+        sab[j] = cur
+        prev = cur
+
+    gamma: dict[int, np.ndarray] = {}
+
+    def gamma_at(lvl):
+        src = lvl + k
+        if src not in alpha:
+            return None
+        if lvl not in gamma:
+            gamma[lvl] = block_reduce(alpha[src], n, src, lvl, "max")
+        return gamma[lvl]
+
+    selected = []
+    stack = [(a.root, 0.0)]
+    while stack:
+        P, delta = stack.pop()
+        prod = float(prods[P.level][P.index])
+        g_arr = gamma_at(P.level)
+        g = float(g_arr[P.index]) if g_arr is not None else 0.0
+        base = delta
+        if delta - prod * g < 0.0:
+            selected.append(P)
+            base = delta + cstar * prod
+        nxt = P.level + step
+        if nxt <= L:
+            a_arr = alpha.get(nxt)
+            ap_own = g if k == 0 else 0.0
+            for C in P.descendants(step):
+                if not sab[nxt][C.index]:
+                    continue
+                if k >= 1:
+                    ac = float(a_arr[C.index]) if a_arr is not None else 0.0
+                else:
+                    ac = ap_own
+                stack.append((C, base - ac * prod))
+    return tuple(sorted(selected))
+
+
+@st.composite
+def selection_case(draw):
+    n = draw(st.sampled_from([1, 2]))
+    L = draw(st.integers(3, 7) if n == 1 else st.integers(2, 5))
+    k = draw(st.integers(0, 3))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.05, 0.9))
+    if k == 0:
+        # k = 0 selects below any root; pick one at level 0..2
+        lvl = draw(st.integers(0, min(2, L)))
+        index = tuple(draw(st.integers(0, (1 << lvl) - 1)) for _ in range(n))
+        a = random_carleson(rng, n, L, root=DyadicCube(lvl, index), density=density)
+    else:
+        a = random_carleson(rng, n, L, k_grid=k, density=density)
+        # slice pieces with ell >= 1 are rooted below the unit cube
+        pieces = slice_scales(a, k)
+        if pieces:
+            a = pieces[draw(st.integers(0, len(pieces) - 1))].seq
+    m = draw(st.integers(1, 2))
+    fs = [random_function(rng, n, L) for _ in range(m)]
+    p0 = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    cstar = draw(st.none() | st.floats(0.25, 64.0))
+    return a, k, p0, fs, cstar
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(selection_case())
+def test_levelwise_selection_matches_reference_walk(case):
+    a, k, p0, fs, cstar = case
+    try:
+        res = select_sparse(a, k, p0, fs, cstar=cstar)
+    except SparsityError as err:
+        # a small given cstar may select too densely; the reference fails at the same cube
+        assert cstar is not None
+        with pytest.raises(SparsityError) as ref_err:
+            greedy_witness(reference_selection(a, k, p0, fs, cstar), a.dim, fs[0].level)
+        assert ref_err.value.cube == err.cube
+        return
+    assert res.selected == reference_selection(a, k, p0, fs, res.cstar)

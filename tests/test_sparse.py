@@ -193,12 +193,13 @@ def test_eval_sparse_A_bilinear():
 
 def test_eval_sparse_A_matches_oracle():
     rng = rng_from(5)
-    a = random_carleson(rng, 1, 5)
-    fs = [random_function(rng, 1, 5), random_function(rng, 1, 5)]
-    for k in (0, 1, 2):
-        got = eval_sparse_A(a, k, 1.5, fs).values
-        exp = oracle_eval_A(list(a.items()), 0, k, 1.5, fs)
-        assert np.allclose(got, exp, rtol=1e-12)
+    for n, L in ((1, 5), (2, 4)):
+        a = random_carleson(rng, n, L)
+        fs = [random_function(rng, n, L), random_function(rng, n, L)]
+        for k in (0, 1, 2):
+            got = eval_sparse_A(a, k, 1.5, fs).values
+            exp = oracle_eval_A(list(a.items()), 0, k, 1.5, fs)
+            assert np.allclose(got, exp, rtol=1e-12)
 
 
 def test_eval_sparse_A_sublinear_scaling():
