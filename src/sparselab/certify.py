@@ -18,9 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DomainError, DyadicCube, GridFunction, root_cube, weighted_norm
+from .grid import (
+    DomainError,
+    DyadicCube,
+    GridFunction,
+    dilate_products,
+    root_cube,
+    weighted_norm,
+)
 from .kernels import H2Report, HilbertOperator, check_h2, hilbert_kernel
-from .oscillation import lerner_decompose, ring_average_products
+from .oscillation import lerner_decompose
 from .sparse import (
     CarlesonSequence,
     SparseFamily,
@@ -148,12 +155,13 @@ def certify_theorem_c(op, t: WeightTuple, fs, h2, lam: float | None = None,
     lam = 2.0 ** (-(n + 2)) if lam is None else lam
     u = op.apply(fs)
     dec = lerner_decompose(u, root_cube(n))
-    osc_ratios = []
-    for Q, om in dec.omegas.items():
-        rings = ring_average_products(fs, Q, t.p0)
-        series = sum(2.0 ** (-ell * delta0) * v for ell, v in enumerate(rings))
-        if series > 0:
-            osc_ratios.append(om / series)
+    # the ring series of every cube, one table per level present
+    series = {}
+    for j in {Q.level for Q in dec.omegas}:
+        rings = dilate_products(fs, j, t.p0)
+        series[j] = sum(2.0 ** (-ell * delta0) * v for ell, v in enumerate(rings))
+    osc_ratios = [om / s for Q, om in dec.omegas.items()
+                  if (s := float(series[Q.level][Q.index])) > 0]
     lhs = weighted_norm(u, t.p, t.nu())
     const = multi_ap_constant(t, r=t.p0, maxlevel=maxlevel)
     beta = beta_exponent(t.exponents, t.p0)
@@ -298,7 +306,8 @@ def _grid_points(cfg: dict) -> list[dict]:
     return pts
 
 
-def _run_point(cfg: dict, point: dict, point_index: int) -> list[CertificationRecord]:
+def _run_point(cfg: dict, point: dict, point_index: int,
+               h2: H2Report | None) -> list[CertificationRecord]:
     n, L, m = cfg["n"], cfg["L"], cfg["m"]
     trials = cfg["trials"]
     seed_seq = np.random.SeedSequence([cfg["seed"], point_index])
@@ -351,9 +360,8 @@ def _run_point(cfg: dict, point: dict, point_index: int) -> list[CertificationRe
             if not rec.degenerate:
                 records.append(rec)
         return records
-    # theorem-c with the reference singular operator
+    # theorem-c with the reference singular operator; h2 is fitted once per sweep
     op = HilbertOperator()
-    h2 = hilbert_h2_fit(L, cfg["p0"])
     for ti in range(trials):
         fs = [samples.random_function(rng, n, L) for _ in range(m)]
         rec = certify_theorem_c(op, t, fs, h2, seed=cfg["seed"])
@@ -396,16 +404,19 @@ def sweep(config: dict, done_keys: set | None = None) -> SweepResult:
     cfg = validate_config(config)
     points = _grid_points(cfg)
     results: dict[int, list[CertificationRecord]] = {}
+    h2 = None
+    if cfg["experiment"] == "theorem-c" and points:
+        h2 = hilbert_h2_fit(cfg["L"], cfg["p0"])
     if cfg["jobs"] > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            futs = {i: pool.submit(_run_point, cfg, pt, i) for i, pt in enumerate(points)}
+            futs = {i: pool.submit(_run_point, cfg, pt, i, h2) for i, pt in enumerate(points)}
             for i, fut in futs.items():
                 results[i] = fut.result()
     else:
         for i, pt in enumerate(points):
-            results[i] = _run_point(cfg, pt, i)
+            results[i] = _run_point(cfg, pt, i, h2)
     records: list[CertificationRecord] = []
     for i in range(len(points)):
         records.extend(results[i])

@@ -128,8 +128,31 @@ def emit_plot(rows: list[dict], xcol: str, ycol: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _non_finite_field(obj, path: str = "") -> str | None:
+    """Dotted path of the first non-finite float in a JSON-ready object, in key order."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, val in items:
+        found = _non_finite_field(val, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def _dump(obj, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        field = _non_finite_field(obj)
+        if field is None:
+            raise
+        raise DomainError(f"non-finite value in output field {field!r}") from None
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)

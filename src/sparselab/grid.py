@@ -311,6 +311,38 @@ def dilate(Q: DyadicCube, k: int, L: int) -> np.ndarray:
     return functools.reduce(np.logical_and.outer, axes)
 
 
+def dilate_products(fs, j: int, p0: float) -> np.ndarray:
+    """prod_i <f_i>_{2^l Q, p0} for every level-j cube Q and l = 0..j, as one array.
+
+    Entry ``[l][Q.index]`` is the product over the cells of ``dilate(Q, l, L)``.
+    Those cells form a cyclic window of the base level b = min(j + 1, L):
+    s * 2^l cells per axis, s = 2^(b - j), starting at s*i + (s - s*2^l) // 2
+    for a cube with index i along that axis.  Window means of every
+    power-of-two width come from repeated pairwise averaging of cyclic
+    shifts, so each term is a mean of nonnegative numbers and nothing
+    cancels near weight singularities (prefix-sum differences would).
+    """
+    n, L = fs[0].dim, fs[0].level
+    if j > L:
+        raise DimensionError(f"resolution {L} too coarse for level-{j} cubes")
+    b = min(j + 1, L)
+    s = 1 << (b - j)
+    starts = s * np.arange(1 << j)
+    inv = 1.0 / p0
+    out = np.ones((j + 1,) + (1 << j,) * n)
+    for f in fs:
+        t = block_reduce(np.abs(f.values) ** p0, n, L, b)
+        for e in range(b + 1):
+            if e:
+                for ax in range(n):
+                    t = 0.5 * (t + np.roll(t, -(1 << (e - 1)), axis=ax))
+            ell = e - (b - j)
+            if ell >= 0:
+                idx = (starts + (s - (1 << e)) // 2) % (1 << b)
+                out[ell] = out[ell] * t[np.ix_(*(idx,) * n)] ** inv
+    return out
+
+
 @dataclass(frozen=True)
 class Annulus:
     """Ring S_j(Q) = 2^j Q \\ 2^(j-1) Q around a base cube (S_0(Q) = Q)."""

@@ -20,7 +20,7 @@ from .grid import (
     DimensionError,
     DyadicCube,
     GridFunction,
-    dilate,
+    dilate_products,
 )
 from .sparse import SparseFamily, greedy_witness, verify_sparse
 
@@ -208,16 +208,9 @@ class OscillationProfile:
 
 def ring_average_products(fs, Q: DyadicCube, p0: float) -> list[float]:
     """prod_i <f_i>_{2^l Q, p0} for l = 0..Q.level (the last dilate saturates)."""
-    n, L = fs[0].dim, fs[0].level
-    out = []
-    powers = [np.abs(f.values) ** p0 for f in fs]
-    for ell in range(Q.level + 1):
-        mask = dilate(Q, ell, L)
-        prod = 1.0
-        for pw in powers:
-            prod *= float(pw[mask].mean()) ** (1.0 / p0)
-        out.append(prod)
-    return out
+    if Q.dim != fs[0].dim:
+        raise DimensionError("cube dimension does not match function dimension")
+    return dilate_products(fs, Q.level, p0)[(slice(None), *Q.index)].tolist()
 
 
 def osc_profile(op, fs, Q: DyadicCube, lam: float, p0: float, delta0: float) -> OscillationProfile:

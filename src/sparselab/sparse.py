@@ -21,7 +21,7 @@ from .grid import (
     GridFunction,
     argmax_cube,
     block_reduce,
-    dilate,
+    dilate_products,
     mean_pyramid,
     upsample,
     weak_norm,
@@ -294,15 +294,12 @@ def eval_sparse_T(obj, k: int, p0: float, fs) -> GridFunction:
     n, L = _check_tuple(fs)
     if dim != n:
         raise DimensionError("operator dimension does not match functions")
-    powers = [np.abs(f.values) ** p0 for f in fs]
+    tables: dict[int, np.ndarray] = {}
     out = np.zeros((1 << L,) * n)
-    inv = 1.0 / p0
     for Q, alpha in items:
-        mask = dilate(Q, k, L)
-        coef = alpha
-        for pw in powers:
-            coef *= float(pw[mask].mean()) ** inv
-        out[Q.cell_slices(L)] += coef
+        if Q.level not in tables:
+            tables[Q.level] = dilate_products(fs, Q.level, p0)
+        out[Q.cell_slices(L)] += alpha * float(tables[Q.level][(min(k, Q.level), *Q.index)])
     return GridFunction(n, L, out)
 
 

@@ -85,6 +85,21 @@ def test_constants_non_finite_weight(capsys, tmp_path, token):
     assert "line 2, field 3" in err
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_constants_overflowing_weight(capsys, tmp_path, to_file):
+    # finite cells whose mean overflows: the constant is inf, which JSON cannot carry
+    path = tmp_path / "w.gfn"
+    path.write_text("GFN1 1 2\n1e308 1e308 1 1\n")
+    out_path = tmp_path / "c.json"
+    extra = ["--out", str(out_path)] if to_file else []
+    with np.errstate(over="ignore"):
+        code, out, err = run(capsys, "constants", "--weight", str(path), "--p", "2", *extra)
+    assert code == 2
+    assert out == ""
+    assert not out_path.exists()
+    assert "non-finite value in output field 'value'" in err
+
+
 # --- decompose -------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparselab.grid import (
+    DimensionError,
     DomainError,
     DyadicCube,
     GridFunction,
@@ -236,6 +237,14 @@ def test_osc_profile_ring_truncation():
     rings = ring_average_products([f], Q, 2.0)
     assert len(rings) == Q.level + 1
     assert all(r == pytest.approx(1.0) for r in rings)
+
+
+def test_ring_average_products_rejects_mismatched_cube():
+    f = GridFunction.constant(2, 3, 1.0)
+    with pytest.raises(DimensionError):
+        ring_average_products([f], DyadicCube(2, (1,)), 1.0)
+    with pytest.raises(DimensionError):
+        ring_average_products([f], DyadicCube(4, (1, 1)), 1.0)
 
 
 def test_osc_profile_identity_ratio():
