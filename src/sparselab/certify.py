@@ -54,6 +54,34 @@ def beta_exponent(pbar, p0: float) -> float:
     return best
 
 
+def _non_finite_field(obj, path: str = "") -> str | None:
+    """Dotted path of the first non-finite float in a JSON-ready object, in key order."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, val in items:
+        found = _non_finite_field(val, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
+def dumps_finite(obj, **kwargs) -> str:
+    """Strict JSON text of obj; a NaN or infinite float raises DomainError naming its field."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        field = _non_finite_field(obj)
+        if field is None:
+            raise
+        raise DomainError(f"non-finite value in output field {field!r}") from None
+
+
 @dataclass
 class CertificationRecord:
     experiment: str
@@ -378,7 +406,7 @@ class SweepResult:
     summary: list[dict]
 
     def ndjson(self) -> str:
-        lines = [json.dumps(r.to_dict(), sort_keys=True) for r in self.records]
+        lines = [dumps_finite(r.to_dict(), sort_keys=True) for r in self.records]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def csv(self) -> str:

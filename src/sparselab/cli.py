@@ -19,6 +19,7 @@ import sys
 from .certify import (
     certify_buckley,
     certify_theorem_a,
+    dumps_finite,
     sweep,
     validate_config,
 )
@@ -128,31 +129,8 @@ def emit_plot(rows: list[dict], xcol: str, ycol: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _non_finite_field(obj, path: str = "") -> str | None:
-    """Dotted path of the first non-finite float in a JSON-ready object, in key order."""
-    if isinstance(obj, float):
-        return None if math.isfinite(obj) else path
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-    elif isinstance(obj, (list, tuple)):
-        items = enumerate(obj)
-    else:
-        return None
-    for key, val in items:
-        found = _non_finite_field(val, f"{path}.{key}" if path else str(key))
-        if found is not None:
-            return found
-    return None
-
-
 def _dump(obj, out: str | None) -> None:
-    try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        field = _non_finite_field(obj)
-        if field is None:
-            raise
-        raise DomainError(f"non-finite value in output field {field!r}") from None
+    text = dumps_finite(obj, sort_keys=True, indent=2) + "\n"
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -290,14 +268,15 @@ def _run_sweep_config(path, experiment: str | None, args) -> int:
                 if line.strip():
                     done.add(json.loads(line)["key"])
     res = sweep(cfg, done_keys=done or None)
+    records = res.ndjson()  # before any output file is opened: a non-finite record writes nothing
     if out:
         with open(out + ".ndjson", "a" if done else "w", encoding="ascii") as fh:
-            fh.write(res.ndjson())
+            fh.write(records)
         with open(out + ".csv", "w", encoding="ascii") as fh:
             fh.write(res.csv())
         targets = [out + ".ndjson", out + ".csv"]
     else:
-        sys.stdout.write(res.ndjson())
+        sys.stdout.write(records)
         targets = []
     plot = cfg.get("plot")
     if plot:

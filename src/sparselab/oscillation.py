@@ -6,6 +6,12 @@ rule triggers on cells where |f - median| exceeds the oscillation-scale
 threshold, at density 2^-(n+1); the dyadic parent of a stopping cube then
 carries at most half that density, which pins each median jump below the
 threshold and makes the factor-2 bound exact on the discrete grid.
+
+The decomposition sweeps one dyadic level at a time.  The cubes visited at
+a level are equal-sized blocks, so one row-wise sort gives all their
+medians and oscillations, one row-wise partition their thresholds, and one
+count pyramid of the excess set, masked by the cubes already stopped above,
+gives their stopping cubes on every deeper level at once.
 """
 
 from __future__ import annotations
@@ -20,41 +26,46 @@ from .grid import (
     DimensionError,
     DyadicCube,
     GridFunction,
+    block_reduce,
     dilate_products,
+    upsample,
 )
-from .sparse import SparseFamily, greedy_witness, verify_sparse
+from .sparse import SparseFamily, _dense_levels, greedy_witness, verify_sparse
 
 
-def _median_from_sorted(b: np.ndarray) -> float:
-    """Smallest cell value m with max(#{> m}, #{< m}) <= N/2 (b sorted ascending)."""
-    N = b.size
-    vals = np.unique(b)
-    lt = np.searchsorted(b, vals, side="left")
-    gt = N - np.searchsorted(b, vals, side="right")
-    ok = np.nonzero((2 * lt <= N) & (2 * gt <= N))[0]
-    return float(vals[ok[0]])
+def _median_from_sorted(b: np.ndarray) -> np.ndarray:
+    """Row-wise smallest cell value m with max(#{> m}, #{< m}) <= N/2 (rows sorted ascending).
+
+    That is entry (N-1)//2: at most (N-1)//2 values lie below it and at most
+    N-1-(N-1)//2 <= N/2 above, while every smaller value has more than N/2 above.
+    """
+    return b[:, (b.shape[1] - 1) // 2]
 
 
-def _osc_from_sorted(b: np.ndarray, lam: float) -> float:
-    """inf_c (k-th largest of |b - c|) with k = ceil(lam N), by window sweep.
+def _rank(lam: float, N: int) -> int:
+    """k = ceil(lam N), at least 1: the rearrangement at lam |Q| is the k-th largest cell."""
+    return max(1, math.ceil(lam * N - 1e-12))
+
+
+def _osc_from_sorted(b: np.ndarray, lam: float) -> np.ndarray:
+    """Row-wise inf_c (k-th largest of |b - c|) with k = ceil(lam N), by window sweep.
 
     The objective equals half the width of the narrowest window containing
     N - k + 1 of the sorted values, attained at that window's midpoint.
     """
-    N = b.size
-    k = max(1, math.ceil(lam * N - 1e-12))
+    N = b.shape[1]
+    k = _rank(lam, N)
     if k > N:
-        return 0.0
+        return np.zeros(b.shape[0])
     W = N - k + 1
-    widths = b[W - 1 :] - b[:k]
-    return float(widths.min() / 2.0)
+    return (b[:, W - 1 :] - b[:, :k]).min(axis=1) / 2.0
 
 
 def median(f: GridFunction, Q: DyadicCube) -> float:
     """A median of f on Q: smallest valid cell value (ties broken downward)."""
     if Q.level > f.level:
         raise DimensionError("cube finer than the function resolution")
-    return _median_from_sorted(np.sort(f.on(Q), axis=None))
+    return float(_median_from_sorted(np.sort(f.on(Q).reshape(1, -1), axis=1))[0])
 
 
 def local_osc(f: GridFunction, Q: DyadicCube, lam: float) -> float:
@@ -63,7 +74,7 @@ def local_osc(f: GridFunction, Q: DyadicCube, lam: float) -> float:
         raise DomainError(f"lambda must lie in (0,1), got {lam}")
     if Q.level > f.level:
         raise DimensionError("cube finer than the function resolution")
-    return _osc_from_sorted(np.sort(f.on(Q), axis=None), lam)
+    return float(_osc_from_sorted(np.sort(f.on(Q).reshape(1, -1), axis=1), lam)[0])
 
 
 @dataclass
@@ -75,13 +86,14 @@ class LernerDecomposition:
     omegas: dict[DyadicCube, float]
 
     def bound_function(self) -> np.ndarray:
-        """The cell values of 2 sum_Q omega(Q) chi_Q."""
+        """The cell values of 2 sum_Q omega(Q) chi_Q, summed coarse to fine cell by cell."""
         L = self.family.level
         n = self.family.dim
-        out = np.zeros((1 << L,) * n)
-        for Q, om in self.omegas.items():
-            out[Q.cell_slices(L)] += om
-        return 2.0 * out
+        out, top = np.zeros((1,) * n), 0
+        for j, om in sorted(_dense_levels(self.omegas.items(), n).items()):
+            out = upsample(out, 1 << (j - top)) + om
+            top = j
+        return 2.0 * upsample(out, 1 << (L - top))
 
     def verify(self, f: GridFunction, tol: float = 1e-9) -> bool:
         lhs = np.abs(f.values - self.base_median)
@@ -101,36 +113,10 @@ class LernerDecomposition:
         return self.family.to_records(self.omegas)
 
 
-def _stopping_cubes(E: np.ndarray, Q: DyadicCube, n: int, threshold_num: int,
-                    threshold_den: int) -> list[DyadicCube]:
-    """Maximal strict subcubes S of Q with den * #E(S) >= num * #cells(S)."""
-    out: list[DyadicCube] = []
-    stack = [(Q, E)]
-    while stack:
-        P, block = stack.pop()
-        if block.ndim == 1:
-            half = block.size // 2
-            parts = [(DyadicCube(P.level + 1, (2 * P.index[0],)), block[:half]),
-                     (DyadicCube(P.level + 1, (2 * P.index[0] + 1,)), block[half:])]
-        else:
-            h = block.shape[0] // 2
-            i, j = P.index
-            lvl = P.level + 1
-            parts = [
-                (DyadicCube(lvl, (2 * i, 2 * j)), block[:h, :h]),
-                (DyadicCube(lvl, (2 * i, 2 * j + 1)), block[:h, h:]),
-                (DyadicCube(lvl, (2 * i + 1, 2 * j)), block[h:, :h]),
-                (DyadicCube(lvl, (2 * i + 1, 2 * j + 1)), block[h:, h:]),
-            ]
-        for C, sub in parts:
-            cnt = int(sub.sum())
-            if cnt == 0:
-                continue
-            if cnt * threshold_den >= threshold_num * sub.size:
-                out.append(C)
-            elif sub.size > 1:
-                stack.append((C, sub))
-    return out
+def _blocks(arr: np.ndarray, n: int, j: int) -> np.ndarray:
+    """View of a level-L cell array as (2^j,)*n level-j cubes, each an (s,)*n block of cells."""
+    v = arr.reshape((1 << j, arr.shape[0] >> j) * n)
+    return v.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
 
 
 def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
@@ -146,32 +132,41 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
     n, L = f.dim, f.level
     lam = 2.0 ** (-(n + 2))
     omegas: dict[DyadicCube, float] = {}
-    m0: float | None = None
+    visit = {j: np.zeros((1 << j,) * n, dtype=bool) for j in range(Q0.level, L + 1)}
+    visit[Q0.level][Q0.index] = True
 
-    stack = [Q0]
-    while stack:
-        Q = stack.pop()
-        block = f.on(Q)
-        flat = np.sort(block, axis=None)
-        med = _median_from_sorted(flat)
-        if m0 is None:
-            m0 = med
-        om = _osc_from_sorted(flat, lam)
-        if om > 0.0:
-            omegas[Q] = om
-        N = flat.size
+    for j in range(Q0.level, L + 1):
+        here = visit[j]
+        if not here.any():
+            continue
+        N = (1 << (L - j)) ** n
+        rows = _blocks(f.values, n, j)[here].reshape(-1, N)
+        b = np.sort(rows, axis=1)
+        med = _median_from_sorted(b)
+        if j == Q0.level:
+            m0 = float(med[0])
+        om = _osc_from_sorted(b, lam)
+        for idx, w in zip(np.argwhere(here)[om > 0.0], om[om > 0.0]):
+            omegas[DyadicCube(j, tuple(map(int, idx)))] = float(w)
         if N == 1:
             continue
-        k = max(1, math.ceil(lam * N - 1e-12))
-        g = np.abs(block - med)
-        t = float(np.partition(g, N - k, axis=None)[N - k])
-        E = g > t
-        if not E.any():
-            continue
-        stack.extend(_stopping_cubes(E, Q, n, 1, 1 << (n + 1)))
+        k = _rank(lam, N)
+        g = np.abs(rows - med[:, None])
+        t = np.partition(g, N - k, axis=1)[:, N - k]
+        E = np.zeros(f.values.shape, dtype=bool)
+        _blocks(E, n, j)[here] = (g > t[:, None]).reshape((-1,) + (1 << (L - j),) * n)
+        # excess counts of every deeper cube, then the maximal ones of density >= 2^-(n+1)
+        cnt = {L: E}
+        for i in range(L - 1, j, -1):
+            cnt[i] = block_reduce(cnt[i + 1], n, i + 1, i, "sum")
+        covered = np.zeros((1 << (j + 1),) * n, dtype=bool)
+        for i in range(j + 1, L + 1):
+            stop = ~covered & (cnt[i] * (1 << (n + 1)) >= 1 << (n * (L - i)))
+            visit[i] |= stop
+            if i < L:
+                covered = upsample(covered | stop, 2)
 
     family = greedy_witness(omegas.keys(), n, L)
-    assert m0 is not None
     return LernerDecomposition(Q0, m0, lam, family, omegas)
 
 

@@ -194,40 +194,57 @@ def _runs(flat: np.ndarray) -> list[list[int]]:
 
 def verify_sparse(S: SparseFamily) -> bool:
     """Exact cell-count check of disjointness, containment and the half bound."""
-    seen: set[int] = set()
-    for Q in S.cubes:
-        E = S.witness[Q]
-        cells = set(int(c) for c in Q.flat_cells(S.level))
-        idx = set(int(c) for c in E)
-        if len(idx) != E.size:
-            return False
-        if not idx <= cells:
-            return False
-        if idx & seen:
-            return False
-        if Q.cell_count(S.level) > 2 * len(idx):
-            return False
-        seen |= idx
-    return True
+    n, L = S.dim, S.level
+    ws = [S.witness[Q] for Q in S.cubes]
+    sizes = np.array([w.size for w in ws], dtype=np.int64)
+    cells = np.concatenate([np.zeros(0, dtype=np.int64)] + ws)
+    lev = np.array([Q.level for Q in S.cubes], dtype=np.int64)
+    if np.any(lev > L):
+        raise DimensionError(f"resolution {L} too coarse for level-{int(lev.max())} cubes")
+    if np.any((1 << (L - lev)) ** n > 2 * sizes):
+        return False
+    if np.any((cells < 0) | (cells >= 1 << (n * L))):
+        return False
+    # a repeated cell is a duplicate inside one E_Q or an overlap between two
+    if np.any(np.bincount(cells) > 1):
+        return False
+    owner = np.repeat(np.arange(len(ws)), sizes)
+    index = np.array([Q.index for Q in S.cubes], dtype=np.int64).reshape(-1, n)[owner]
+    coords = np.unravel_index(cells, (1 << L,) * n)
+    return all(np.array_equal(c >> (L - lev[owner]), index[:, a]) for a, c in enumerate(coords))
 
 
 def greedy_witness(cubes, dim: int, level: int) -> SparseFamily:
     """Assign E_Q = Q minus all family cubes strictly inside Q, deepest first.
 
-    Raises SparsityError naming the first cube whose leftover cells fall
-    below half its measure.
+    Every cell goes to the deepest family cube containing it.  Raises
+    SparsityError naming the first cube, deepest level first and row-major
+    within it, whose leftover cells fall below half its measure.
     """
-    cubes = sorted(set(cubes), key=lambda Q: (-Q.level, Q.index))
-    total = (1 << level) ** dim
-    owner = np.zeros(total, dtype=bool)
-    witness: dict[DyadicCube, np.ndarray] = {}
-    for Q in cubes:
-        flat = Q.flat_cells(level)
-        free = flat[~owner[flat]]
-        if 2 * free.size < flat.size:
-            raise SparsityError(Q, deficit=int(math.ceil(flat.size / 2)) - free.size)
-        owner[free] = True
-        witness[Q] = free
+    # (level, row-major) order: the id order of the level arrays
+    found = sorted(set(cubes), key=lambda Q: (Q.level, Q.index))
+    fam = {j: a > 0 for j, a in _dense_levels(((Q, 1.0) for Q in found), dim).items()}
+    if found and found[-1].level > level:
+        raise DimensionError(f"resolution {level} too coarse for level-{found[-1].level} cubes")
+    # owner: per cell, the id of the deepest family cube containing it (-1 for none)
+    owner, first = np.full((1,) * dim, -1, dtype=np.int64), 0
+    for j in range(level + 1):
+        owner = upsample(owner, 2) if j else owner
+        if j in fam:
+            owner = np.where(fam[j], first + np.cumsum(fam[j]).reshape(fam[j].shape) - 1, owner)
+            first += int(fam[j].sum())
+    cells = np.flatnonzero(owner >= 0)
+    lab = owner.ravel()[cells]
+    sizes = np.bincount(lab, minlength=len(found))
+    cube_cells = (1 << (level - np.array([Q.level for Q in found], dtype=np.int64))) ** dim
+    short = np.flatnonzero(2 * sizes < cube_cells)
+    if short.size:
+        i = max(short, key=lambda i: found[i].level)
+        raise SparsityError(found[i], deficit=int(math.ceil(cube_cells[i] / 2)) - int(sizes[i]))
+    # ids fit 16 bits up to 65,536 cubes, where numpy's stable sort is a radix sort
+    cells = cells[np.argsort(lab.astype(np.min_scalar_type(len(found))), kind="stable")]
+    ends = np.cumsum(sizes).tolist()
+    witness = {Q: cells[e - int(size):e] for Q, size, e in zip(found, sizes, ends)}
     return SparseFamily(dim, level, witness)
 
 

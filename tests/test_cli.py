@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from sparselab import cli
+from sparselab.certify import CertificationRecord, SweepResult
 from sparselab.cli import emit_plot, main, read_carleson, write_carleson
 from sparselab.grid import DomainError, GridFunction, read_gfn, root_cube, write_gfn
 from sparselab.samples import random_carleson, rng_from
@@ -235,6 +237,27 @@ def test_sweep_byte_identical(capsys, tmp_path):
     assert run(capsys, "sweep", "--config", str(p2))[0] == 0
     second = (tmp_path / "s2.ndjson").read_bytes()
     assert first == second
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
+    # no config is known to produce an infinite constant, so the record is built directly
+    rec = CertificationRecord("buckley", {"p": 2.0, "L": 5, "n": 1}, 1.0, 2.0,
+                              constants={"ap": math.inf}, seed=9)
+    with pytest.raises(DomainError, match="'constants.ap'"):
+        SweepResult({}, [rec], []).ndjson()
+    monkeypatch.setattr(cli, "sweep", lambda cfg, done_keys=None: SweepResult(cfg, [rec], []))
+    cfg = {"experiment": "buckley", "L": 5, "p": [2.0], "trials": 1, "seed": 9,
+           "weight_family": {"type": "power", "alpha_grid": [0.3]}}
+    if to_file:
+        cfg["out"] = str(tmp_path / "s")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert not (tmp_path / "s.ndjson").exists()
+    assert "non-finite value in output field 'constants.ap'" in err
 
 
 # --- symbol / kernel checks ------------------------------------------------------------
