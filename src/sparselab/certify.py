@@ -319,6 +319,8 @@ def validate_config(config: dict) -> dict:
     }
     if not isinstance(out["k"], list):
         out["k"] = [int(out["k"])]
+    if out["trials"] < 1:
+        raise DomainError(f"config 'trials' must be at least 1, got {out['trials']}")
     return out
 
 

@@ -29,6 +29,7 @@ from .grid import (
     DyadicCube,
     FormatError,
     GridFunction,
+    MAX_LEVEL,
     read_gfn,
     root_cube,
 )
@@ -52,7 +53,7 @@ def read_weight(path) -> GridFunction:
 
 
 def read_carleson(path) -> CarlesonSequence:
-    """Sequence file: one cube per line, 'level index... alpha'."""
+    """Sequence file: one cube per line, 'level index... alpha', level at most MAX_LEVEL[n]."""
     coeffs = {}
     n = None
     with open(path, "r", encoding="ascii") as fh:
@@ -72,10 +73,13 @@ def read_carleson(path) -> CarlesonSequence:
                 alpha = float(toks[-1])
             except ValueError:
                 raise FormatError(f"line {ln}: malformed number") from None
+            if not 0 <= level <= MAX_LEVEL[n]:
+                raise FormatError(f"line {ln}: level {level} out of range 0..{MAX_LEVEL[n]} "
+                                  f"for n={n}")
             coeffs[DyadicCube(level, index)] = alpha
     if n is None:
         raise FormatError("line 1: empty coefficient file")
-    return CarlesonSequence(root_cube(n), coeffs)
+    return CarlesonSequence.from_cubes(root_cube(n), coeffs)
 
 
 def write_carleson(path, a: CarlesonSequence) -> None:
@@ -194,11 +198,7 @@ def cmd_decompose(args) -> int:
 def cmd_select(args) -> int:
     a = read_carleson(args.alpha)
     fs = [read_gfn(p) for p in args.f]
-    try:
-        res = select_sparse(a, args.k, args.p0, fs, cstar=args.cstar, seed=args.seed)
-    except SparsityError as err:
-        print(f"sparsity witness failed at {err.cube}", file=sys.stderr)
-        return 3
+    res = select_sparse(a, args.k, args.p0, fs, cstar=args.cstar, seed=args.seed)
     report = {
         "family": res.family.to_records(),
         **res.report(),
@@ -212,11 +212,7 @@ def cmd_select(args) -> int:
 def cmd_dominate(args) -> int:
     a = read_carleson(args.alpha)
     fs = [read_gfn(p) for p in args.f]
-    try:
-        res = dominate(a, args.k, args.p0, fs, cstar=args.cstar, seed=args.seed)
-    except SparsityError as err:
-        print(f"sparsity witness failed at {err.cube}", file=sys.stderr)
-        return 3
+    res = dominate(a, args.k, args.p0, fs, cstar=args.cstar, seed=args.seed)
     _dump({**res.report(), "seed": args.seed}, args.out)
     return 0
 
@@ -229,11 +225,7 @@ def cmd_certify_a(args) -> int:
     a = read_carleson(args.alpha)
     fs = [read_gfn(p) for p in args.f]
     w = read_weight(args.weight) if args.weight else None
-    try:
-        rec = certify_theorem_a(a, args.k, args.p0, fs, args.p, w, seed=args.seed)
-    except SparsityError as err:
-        print(f"sparsity witness failed at {err.cube}", file=sys.stderr)
-        return 3
+    rec = certify_theorem_a(a, args.k, args.p0, fs, args.p, w, seed=args.seed)
     _dump(rec.to_dict(), args.out)
     return 0
 
@@ -447,6 +439,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except SparsityError as err:
+        print(f"sparsity witness failed at {err.cube}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

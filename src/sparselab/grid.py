@@ -240,6 +240,19 @@ def upsample(arr: np.ndarray, s: int) -> np.ndarray:
     return grown.reshape([m * s for m in arr.shape])
 
 
+def cube_levels(items, n: int) -> dict[int, np.ndarray]:
+    """(cube, value) pairs as one array per populated level, in level order, indexed by
+    Q.index: zero for cubes not listed, the last value for a repeated cube."""
+    out: dict[int, np.ndarray] = {}
+    for Q, a in items:
+        if Q.dim != n:
+            raise DimensionError(f"cube {Q} is not {n}-dimensional")
+        if Q.level not in out:
+            out[Q.level] = np.zeros((1 << Q.level,) * n)
+        out[Q.level][Q.index] = a
+    return dict(sorted(out.items()))
+
+
 def argmax_cube(levels) -> tuple[float, DyadicCube]:
     """Largest entry over (level, array) pairs and the cube attaining it.
 

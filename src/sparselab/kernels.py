@@ -38,7 +38,7 @@ class Symbol:
         if arr.ndim != self.freq_dim:
             raise DimensionError("symbol array rank must equal freq_dim")
         N = arr.shape[0]
-        if any(s != N for s in arr.shape) or N & (N - 1):
+        if any(s != N for s in arr.shape) or N < 1 or N & (N - 1):
             raise DimensionError("symbol must be sampled on a square power-of-two lattice")
         if not np.all(np.isfinite(arr)):
             raise DomainError("symbol values must be finite (bounded symbol)")
@@ -51,8 +51,7 @@ class Symbol:
         return self.values.shape[0]
 
     def frequencies(self) -> np.ndarray:
-        N = self.N
-        return np.arange(-N // 2, N // 2)
+        return _frequencies(self.N)
 
     def fft_order(self) -> np.ndarray:
         return np.fft.ifftshift(self.values)
@@ -72,8 +71,15 @@ class Symbol:
         return bool(np.all(np.abs(v[edges].imag) <= tol))
 
 
+def _frequencies(N: int) -> np.ndarray:
+    """The frequencies -N/2 .. N/2 - 1 of a lattice of positive power-of-two size N."""
+    if N < 1 or N & (N - 1):
+        raise DimensionError(f"lattice size must be a positive power of two, got {N}")
+    return np.arange(-N // 2, N // 2)
+
+
 def symbol_from_function(fn, N: int, freq_dim: int = 1, name: str = "") -> Symbol:
-    freqs = np.arange(-N // 2, N // 2)
+    freqs = _frequencies(N)
     if freq_dim == 1:
         vals = np.array([fn(float(x)) for x in freqs], dtype=complex)
     else:
@@ -82,12 +88,12 @@ def symbol_from_function(fn, N: int, freq_dim: int = 1, name: str = "") -> Symbo
 
 
 def symbol_identity(N: int, freq_dim: int = 1) -> Symbol:
-    return Symbol(freq_dim, np.ones((N,) * freq_dim), "identity")
+    return Symbol(freq_dim, np.ones((_frequencies(N).size,) * freq_dim), "identity")
 
 
 def symbol_sign(N: int) -> Symbol:
     """-i sign(xi) with the zero and unpaired Nyquist bins set to zero."""
-    freqs = np.arange(-N // 2, N // 2)
+    freqs = _frequencies(N)
     vals = -1j * np.sign(freqs).astype(complex)
     vals[0] = 0.0  # unpaired bin at -N/2
     return Symbol(1, vals, "sign")
@@ -95,7 +101,7 @@ def symbol_sign(N: int) -> Symbol:
 
 def symbol_oscillating(N: int, tau: float = 1.0) -> Symbol:
     """|xi|^(i tau), a bounded oscillating symbol (value 1 at xi = 0)."""
-    freqs = np.arange(-N // 2, N // 2).astype(float)
+    freqs = _frequencies(N).astype(float)
     out = np.ones(N, dtype=complex)
     nz = freqs != 0
     out[nz] = np.exp(1j * tau * np.log(np.abs(freqs[nz])))
@@ -109,7 +115,7 @@ def symbol_cone(N: int) -> Symbol:
     like |(xi, eta)|^-k; the l1-normalized variant xi/(|xi|+|eta|) has kinks
     on the axes and fails the order-2 condition there.
     """
-    freqs = np.arange(-N // 2, N // 2).astype(float)
+    freqs = _frequencies(N).astype(float)
     X, Y = np.meshgrid(freqs, freqs, indexing="ij")
     den = np.sqrt(X**2 + Y**2)
     out = np.zeros_like(X, dtype=complex)
@@ -120,7 +126,7 @@ def symbol_cone(N: int) -> Symbol:
 
 def symbol_smooth_bump(N: int, freq_dim: int = 2, width: float = 0.25) -> Symbol:
     """Smooth compactly supported bump exp(-1/(1-r^2)) on r < 1, r = |xi|/(width N/2)."""
-    freqs = np.arange(-N // 2, N // 2).astype(float)
+    freqs = _frequencies(N).astype(float)
     scale = width * (N / 2)
     if freq_dim == 1:
         r2 = (freqs / scale) ** 2

@@ -27,10 +27,11 @@ from .grid import (
     DyadicCube,
     GridFunction,
     block_reduce,
+    cube_levels,
     dilate_products,
     upsample,
 )
-from .sparse import SparseFamily, _dense_levels, greedy_witness, verify_sparse
+from .sparse import SparseFamily, greedy_witness, verify_sparse
 
 
 def _median_from_sorted(b: np.ndarray) -> np.ndarray:
@@ -90,7 +91,7 @@ class LernerDecomposition:
         L = self.family.level
         n = self.family.dim
         out, top = np.zeros((1,) * n), 0
-        for j, om in sorted(_dense_levels(self.omegas.items(), n).items()):
+        for j, om in cube_levels(self.omegas.items(), n).items():
             out = upsample(out, 1 << (j - top)) + om
             top = j
         return 2.0 * upsample(out, 1 << (L - top))

@@ -38,22 +38,16 @@ def random_carleson(rng, n: int, L: int, root: DyadicCube | None = None,
     """
     root = root or root_cube(n)
     rl = root.level
-    if k_grid >= 1:
-        levels = list(range(rl + k_grid, L + 1, k_grid))
-    else:
-        levels = list(range(rl, L + 1))
-    coeffs: dict[DyadicCube, float] = {}
+    levels = range(rl + k_grid, L + 1, max(k_grid, 1))
+    coeffs: dict[int, np.ndarray] = {}
     for j in levels:
-        side = 1 << (j - rl)
-        mask = rng.random((side,) * n) < density
-        for offs in zip(*np.nonzero(mask)):
-            cube = DyadicCube(j, tuple(r * side + int(i) for r, i in zip(root.index, offs)))
-            coeffs[cube] = float(rng.uniform(0.05, 1.0))
-    if not coeffs and levels:
+        mask = rng.random((1 << (j - rl),) * n) < density
+        coeffs[j] = np.zeros((1 << j,) * n)
+        # boolean assignment fills the cells in row-major order, one draw each
+        coeffs[j][root.cell_slices(j)][mask] = rng.uniform(0.05, 1.0, int(mask.sum()))
+    if levels and not any(arr.any() for arr in coeffs.values()):
         j = levels[-1]
-        side = 1 << (j - rl)
-        idx = tuple(r * side for r in root.index)
-        coeffs[DyadicCube(j, idx)] = 1.0
+        coeffs[j][tuple(r << (j - rl) for r in root.index)] = 1.0
     return CarlesonSequence(root, coeffs).normalized()
 
 

@@ -21,6 +21,7 @@ from .grid import (
     GridFunction,
     argmax_cube,
     block_reduce,
+    cube_levels,
     dilate_products,
     mean_pyramid,
     upsample,
@@ -42,59 +43,53 @@ class SparsityError(RuntimeError):
 
 
 class CarlesonSequence:
-    """Nonnegative coefficients alpha_Q on dyadic cubes below a root cube."""
+    """Nonnegative coefficients alpha_Q on dyadic cubes below a root cube.
 
-    def __init__(self, root: DyadicCube, coeffs):
+    ``levels[j][Q.index]`` is alpha_Q: one (2^j,)*n array per populated
+    level, in level order, zero off the support.
+    """
+
+    def __init__(self, root: DyadicCube, levels: dict[int, np.ndarray]):
         self.root = root
-        items = dict(coeffs)
-        for Q, a in items.items():
-            if not math.isfinite(a):
-                raise DomainError(f"non-finite coefficient {a} at {Q}")
-            if a < 0:
-                raise DomainError(f"negative coefficient {a} at {Q}")
-            if not root.contains(Q):
-                raise DomainError(f"support cube {Q} lies outside the root {root}")
-        self.coeffs = {Q: float(a) for Q, a in sorted(items.items()) if a != 0.0}
+        self.levels: dict[int, np.ndarray] = {}
+        for j, arr in sorted(levels.items()):
+            arr = np.array(arr, dtype=float)
+            outside = arr != 0
+            if j >= root.level:
+                outside[root.cell_slices(j)] = False
+            for bad, what in ((~np.isfinite(arr), "non-finite coefficient"),
+                              (arr < 0, "negative coefficient"),
+                              (outside, f"coefficient outside the root {root}:")):
+                if bad.any():
+                    Q = argmax_cube([(j, bad)])[1]
+                    raise DomainError(f"{what} {arr[Q.index]} at {Q}")
+            if arr.any():
+                arr.flags.writeable = False
+                self.levels[j] = arr
+
+    @classmethod
+    def from_cubes(cls, root: DyadicCube, coeffs) -> "CarlesonSequence":
+        """The sequence with the given (cube, coefficient) pairs or cube-keyed mapping."""
+        return cls(root, cube_levels(dict(coeffs).items(), root.dim))
 
     @property
     def dim(self) -> int:
         return self.root.dim
 
-    def items(self):
-        return self.coeffs.items()
+    def items(self) -> list[tuple[DyadicCube, float]]:
+        """(cube, coefficient) pairs of the support in (level, row-major) order."""
+        return [(DyadicCube(j, tuple(idx)), float(arr[tuple(idx)]))
+                for j, arr in self.levels.items() for idx in np.argwhere(arr).tolist()]
 
     def __len__(self):
-        return len(self.coeffs)
-
-    def support_levels(self) -> list[int]:
-        return sorted({Q.level for Q in self.coeffs})
-
-    def max_level(self) -> int:
-        return max((Q.level for Q in self.coeffs), default=self.root.level)
-
-    def dense_levels(self) -> dict[int, np.ndarray]:
-        """Coefficients as one dense array per populated level."""
-        return _dense_levels(self.items(), self.dim)
-
-    def scaled(self, factor: float) -> "CarlesonSequence":
-        return CarlesonSequence(self.root, {Q: a * factor for Q, a in self.coeffs.items()})
+        return sum(int(np.count_nonzero(arr)) for arr in self.levels.values())
 
     def normalized(self) -> "CarlesonSequence":
         """Rescale so the packing supremum equals one (no-op for the zero sequence)."""
         ratio, _ = packing(self)
         if ratio <= 0:
             return self
-        return self.scaled(1.0 / ratio)
-
-
-def _dense_levels(items, n: int) -> dict[int, np.ndarray]:
-    """(cube, coefficient) pairs as one dense array per populated level, indexed by Q.index."""
-    out: dict[int, np.ndarray] = {}
-    for Q, a in items:
-        if Q.level not in out:
-            out[Q.level] = np.zeros((1 << Q.level,) * n)
-        out[Q.level][Q.index] = a
-    return out
+        return CarlesonSequence(self.root, {j: v * (1.0 / ratio) for j, v in self.levels.items()})
 
 
 @dataclass(frozen=True)
@@ -106,8 +101,7 @@ class CarlesonReport:
 
 def packing(a: CarlesonSequence) -> tuple[float, DyadicCube]:
     """sup_Q |Q|^-1 sum_{T subset Q} alpha_T |T| and the attaining cube, bottom-up."""
-    n = a.dim
-    dense = a.dense_levels()
+    n, dense = a.dim, a.levels
     if not dense:
         return 0.0, a.root
     # partial packing sums S(Q) accumulated from the deepest level upward;
@@ -140,13 +134,10 @@ def beta_sequence(a: CarlesonSequence, k: int) -> CarlesonSequence:
         return a
     n = a.dim
     factor = 2.0 ** (-n * k)
-    out: dict[DyadicCube, float] = {}
-    for R, alpha in a.items():
-        if R.level - k < a.root.level:
-            continue
-        Q = R.ancestor(k)
-        out[Q] = out.get(Q, 0.0) + factor * alpha
-    return CarlesonSequence(a.root, out)
+    return CarlesonSequence(a.root, {
+        j - k: factor * block_reduce(arr, n, j, j - k, "sum")
+        for j, arr in a.levels.items() if j - k >= a.root.level
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +214,9 @@ def greedy_witness(cubes, dim: int, level: int) -> SparseFamily:
     """
     # (level, row-major) order: the id order of the level arrays
     found = sorted(set(cubes), key=lambda Q: (Q.level, Q.index))
-    fam = {j: a > 0 for j, a in _dense_levels(((Q, 1.0) for Q in found), dim).items()}
     if found and found[-1].level > level:
         raise DimensionError(f"resolution {level} too coarse for level-{found[-1].level} cubes")
+    fam = {j: a > 0 for j, a in cube_levels(((Q, 1.0) for Q in found), dim).items()}
     # owner: per cell, the id of the deepest family cube containing it (-1 for none)
     owner, first = np.full((1,) * dim, -1, dtype=np.int64), 0
     for j in range(level + 1):
@@ -252,21 +243,30 @@ def greedy_witness(cubes, dim: int, level: int) -> SparseFamily:
 # Sparse operator evaluation
 
 
-def _as_items(obj):
+def _operator_args(obj, k: int, p0: float, fs) -> tuple[dict[int, np.ndarray], int, int, int]:
+    """Coefficient level arrays (1 on family cubes), root level, n and L, all checked."""
+    if k < 0:
+        raise DomainError("complexity k must be nonnegative")
+    if p0 < 1:
+        raise DomainError("p0 must be >= 1")
     if isinstance(obj, CarlesonSequence):
-        return obj.items(), obj.root.level, obj.dim
-    if isinstance(obj, SparseFamily):
-        return [(Q, 1.0) for Q in obj.cubes], 0, obj.dim
-    raise DimensionError(f"cannot evaluate a sparse operator from {type(obj).__name__}")
+        alpha, rootlvl = obj.levels, obj.root.level
+    elif isinstance(obj, SparseFamily):
+        alpha, rootlvl = cube_levels(((Q, 1.0) for Q in obj.cubes), obj.dim), 0
+    else:
+        raise DimensionError(f"cannot evaluate a sparse operator from {type(obj).__name__}")
+    return (alpha, rootlvl) + _check_tuple(fs, obj.dim)
 
 
-def _check_tuple(fs) -> tuple[int, int]:
+def _check_tuple(fs, dim: int | None = None) -> tuple[int, int]:
     if not fs:
         raise DomainError("need at least one input function")
     n, L = fs[0].dim, fs[0].level
     for f in fs:
         if f.dim != n or f.level != L:
             raise DimensionError("input tuple mixes grids")
+    if dim is not None and dim != n:
+        raise DimensionError(f"dimension {dim} does not match the functions' dimension {n}")
     return n, L
 
 
@@ -275,20 +275,12 @@ def eval_sparse_A(obj, k: int, p0: float, fs) -> GridFunction:
 
     Cubes whose k-th ancestor is not contained in the root are skipped.
     """
-    if k < 0:
-        raise DomainError("complexity k must be nonnegative")
-    if p0 < 1:
-        raise DomainError("p0 must be >= 1")
-    items, rootlvl, dim = _as_items(obj)
-    n, L = _check_tuple(fs)
-    if dim != n:
-        raise DimensionError("operator dimension does not match functions")
-    alpha = _dense_levels(items, n)
+    alpha, rootlvl, n, L = _operator_args(obj, k, p0, fs)
     pyramids = [mean_pyramid(np.abs(f.values) ** p0, n, L) for f in fs]
     inv = 1.0 / p0
     # top-down: every level adds its term onto the sum of the coarser ones
     out, top = np.zeros((1,) * n), 0
-    for j in sorted(alpha):
+    for j in alpha:
         if j - k < rootlvl:
             continue
         if j > L:
@@ -303,20 +295,11 @@ def eval_sparse_A(obj, k: int, p0: float, fs) -> GridFunction:
 
 def eval_sparse_T(obj, k: int, p0: float, fs) -> GridFunction:
     """Dilate-type sparse operator sum_Q alpha_Q prod_i <f_i>_{2^k Q,p0} chi_Q."""
-    if k < 0:
-        raise DomainError("complexity k must be nonnegative")
-    if p0 < 1:
-        raise DomainError("p0 must be >= 1")
-    items, _, dim = _as_items(obj)
-    n, L = _check_tuple(fs)
-    if dim != n:
-        raise DimensionError("operator dimension does not match functions")
-    tables: dict[int, np.ndarray] = {}
+    alpha, _, n, L = _operator_args(obj, k, p0, fs)
+    # coarse to fine, so every cell sums its cubes' terms in level order
     out = np.zeros((1 << L,) * n)
-    for Q, alpha in items:
-        if Q.level not in tables:
-            tables[Q.level] = dilate_products(fs, Q.level, p0)
-        out[Q.cell_slices(L)] += alpha * float(tables[Q.level][(min(k, Q.level), *Q.index)])
+    for j, arr in alpha.items():
+        out += upsample(arr * dilate_products(fs, j, p0)[min(k, j)], 1 << (L - j))
     return GridFunction(n, L, out)
 
 
@@ -339,20 +322,22 @@ def slice_scales(a: CarlesonSequence, k: int) -> list[SlicePiece]:
     """
     if k < 1:
         raise DomainError("slicing needs k >= 1")
-    rl = a.root.level
-    buckets: dict[tuple[int, DyadicCube], dict[DyadicCube, float]] = {}
-    for Q, alpha in a.items():
-        rel = Q.level - rl
-        if rel < k:
+    pieces = []
+    for ell in range(k):
+        top = a.root.level + ell
+        levels = {j: arr for j, arr in a.levels.items() if j >= top + k and (j - top) % k == 0}
+        if not levels:
             continue
-        ell = rel % k
-        P = Q.ancestor(Q.level - (rl + ell))
-        buckets.setdefault((ell, P), {})[Q] = alpha
-    pieces = [
-        SlicePiece(ell, P, CarlesonSequence(P, coeffs))
-        for (ell, P), coeffs in sorted(buckets.items())
-    ]
-    return [p for p in pieces if len(p.seq)]
+        # the level-top cubes P with support below them, row-major
+        used = sum(block_reduce(arr > 0, a.dim, j, top, "any") for j, arr in levels.items())
+        for idx in np.argwhere(used).tolist():
+            P = DyadicCube(top, tuple(idx))
+            mine = np.zeros(used.shape, dtype=bool)
+            mine[P.index] = True
+            seq = CarlesonSequence(P, {j: np.where(upsample(mine, 1 << (j - top)), arr, 0.0)
+                                       for j, arr in levels.items()})
+            pieces.append(SlicePiece(ell, P, seq))
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +373,7 @@ def measure_weak_norm(a: CarlesonSequence, k: int, p0: float, m: int,
     if trials < 1:
         raise DomainError("need at least one trial")
     n = a.dim
-    L_res = max(a.max_level(), a.root.level)
+    L_res = max(a.levels, default=a.root.level)
     rng = np.random.default_rng(seed)
     best = 0.0
     shape = (1 << L_res,) * n
@@ -422,21 +407,17 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
     is 2^(2(m+1)) times twice the measured weak-norm estimate (floored at
     one, which the single-generation averaging operator always attains).
     """
-    n, L = _check_tuple(fs)
-    if a.dim != n:
-        raise DimensionError("sequence dimension does not match functions")
+    n, L = _check_tuple(fs, a.dim)
     for f in fs:
         if np.any(f.values < 0):
             raise DomainError("selection needs nonnegative input functions")
     m = len(fs)
     rl = a.root.level
     if k >= 1:
-        for Q in a.coeffs:
-            rel = Q.level - rl
-            if rel < k or rel % k != 0:
-                raise DomainError(
-                    f"complexity-{k} selection needs support on levels root+j*k; found {Q}"
-                )
+        for j, arr in a.levels.items():
+            if j - rl < k or (j - rl) % k != 0:
+                raise DomainError(f"complexity-{k} selection needs support on levels "
+                                  f"root+j*k; found {argmax_cube([(j, arr > 0)])[1]}")
     if cstar is None:
         w_hat = 2.0 * max(1.0, measure_weak_norm(a, k, p0, m, wnorm_trials, seed))
         cstar = 2.0 ** (2 * (m + 1)) * w_hat
@@ -446,7 +427,7 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
         raise DomainError("cstar must be positive")
 
     step = max(k, 1)
-    alpha = a.dense_levels()
+    alpha = a.levels
     pyramids = [mean_pyramid(f.values**p0, n, L) for f in fs]
     inv = 1.0 / p0
 
@@ -565,9 +546,7 @@ def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Embedding
     """Check (sum_Q alpha_Q (prod <f_i>_Q)^q |Q|)^(1/q) <= prod p_i' ||f_i||_{p_i}."""
     from .weights import conjugate
 
-    n, L = _check_tuple(fs)
-    if a.dim != n:
-        raise DimensionError("sequence dimension does not match functions")
+    n, L = _check_tuple(fs, a.dim)
     ps = tuple(float(p) for p in ps)
     if len(ps) != len(fs):
         raise DomainError("need one exponent per function")
@@ -578,11 +557,11 @@ def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Embedding
             raise DomainError("embedding check needs nonnegative functions")
     pyramids = [mean_pyramid(f.values, n, L) for f in fs]
     total = 0.0
-    for Q, alpha in a.items():
+    for j, alpha in a.levels.items():
         prod = 1.0
         for pyr in pyramids:
-            prod *= float(pyr[Q.level][Q.index])
-        total += alpha * prod**q * Q.volume
+            prod = prod * pyr[j]
+        total += float((alpha * prod**q).sum()) * 2.0 ** (-n * j)
     lhs = total ** (1.0 / q)
     rhs = 1.0
     for f, p in zip(fs, ps):

@@ -107,7 +107,7 @@ def test_theorem_b_rejects_negative():
 def test_theorem_a_trivial():
     from sparselab.sparse import CarlesonSequence
 
-    a = CarlesonSequence(R1, {R1: 1.0})
+    a = CarlesonSequence.from_cubes(R1, {R1: 1.0})
     fs = [GridFunction.constant(1, 5, 1.0)]
     rec = certify_theorem_a(a, 0, 1.0, fs, 2.0)
     assert rec.constants["raw_norm_ratio"] == pytest.approx(1.0)

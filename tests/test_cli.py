@@ -181,6 +181,16 @@ def test_dominate_rejects_nan_coefficient(capsys, tmp_path, function_file):
     assert "non-finite coefficient" in err
 
 
+@pytest.mark.parametrize("command", ["dominate", "select", "certify-a"])
+def test_carleson_level_above_max_level(capsys, tmp_path, function_file, command):
+    path = tmp_path / "deep.seq"
+    path.write_text("2 1 0.5\n40 0 1.0\n")
+    code, out, err = run(capsys, command, "--alpha", str(path), "--f", function_file)
+    assert code == 2
+    assert out == ""
+    assert "line 2: level 40 out of range" in err
+
+
 # --- certification -------------------------------------------------------------------
 
 
@@ -219,6 +229,18 @@ def test_sweep_rejects_unknown_key(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", "--config", str(cfg_path))
     assert code == 2
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sweep_rejects_nonpositive_trials(capsys, tmp_path, trials):
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "s"
+    cfg_path.write_text(json.dumps({"experiment": "theorem-a", "L": 4, "trials": trials,
+                                    "out": str(out)}))
+    code, stdout, err = run(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2
+    assert "'trials' must be at least 1" in err
+    assert stdout == "" and not (tmp_path / "s.ndjson").exists()
 
 
 def test_sweep_byte_identical(capsys, tmp_path):
@@ -287,6 +309,21 @@ def test_check_h2_cli(capsys):
 def test_check_h2_unknown_kernel(capsys):
     code, _, err = run(capsys, "check-h2", "--kernel", "mystery")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--weight", "W", "--maxlevel", "-3"],
+    ["constants", "--weight", "W", "--rh", "2", "--maxlevel", "-3"],
+    ["constants", "--weights", "W", "W", "--p", "2", "2", "--maxlevel", "-3"],
+    ["check-symbol", "--symbol", "sign", "--N", "0"],
+    ["check-symbol", "--symbol", "identity", "--N", "-4"],
+    ["check-symbol", "--bilinear", "--symbol", "cone", "--N", "0"],
+])
+def test_out_of_range_arguments_exit_2(capsys, weight_file, argv):
+    code, out, err = run(capsys, *(weight_file if a == "W" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 # --- plotting ----------------------------------------------------------------------

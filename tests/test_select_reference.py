@@ -19,7 +19,7 @@ def reference_selection(a, k, p0, fs, cstar):
     n, L = fs[0].dim, fs[0].level
     rl = a.root.level
     step = k if k >= 1 else 1
-    alpha = {j: arr for j, arr in a.dense_levels().items() if j <= L}
+    alpha = {j: arr for j, arr in a.levels.items() if j <= L}
     pyramids = [mean_pyramid(f.values**p0, n, L) for f in fs]
     inv = 1.0 / p0
     prods = {}

@@ -45,7 +45,7 @@ R1 = root_cube(1)
 
 
 def seq(coeffs, root=R1):
-    return CarlesonSequence(root, coeffs)
+    return CarlesonSequence.from_cubes(root, coeffs)
 
 
 def chain_family(L=4):
@@ -89,6 +89,17 @@ def test_verify_carleson_zero():
 def test_verify_carleson_rejects_negative():
     with pytest.raises(DomainError):
         seq({R1: -0.5})
+
+
+@pytest.mark.parametrize("coeffs", [
+    {DyadicCube(1, (1,)): 0.5},  # beside the root [0, 1/2)
+    {DyadicCube(0, (0,)): 0.5},  # above the root
+    {DyadicCube(2, (0, 1)): 0.5},  # another dimension
+    {DyadicCube(2, (1,)): math.inf},
+])
+def test_carleson_rejects_cubes_outside_the_root(coeffs):
+    with pytest.raises(ValueError):
+        CarlesonSequence.from_cubes(DyadicCube(1, (0,)), coeffs)
 
 
 def test_packing_matches_oracle_random():
@@ -276,7 +287,7 @@ def test_slice_levels_pattern():
     ells = sorted(p.ell for p in pieces)
     assert ells == [0, 1]
     for p in pieces:
-        for Q in p.seq.coeffs:
+        for Q, _ in p.seq.items():
             assert (Q.level - p.root.level) % 2 == 0
             assert Q.level - p.root.level >= 2
 
@@ -401,7 +412,7 @@ def test_beta_single_cube():
     R = DyadicCube(2, (1,))
     a = seq({R: 1.0})
     b = beta_sequence(a, 2)
-    assert b.coeffs == {R1: pytest.approx(2.0**-2)}
+    assert dict(b.items()) == {R1: pytest.approx(2.0**-2)}
 
 
 def test_beta_preserves_carleson():
