@@ -22,6 +22,7 @@ from .grid import (
     DomainError,
     DyadicCube,
     GridFunction,
+    check_resolution,
     dilate_products,
     root_cube,
     weighted_norm,
@@ -91,6 +92,7 @@ class CertificationRecord:
     constants: dict = field(default_factory=dict)
     seed: int | None = None
     degenerate: bool = False
+    sweep_key: str | None = None  # set by sweep: names the record's config, point and trial
 
     @property
     def ratio(self) -> float:
@@ -99,6 +101,8 @@ class CertificationRecord:
         return 0.0 if self.lhs == 0 else math.inf
 
     def key(self) -> str:
+        if self.sweep_key is not None:
+            return self.sweep_key
         canon = json.dumps({"experiment": self.experiment, "params": self.params},
                            sort_keys=True)
         return hashlib.sha1(canon.encode()).hexdigest()[:12]
@@ -115,6 +119,15 @@ class CertificationRecord:
             "seed": self.seed,
             "degenerate": self.degenerate,
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CertificationRecord":
+        """The record that ``to_dict`` wrote, keeping its stored key."""
+        try:
+            return cls(d["experiment"], d["params"], float(d["lhs"]), float(d["rhs"]),
+                       d["constants"], d["seed"], d["degenerate"], sweep_key=d["key"])
+        except (KeyError, TypeError, ValueError):
+            raise DomainError(f"not a certification record: {d!r:.80}") from None
 
 
 def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs, maxlevel: int | None = None,
@@ -277,51 +290,115 @@ SWEEP_KEYS = {
     "trials", "seed", "out", "plot", "jobs",
 }
 WEIGHT_FAMILY_KEYS = {"type", "alpha_grid"}
+# where a sweep writes and how many threads it uses; they do not change what it computes
+_PLACEMENT_KEYS = ("out", "plot", "jobs")
+
+
+def _integer(value, name: str, low: int) -> int:
+    """A JSON integer (an integral float counts) that is at least ``low``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"config {name!r} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"config {name!r} must be at least {low}, got {value}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise DomainError(f"config {name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise DomainError(f"config {name!r} must be a list, got {value!r}")
+    return [_number(v, f"{name}[{i}]") for i, v in enumerate(value)]
+
+
+def _keys(value, name: str, allowed: set) -> dict:
+    if not isinstance(value, dict):
+        raise DomainError(f"config {name!r} must be an object, got {value!r}")
+    unknown = set(value) - allowed
+    if unknown:
+        raise DomainError(f"unknown {name} keys: {sorted(unknown)}")
+    return value
 
 
 def validate_config(config: dict) -> dict:
-    unknown = set(config) - SWEEP_KEYS
-    if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
+    """Check every field of a sweep config and return it with canonical types.
+
+    Integers become int and exponents, p0 and alphas become float, so equal
+    configs hash equal.  Levels are checked against MAX_LEVEL and exponents
+    against the experiment's rules before any work starts.
+    """
+    if not isinstance(config, dict):
+        raise DomainError("a sweep config must be a JSON object")
+    _keys(config, "config", SWEEP_KEYS)
     if "experiment" not in config:
         raise DomainError("config needs an 'experiment' field")
     exp = config["experiment"]
-    if exp not in {"theorem-a", "theorem-b", "theorem-c", "buckley"}:
+    if exp not in ("theorem-a", "theorem-b", "theorem-c", "buckley"):
         raise DomainError(f"unknown experiment {exp!r}")
-    wf = config.get("weight_family", {"type": "constant", "alpha_grid": [0.0]})
-    unknown = set(wf) - WEIGHT_FAMILY_KEYS
-    if unknown:
-        raise DomainError(f"unknown weight_family keys: {sorted(unknown)}")
-    if wf.get("type", "power") not in {"power", "constant"}:
+    wf = _keys(config.get("weight_family", {"type": "constant", "alpha_grid": [0.0]}),
+               "weight_family", WEIGHT_FAMILY_KEYS)
+    if wf.get("type", "power") not in ("power", "constant"):
         raise DomainError(f"unknown weight family type {wf.get('type')!r}")
     plot = config.get("plot")
     if plot is not None:
-        unknown = set(plot) - {"x", "y", "out"}
-        if unknown:
-            raise DomainError(f"unknown plot keys: {sorted(unknown)}")
+        _keys(plot, "plot", {"x", "y", "out"})
         if "out" not in plot:
             raise DomainError("plot needs an 'out' path")
+        if not all(isinstance(v, str) for v in plot.values()):
+            raise DomainError(f"plot fields must be strings, got {plot!r}")
+    if not isinstance(config.get("out", ""), (str, type(None))):
+        raise DomainError(f"config 'out' must be a path, got {config['out']!r}")
+    k = config.get("k", [0])
     out = {
         "experiment": exp,
-        "n": int(config.get("n", 1)),
-        "L": int(config.get("L", 8)),
-        "m": int(config.get("m", 1)),
-        "p0": config.get("p0", 1.0),
-        "p": list(config.get("p", [2.0])),
-        "k": config.get("k", [0]),
+        "n": _integer(config.get("n", 1), "n", 1),
+        "L": _integer(config.get("L", 8), "L", 0),
+        "m": _integer(config.get("m", 1), "m", 1),
+        "p0": _number(config.get("p0", 1.0), "p0"),
+        "p": _numbers(config.get("p", [2.0]), "p"),
+        "k": [_integer(j, "k", 0) for j in (k if isinstance(k, list) else [k])],
         "weight_family": {"type": wf.get("type", "power"),
-                          "alpha_grid": list(wf.get("alpha_grid", [0.0]))},
-        "trials": int(config.get("trials", 8)),
-        "seed": int(config.get("seed", 0)),
+                          "alpha_grid": _numbers(wf.get("alpha_grid", [0.0]), "alpha_grid")},
+        "trials": _integer(config.get("trials", 8), "trials", 1),
+        "seed": _integer(config.get("seed", 0), "seed", 0),
         "out": config.get("out"),
-        "plot": config.get("plot"),
-        "jobs": int(config.get("jobs", 1)),
+        "plot": plot,
+        "jobs": _integer(config.get("jobs", 1), "jobs", 1),
     }
-    if not isinstance(out["k"], list):
-        out["k"] = [int(out["k"])]
-    if out["trials"] < 1:
-        raise DomainError(f"config 'trials' must be at least 1, got {out['trials']}")
+    check_resolution(out["n"], out["L"])
+    if not out["p"]:
+        raise DomainError("config 'p' needs at least one exponent")
+    p, p0, m = out["p"][0], out["p0"], out["m"]
+    if exp == "buckley" and p <= 1:
+        raise DomainError(f"buckley needs p > 1, got {p}")
+    if exp == "theorem-a" and (p <= 0 or p0 < 1):
+        raise DomainError(f"theorem-a needs p > 0 and p0 >= 1, got p = {p}, p0 = {p0}")
+    if exp in ("theorem-b", "theorem-c"):
+        exponents = out["p"] if len(out["p"]) == m else [p] * m
+        if min(exponents) <= 1:
+            raise DomainError(f"exponents must exceed 1, got {exponents}")
+        beta_exponent(exponents, p0)
+    if exp == "theorem-c" and (out["n"], m) != (1, 1):
+        raise DomainError("theorem-c runs the Hilbert operator: it needs n = 1 and m = 1")
     return out
+
+
+def _record_keys(cfg: dict, points: int) -> list[list[str]]:
+    """keys[i][trial]: a hash of the config (placement keys left out), point and trial."""
+    run = {k: v for k, v in cfg.items() if k not in _PLACEMENT_KEYS}
+
+    def key(i: int, trial: int) -> str:
+        canon = json.dumps({"config": run, "point": i, "trial": trial}, sort_keys=True)
+        return hashlib.sha1(canon.encode()).hexdigest()[:12]
+
+    return [[key(i, t) for t in range(cfg["trials"])] for i in range(points)]
 
 
 def _grid_points(cfg: dict) -> list[dict]:
@@ -423,35 +500,47 @@ class SweepResult:
         return buf.getvalue()
 
 
-def sweep(config: dict, done_keys: set | None = None) -> SweepResult:
+def sweep(config: dict, done_keys: dict | None = None) -> SweepResult:
     """Run the experiment grid described by ``config`` deterministically.
 
     Points run independently (thread pool when jobs > 1) and merge in grid
     order, so outputs are byte-identical for a fixed seed regardless of the
-    parallelism degree.  Records whose key appears in ``done_keys`` are
-    skipped, which makes interrupted sweeps resumable.
+    parallelism degree.  Each record's key names its config, point and trial.
+
+    ``done_keys`` maps keys to the records already written (the dicts of
+    ``to_dict``), which makes interrupted sweeps resumable.  A point whose
+    trials all have a key there is finished: it does not run, and its CSV
+    row is built from those records.  The other points run, and only their
+    records whose key is missing from ``done_keys`` are returned.
     """
     cfg = validate_config(config)
     points = _grid_points(cfg)
-    results: dict[int, list[CertificationRecord]] = {}
+    keys = _record_keys(cfg, len(points))
+    done = done_keys or {}
+    results: dict[int, list[CertificationRecord]] = {
+        i: [CertificationRecord.from_dict(done[k]) for k in ks]
+        for i, ks in enumerate(keys) if all(k in done for k in ks)
+    }
+    todo = [i for i in range(len(points)) if i not in results]
     h2 = None
-    if cfg["experiment"] == "theorem-c" and points:
+    if cfg["experiment"] == "theorem-c" and todo:
         h2 = hilbert_h2_fit(cfg["L"], cfg["p0"])
     if cfg["jobs"] > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            futs = {i: pool.submit(_run_point, cfg, pt, i, h2) for i, pt in enumerate(points)}
+            futs = {i: pool.submit(_run_point, cfg, points[i], i, h2) for i in todo}
             for i, fut in futs.items():
                 results[i] = fut.result()
     else:
-        for i, pt in enumerate(points):
-            results[i] = _run_point(cfg, pt, i, h2)
+        for i in todo:
+            results[i] = _run_point(cfg, points[i], i, h2)
     records: list[CertificationRecord] = []
-    for i in range(len(points)):
-        records.extend(results[i])
-    if done_keys:
-        records = [r for r in records if r.key() not in done_keys]
+    for i in todo:
+        for rec in results[i]:
+            rec.sweep_key = keys[i][rec.params["trial"]]
+            if rec.sweep_key not in done:
+                records.append(rec)
     summary = []
     for i, pt in enumerate(points):
         recs = results[i]

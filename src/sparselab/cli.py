@@ -30,7 +30,9 @@ from .grid import (
     FormatError,
     GridFunction,
     MAX_LEVEL,
+    check_resolution,
     read_gfn,
+    read_text,
     root_cube,
 )
 from .kernels import (
@@ -56,27 +58,26 @@ def read_carleson(path) -> CarlesonSequence:
     """Sequence file: one cube per line, 'level index... alpha', level at most MAX_LEVEL[n]."""
     coeffs = {}
     n = None
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, start=1):
-            toks = line.split()
-            if not toks or toks[0].startswith("#"):
-                continue
-            if n is None:
-                if len(toks) not in (3, 4):
-                    raise FormatError(f"line {ln}: expected 'level index... alpha'")
-                n = len(toks) - 2
-            if len(toks) != n + 2:
-                raise FormatError(f"line {ln}: expected {n + 2} fields, got {len(toks)}")
-            try:
-                level = int(toks[0])
-                index = tuple(int(t) for t in toks[1 : 1 + n])
-                alpha = float(toks[-1])
-            except ValueError:
-                raise FormatError(f"line {ln}: malformed number") from None
-            if not 0 <= level <= MAX_LEVEL[n]:
-                raise FormatError(f"line {ln}: level {level} out of range 0..{MAX_LEVEL[n]} "
-                                  f"for n={n}")
-            coeffs[DyadicCube(level, index)] = alpha
+    for ln, line in enumerate(read_text(path).splitlines(), start=1):
+        toks = line.split()
+        if not toks or toks[0].startswith("#"):
+            continue
+        if n is None:
+            if len(toks) not in (3, 4):
+                raise FormatError(f"line {ln}: expected 'level index... alpha'")
+            n = len(toks) - 2
+        if len(toks) != n + 2:
+            raise FormatError(f"line {ln}: expected {n + 2} fields, got {len(toks)}")
+        try:
+            level = int(toks[0])
+            index = tuple(int(t) for t in toks[1 : 1 + n])
+            alpha = float(toks[-1])
+        except ValueError:
+            raise FormatError(f"line {ln}: malformed number") from None
+        if not 0 <= level <= MAX_LEVEL[n]:
+            raise FormatError(f"line {ln}: level {level} out of range 0..{MAX_LEVEL[n]} "
+                              f"for n={n}")
+        coeffs[DyadicCube(level, index)] = alpha
     if n is None:
         raise FormatError("line 1: empty coefficient file")
     return CarlesonSequence.from_cubes(root_cube(n), coeffs)
@@ -242,9 +243,26 @@ def cmd_certify_buckley(args) -> int:
     return 0
 
 
+def _read_records(path) -> dict:
+    """The records of a sweep NDJSON file by key."""
+    done = {}
+    for ln, line in enumerate(read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            rec = None
+        if not isinstance(rec, dict) or not isinstance(rec.get("key"), str):
+            raise FormatError(f"{path}: line {ln}: not a sweep record")
+        done[rec["key"]] = rec
+    return done
+
+
 def _run_sweep_config(path, experiment: str | None, args) -> int:
-    with open(path, "r", encoding="ascii") as fh:
-        config = json.load(fh)
+    config = json.loads(read_text(path))
+    if not isinstance(config, dict):
+        raise DomainError(f"{path}: a sweep config must be a JSON object")
     if experiment is not None:
         config["experiment"] = experiment
     if getattr(args, "seed", None) is not None:
@@ -252,13 +270,10 @@ def _run_sweep_config(path, experiment: str | None, args) -> int:
     if args.jobs is not None:
         config["jobs"] = args.jobs
     cfg = validate_config(config)
-    done = set()
-    out = cfg.get("out")
+    done = {}
+    out = cfg["out"]
     if out and os.path.exists(out + ".ndjson") and args.resume:
-        with open(out + ".ndjson", "r", encoding="ascii") as fh:
-            for line in fh:
-                if line.strip():
-                    done.add(json.loads(line)["key"])
+        done = _read_records(out + ".ndjson")
     res = sweep(cfg, done_keys=done or None)
     records = res.ndjson()  # before any output file is opened: a non-finite record writes nothing
     if out:
@@ -304,6 +319,7 @@ def cmd_check_symbol(args) -> int:
 
 
 def cmd_check_h2(args) -> int:
+    check_resolution(1, args.L)
     if args.kernel in NAMED_KERNELS:
         K = NAMED_KERNELS[args.kernel](args.L)
     elif args.kernel.startswith("symbol:"):
@@ -431,9 +447,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     env = os.environ.get("SPARSELAB_JOBS")
-    if env:  # the environment wins over the flag
-        args.jobs = int(env)
     try:
+        if env:  # the environment wins over the flag
+            if not env.strip().isdigit():
+                raise DomainError(f"SPARSELAB_JOBS must be a positive integer, got {env!r}")
+            args.jobs = int(env)
         return args.fn(args)
     except (FormatError, DomainError, DimensionError, FileNotFoundError,
             json.JSONDecodeError) as err:

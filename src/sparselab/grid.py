@@ -39,6 +39,20 @@ def _check_dim(n: int) -> None:
         raise DimensionError(f"dimension {n} not supported (use n in {SUPPORTED_DIMS})")
 
 
+def check_resolution(n: int, L: int) -> None:
+    """Reject a dimension outside SUPPORTED_DIMS or a resolution level outside 0..MAX_LEVEL[n]."""
+    _check_dim(n)
+    if not 0 <= L <= MAX_LEVEL[n]:
+        raise DomainError(f"resolution level {L} out of range 0..{MAX_LEVEL[n]} for n={n}")
+
+
+def top_level(maxlevel: int | None, L: int) -> int:
+    """The deepest level a supremum scans: maxlevel capped at L (None means L)."""
+    if maxlevel is not None and maxlevel < 0:
+        raise DomainError(f"maxlevel must be nonnegative, got {maxlevel}")
+    return L if maxlevel is None else min(maxlevel, L)
+
+
 @dataclass(frozen=True, order=True)
 class DyadicCube:
     """The cube 2^(-level) * (index + [0,1)^n) of the canonical dyadic grid."""
@@ -137,9 +151,7 @@ class GridFunction:
     __slots__ = ("dim", "level", "values")
 
     def __init__(self, dim: int, level: int, values):
-        _check_dim(dim)
-        if not 0 <= level <= MAX_LEVEL[dim]:
-            raise DomainError(f"resolution level {level} out of range for n={dim}")
+        check_resolution(dim, level)
         arr = np.asarray(values, dtype=float)
         shape = (1 << level,) * dim
         if arr.size != (1 << level) ** dim:
@@ -437,6 +449,16 @@ def parse_gfn(text: str) -> GridFunction:
     if not 0 <= L <= MAX_LEVEL[n]:
         raise FormatError(f"line 1: level {L} out of range for n={n}")
     expected = (1 << L) ** n
+    # the header line holds exactly three tokens, so the rest are the body's
+    tokens = text.split()[3:]
+    if len(tokens) == expected:
+        try:
+            arr = np.array(tokens, dtype=float)
+        except ValueError:
+            arr = None
+        if arr is not None and np.isfinite(arr).all():
+            return GridFunction(n, L, arr)
+    # an anomaly: scan line by line for the message that names it
     values: list[float] = []
     for ln, line in enumerate(lines[1:], start=2):
         for col, tok in enumerate(line.split(), start=1):
@@ -457,9 +479,20 @@ def parse_gfn(text: str) -> GridFunction:
     return GridFunction(n, L, values)
 
 
+def read_text(path) -> str:
+    """Text of an ASCII input file; another byte is a FormatError naming the file and line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise FormatError(f"{path}: line {line}: non-ASCII byte "
+                          f"{data[err.start]:#04x}") from None
+
+
 def read_gfn(path) -> GridFunction:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_gfn(fh.read())
+    return parse_gfn(read_text(path))
 
 
 def format_gfn(f: GridFunction) -> str:

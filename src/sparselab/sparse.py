@@ -24,6 +24,7 @@ from .grid import (
     cube_levels,
     dilate_products,
     mean_pyramid,
+    top_level,
     upsample,
     weak_norm,
 )
@@ -687,7 +688,7 @@ def dyadic_maximal(f: GridFunction, p0: float = 1.0, sigma: GridFunction | None 
     sigma-weighted maximal function sup_Q sigma(Q)^-1 int_Q |f| sigma.
     """
     n, L = f.dim, f.level
-    maxlevel = L if maxlevel is None else min(maxlevel, L)
+    maxlevel = top_level(maxlevel, L)
     out = np.zeros((1 << L,) * n)
     if sigma is not None:
         if np.any(sigma.values <= 0):

@@ -20,6 +20,7 @@ from .grid import (
     GridFunction,
     argmax_cube,
     block_reduce,
+    top_level,
     _match,
 )
 
@@ -68,13 +69,6 @@ def _positive(w: GridFunction) -> None:
         raise DomainError("weight must be strictly positive cellwise")
 
 
-def _top_level(maxlevel: int | None, L: int) -> int:
-    """The deepest level a supremum scans: maxlevel capped at L (None means L)."""
-    if maxlevel is not None and maxlevel < 0:
-        raise DomainError(f"maxlevel must be nonnegative, got {maxlevel}")
-    return L if maxlevel is None else min(maxlevel, L)
-
-
 def ap_constant(w: GridFunction, p: float, maxlevel: int | None = None) -> ConstantReport:
     """Muckenhoupt constant sup_Q <w>_Q <w^(-1/(p-1))>_Q^(p-1) over dyadic cubes.
 
@@ -84,7 +78,7 @@ def ap_constant(w: GridFunction, p: float, maxlevel: int | None = None) -> Const
         raise DomainError(f"A_p constant needs p >= 1, got {p}")
     _positive(w)
     n, L = w.dim, w.level
-    maxlevel = _top_level(maxlevel, L)
+    maxlevel = top_level(maxlevel, L)
     per_level = []
     vals = w.values
     dual = None if p == 1 else vals ** (-1.0 / (p - 1.0))
@@ -105,7 +99,7 @@ def rh_constant(w: GridFunction, q: float, maxlevel: int | None = None) -> Const
         raise DomainError(f"RH_q constant needs q > 1, got {q}")
     _positive(w)
     n, L = w.dim, w.level
-    maxlevel = _top_level(maxlevel, L)
+    maxlevel = top_level(maxlevel, L)
     per_level = []
     vals = w.values
     for j in range(maxlevel + 1):
@@ -198,7 +192,7 @@ def multi_ap_constant(t: WeightTuple, r: float = 1.0, maxlevel: int | None = Non
     if r >= min(t.exponents):
         raise DomainError(f"r = {r} must be below min p_i = {min(t.exponents)}")
     n, L = t.dim, t.level
-    maxlevel = _top_level(maxlevel, L)
+    maxlevel = top_level(maxlevel, L)
     a = t.p / r
     a_i = [p / r for p in t.exponents]
     nu_vals = t.nu().values

@@ -274,9 +274,20 @@ def test_sweep_resume_skips_done():
     cfg = {"experiment": "buckley", "L": 5, "p": [2.0], "trials": 2, "seed": 3,
            "weight_family": {"type": "power", "alpha_grid": [-0.3, 0.3]}}
     first = sweep(cfg)
-    done = {r.key() for r in first.records[:2]}
+    done = {r.key(): r.to_dict() for r in first.records[:2]}
     second = sweep(cfg, done_keys=done)
     assert len(second.records) == len(first.records) - 2
+
+
+def test_validate_config_canonical_types():
+    loose = validate_config({"experiment": "buckley", "p0": 1, "L": 5.0, "p": [2],
+                             "weight_family": {"alpha_grid": [0]}})
+    exact = validate_config({"experiment": "buckley", "p0": 1.0, "L": 5, "p": [2.0],
+                             "weight_family": {"alpha_grid": [0.0]}})
+    assert json.dumps(loose, sort_keys=True) == json.dumps(exact, sort_keys=True)
+    # where a sweep writes and how many threads it uses do not enter the record keys
+    placed = sweep({**loose, "trials": 1, "out": "elsewhere", "jobs": 2})
+    assert placed.records[0].key() == sweep({**exact, "trials": 1}).records[0].key()
 
 
 def test_validate_config_plot_keys():

@@ -282,6 +282,125 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
     assert "non-finite value in output field 'constants.ap'" in err
 
 
+# --- sweep inputs and resume -------------------------------------------------------
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"experiment": "theorem-a", "n": 2, "L": 40}, None),
+    ({"experiment": "buckley", "p": []}, None),
+    ({"experiment": "theorem-a", "p0": "x"}, None),
+    ({"experiment": "theorem-a", "k": ["a"]}, None),
+    ({"experiment": "theorem-a", "k": [-1]}, None),
+    ({"experiment": "buckley", "weight_family": {"type": "power", "alpha_grid": "abc"}}, None),
+    (["experiment", "buckley"], None),
+    ({"experiment": "buckley", "weight_family": []}, None),
+    ({"experiment": ["buckley"]}, None),
+    ({"experiment": "buckley", "seed": -1}, None),
+    ({"experiment": "theorem-c", "L": 6, "m": 2}, None),
+    (None, ["check-h2", "--kernel", "hilbert", "--L", "40"]),
+])
+def test_bad_sweep_inputs_exit_2(capsys, tmp_path, config, argv):
+    if argv is None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["sweep", "--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["constants", "dominate", "sweep"])
+def test_non_ascii_input_exits_2(capsys, tmp_path, function_file, command):
+    path = tmp_path / "bad.in"
+    text = {"constants": "GFN1 1 2\n", "dominate": "2 1 0.5\n",
+            "sweep": '{"experiment": "buckley"}\n'}[command]
+    path.write_bytes(text.encode("ascii") + "# caf\u00e9\n".encode("utf-8"))
+    argv = {"constants": ["--weight", str(path)],
+            "dominate": ["--alpha", str(path), "--f", function_file],
+            "sweep": ["--config", str(path)]}[command]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {path}: line 2: non-ASCII byte 0xc3" in err
+
+
+def write_sweep(tmp_path, name, **changes):
+    cfg = {"experiment": "theorem-b", "n": 1, "L": 5, "m": 2, "p0": 1.0, "p": [2.0, 2.0],
+           "weight_family": {"type": "power", "alpha_grid": [-0.3, 0.0, 0.3]},
+           "trials": 2, "seed": 1, "out": str(tmp_path / "tb"), **changes}
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.fixture()
+def finished_sweep(capsys, tmp_path):
+    """A finished theorem-b campaign: its config path and its NDJSON and CSV bytes."""
+    path = write_sweep(tmp_path, "cfg.json")
+    assert run(capsys, "sweep", "--config", path)[0] == 0
+    return path, (tmp_path / "tb.ndjson").read_bytes(), (tmp_path / "tb.csv").read_bytes()
+
+
+@pytest.fixture()
+def point_runs(monkeypatch):
+    """The point indices that _run_point is called with, in call order."""
+    from sparselab import certify
+
+    calls = []
+    real = certify._run_point
+
+    def counted(cfg, point, point_index, h2):
+        calls.append(point_index)
+        return real(cfg, point, point_index, h2)
+
+    monkeypatch.setattr(certify, "_run_point", counted)
+    return calls
+
+
+def test_resumed_csv_equals_fresh(capsys, tmp_path, finished_sweep):
+    path, _, fresh_csv = finished_sweep
+    (tmp_path / "tb.csv").unlink()
+    assert run(capsys, "sweep", "--config", path, "--resume")[0] == 0
+    assert (tmp_path / "tb.csv").read_bytes() == fresh_csv
+
+
+def test_resume_of_finished_sweep_runs_nothing(capsys, tmp_path, finished_sweep, point_runs):
+    path, fresh, _ = finished_sweep
+    assert run(capsys, "sweep", "--config", path, "--resume")[0] == 0
+    assert point_runs == []
+    assert (tmp_path / "tb.ndjson").read_bytes() == fresh
+
+
+@pytest.mark.parametrize("drop", ["point", "one trial"])
+def test_resume_reruns_only_the_missing_point(capsys, tmp_path, finished_sweep, point_runs,
+                                              drop):
+    path, fresh, fresh_csv = finished_sweep
+    lines = fresh.decode().splitlines(keepends=True)
+    missing = [ln for ln in lines if json.loads(ln)["params"]["alpha"] == 0.0]
+    if drop == "one trial":
+        missing = missing[:1]
+    (tmp_path / "tb.ndjson").write_text("".join(ln for ln in lines if ln not in missing))
+    assert run(capsys, "sweep", "--config", path, "--resume")[0] == 0
+    assert point_runs == [1]
+    resumed = (tmp_path / "tb.ndjson").read_text().splitlines(keepends=True)
+    assert sorted(resumed) == sorted(lines)
+    assert (tmp_path / "tb.csv").read_bytes() == fresh_csv
+
+
+def test_resume_with_another_seed_appends(capsys, tmp_path):
+    # buckley params hold nothing drawn from the seed, so only the key can tell the runs apart
+    buckley = {"experiment": "buckley", "m": 1, "p": [2.0]}
+    seed1 = write_sweep(tmp_path, "seed1.json", **buckley)
+    fresh2 = write_sweep(tmp_path, "fresh2.json", **buckley, seed=2, out=str(tmp_path / "s2"))
+    resume2 = write_sweep(tmp_path, "resume2.json", **buckley, seed=2)
+    assert run(capsys, "sweep", "--config", seed1)[0] == 0
+    assert run(capsys, "sweep", "--config", fresh2)[0] == 0
+    first = (tmp_path / "tb.ndjson").read_bytes()
+    assert run(capsys, "sweep", "--config", resume2, "--resume")[0] == 0
+    assert (tmp_path / "tb.ndjson").read_bytes() == first + (tmp_path / "s2.ndjson").read_bytes()
+
+
 # --- symbol / kernel checks ------------------------------------------------------------
 
 

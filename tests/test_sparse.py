@@ -556,6 +556,13 @@ def test_maximal_weighted_bound():
         assert lhs <= rhs * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("sigma", [None, GridFunction.constant(1, 4, 2.0)])
+def test_maximal_rejects_negative_maxlevel(sigma):
+    f = GridFunction.constant(1, 4, 1.0)
+    with pytest.raises(DomainError, match="maxlevel must be nonnegative, got -3"):
+        dyadic_maximal(f, sigma=sigma, maxlevel=-3)
+
+
 def test_maximal_dominates_identity():
     rng = rng_from(201)
     f = GridFunction(1, 5, rng.uniform(0, 1, 32))
