@@ -179,8 +179,8 @@ def certify_theorem_a(a: CarlesonSequence, k: int, p0: float, fs, p: float,
     )
 
 
-def certify_theorem_c(op, t: WeightTuple, fs, h2, lam: float | None = None,
-                      maxlevel: int | None = None, seed: int | None = None) -> CertificationRecord:
+def certify_theorem_c(op, t: WeightTuple, fs, h2, maxlevel: int | None = None,
+                      seed: int | None = None) -> CertificationRecord:
     """End-to-end operator bound through the oscillation decomposition.
 
     Applies the operator, runs the sparse decomposition of the output, logs
@@ -192,10 +192,8 @@ def certify_theorem_c(op, t: WeightTuple, fs, h2, lam: float | None = None,
         raise DomainError("need a positive effective decay rate delta0")
     if len(fs) != t.m:
         raise DomainError("tuple arity does not match the weights")
-    n = fs[0].dim
-    lam = 2.0 ** (-(n + 2)) if lam is None else lam
     u = op.apply(fs)
-    dec = lerner_decompose(u, root_cube(n))
+    dec = lerner_decompose(u, root_cube(fs[0].dim))
     # the ring series of every cube, one table per level present
     series = {}
     for j in {Q.level for Q in dec.omegas}:
@@ -271,6 +269,11 @@ def power_weight_tuple(alpha: float, exponents, p0: float, n: int = 1, L: int = 
     return WeightTuple(tuple(weights), tuple(exponents), p0=p0)
 
 
+# The fit uses rings j = 2..min(5, L-2) and needs three of them, so the
+# smallest resolution a theorem-c sweep can run at is L = 6.
+H2_FIT_MIN_LEVEL = 6
+
+
 def hilbert_h2_fit(L: int, p0: float) -> H2Report:
     """Ring-decay fit for the reference singular kernel at resolution L.
 
@@ -287,11 +290,11 @@ def hilbert_h2_fit(L: int, p0: float) -> H2Report:
 
 SWEEP_KEYS = {
     "experiment", "n", "L", "m", "p0", "p", "k", "weight_family",
-    "trials", "seed", "out", "plot", "jobs",
+    "trials", "seed", "out", "plot",
 }
 WEIGHT_FAMILY_KEYS = {"type", "alpha_grid"}
-# where a sweep writes and how many threads it uses; they do not change what it computes
-_PLACEMENT_KEYS = ("out", "plot", "jobs")
+# where a sweep writes; they do not change what it computes
+_PLACEMENT_KEYS = ("out", "plot")
 
 
 def _integer(value, name: str, low: int) -> int:
@@ -370,7 +373,6 @@ def validate_config(config: dict) -> dict:
         "seed": _integer(config.get("seed", 0), "seed", 0),
         "out": config.get("out"),
         "plot": plot,
-        "jobs": _integer(config.get("jobs", 1), "jobs", 1),
     }
     check_resolution(out["n"], out["L"])
     if not out["p"]:
@@ -387,6 +389,9 @@ def validate_config(config: dict) -> dict:
         beta_exponent(exponents, p0)
     if exp == "theorem-c" and (out["n"], m) != (1, 1):
         raise DomainError("theorem-c runs the Hilbert operator: it needs n = 1 and m = 1")
+    if exp == "theorem-c" and out["L"] < H2_FIT_MIN_LEVEL:
+        raise DomainError(f"theorem-c needs config 'L' at least {H2_FIT_MIN_LEVEL} for the "
+                          f"H2 fit, got {out['L']}")
     return out
 
 
@@ -503,9 +508,9 @@ class SweepResult:
 def sweep(config: dict, done_keys: dict | None = None) -> SweepResult:
     """Run the experiment grid described by ``config`` deterministically.
 
-    Points run independently (thread pool when jobs > 1) and merge in grid
-    order, so outputs are byte-identical for a fixed seed regardless of the
-    parallelism degree.  Each record's key names its config, point and trial.
+    Points run in grid order, each from its own seeded generator, so outputs
+    are byte-identical for a fixed seed.  Each record's key names its config,
+    point and trial.
 
     ``done_keys`` maps keys to the records already written (the dicts of
     ``to_dict``), which makes interrupted sweeps resumable.  A point whose
@@ -525,18 +530,9 @@ def sweep(config: dict, done_keys: dict | None = None) -> SweepResult:
     h2 = None
     if cfg["experiment"] == "theorem-c" and todo:
         h2 = hilbert_h2_fit(cfg["L"], cfg["p0"])
-    if cfg["jobs"] > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            futs = {i: pool.submit(_run_point, cfg, points[i], i, h2) for i in todo}
-            for i, fut in futs.items():
-                results[i] = fut.result()
-    else:
-        for i in todo:
-            results[i] = _run_point(cfg, points[i], i, h2)
     records: list[CertificationRecord] = []
     for i in todo:
+        results[i] = _run_point(cfg, points[i], i, h2)
         for rec in results[i]:
             rec.sweep_key = keys[i][rec.params["trial"]]
             if rec.sweep_key not in done:

@@ -267,8 +267,6 @@ def _run_sweep_config(path, experiment: str | None, args) -> int:
         config["experiment"] = experiment
     if getattr(args, "seed", None) is not None:
         config.setdefault("seed", args.seed)
-    if args.jobs is not None:
-        config["jobs"] = args.jobs
     cfg = validate_config(config)
     done = {}
     out = cfg["out"]
@@ -344,11 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, sweeps=False):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--resume", action="store_true")
+        if sweeps:
+            p.add_argument("--resume", action="store_true")
 
     p = sub.add_parser("constants", help="A_p / RH_q / multiple-weight constants")
     p.add_argument("--weight", default=None)
@@ -394,17 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p0", type=float, default=1.0)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--weight", default=None)
-    common(p)
+    common(p, sweeps=True)
     p.set_defaults(fn=cmd_certify_a)
 
     p = sub.add_parser("certify-b", help="sparse-form weighted bound campaign")
     p.add_argument("--config", required=True)
-    common(p)
+    common(p, sweeps=True)
     p.set_defaults(fn=lambda a: _run_sweep_config(a.config, "theorem-b", a))
 
     p = sub.add_parser("certify-c", help="end-to-end operator certification campaign")
     p.add_argument("--config", required=True)
-    common(p)
+    common(p, sweeps=True)
     p.set_defaults(fn=lambda a: _run_sweep_config(a.config, "theorem-c", a))
 
     p = sub.add_parser("certify-buckley", help="maximal-function bound certification")
@@ -413,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--maxlevel", type=int, default=None)
-    common(p)
+    common(p, sweeps=True)
     p.set_defaults(fn=cmd_certify_buckley)
 
     p = sub.add_parser("check-symbol", help="symbol class membership report")
@@ -437,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p.add_argument("--config", required=True)
-    common(p)
+    common(p, sweeps=True)
     p.set_defaults(fn=cmd_sweep)
 
     return ap
@@ -446,12 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    env = os.environ.get("SPARSELAB_JOBS")
     try:
-        if env:  # the environment wins over the flag
-            if not env.strip().isdigit():
-                raise DomainError(f"SPARSELAB_JOBS must be a positive integer, got {env!r}")
-            args.jobs = int(env)
         return args.fn(args)
     except (FormatError, DomainError, DimensionError, FileNotFoundError,
             json.JSONDecodeError) as err:

@@ -10,6 +10,7 @@ real inputs map to real outputs exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -201,12 +202,7 @@ def apply_bilinear_multiplier(m: Symbol, f: GridFunction, g: GridFunction) -> Gr
     freqs = np.fft.fftfreq(N, d=1.0 / N)
     U = np.exp(2j * np.pi * np.outer(x, freqs))
     out = np.einsum("xk,kl,xl->x", U, A, U, optimize=True)
-    sym = m.values
-    mirror = sym[:0:-1, :0:-1]
-    hermitian = np.allclose(mirror, np.conj(sym[1:, 1:]), atol=1e-12) and np.all(
-        np.abs(sym[0, :].imag) < 1e-12
-    ) and np.all(np.abs(sym[:, 0].imag) < 1e-12)
-    if hermitian:
+    if m.is_hermitian():
         return GridFunction(1, f.level, out.real)
     return GridFunction(1, f.level, np.abs(out))
 
@@ -281,13 +277,8 @@ def _derivative(sym: Symbol, alpha: tuple[int, ...]) -> tuple[np.ndarray, np.nda
 
 
 def _multi_indices(dim: int, max_order: int):
-    if dim == 1:
-        for a in range(max_order + 1):
-            yield (a,)
-    else:
-        for a in range(max_order + 1):
-            for b in range(max_order + 1 - a):
-                yield (a, b)
+    return [a for a in itertools.product(range(max_order + 1), repeat=dim)
+            if sum(a) <= max_order]
 
 
 @dataclass
@@ -388,21 +379,20 @@ def check_hormander_bilinear(m: Symbol, s: int) -> HormanderReport:
     radii = [1 << j for j in range(1, max(2, int(math.log2(N)) - 1))]
     constants: dict = {}
     member = True
-    for a in range(s + 1):
-        for b in range(s + 1 - a):
-            deriv, valid = _derivative(m, (a, b))
-            w = weight ** (a + b) * np.abs(deriv)
-            w = np.where(valid & (weight > 0), w, 0.0)
-            constants[((a,), (b,))] = float(w.max())
-            octs = []
-            for R in radii:
-                ring = (weight > R) & (weight <= 2 * R) & valid
-                octs.append(float(w[ring].max()) if ring.any() else 0.0)
-            pos = [v for v in octs if v > 0]
-            if len(pos) >= 2:
-                growth = (pos[-1] / pos[0]) ** (1.0 / (len(pos) - 1))
-                if growth > _GROWTH_CAP:
-                    member = False
+    for a, b in _multi_indices(2, s):
+        deriv, valid = _derivative(m, (a, b))
+        w = weight ** (a + b) * np.abs(deriv)
+        w = np.where(valid & (weight > 0), w, 0.0)
+        constants[((a,), (b,))] = float(w.max())
+        octs = []
+        for R in radii:
+            ring = (weight > R) & (weight <= 2 * R) & valid
+            octs.append(float(w[ring].max()) if ring.any() else 0.0)
+        pos = [v for v in octs if v > 0]
+        if len(pos) >= 2:
+            growth = (pos[-1] / pos[0]) ** (1.0 / (len(pos) - 1))
+            if growth > _GROWTH_CAP:
+                member = False
     return HormanderReport(s, constants, member)
 
 
@@ -531,8 +521,11 @@ def _fit_slope(xs, ys) -> tuple[float, float]:
     return slope, float(np.sqrt((resid**2).mean()))
 
 
+_H2_MAX_PAIRS = 64  # (x, xbar) pairs per fit; larger half cubes are sampled
+
+
 def check_h2(K: KernelSample, p0: float, Q: DyadicCube, jmax: int,
-             max_pairs: int = 64, seed: int = 0) -> H2Report:
+             seed: int = 0) -> H2Report:
     """Measure B_j = sup_pairs (int_{S_j(Q)} |K(x,.) - K(xbar,.)|^p0' dy)^(1/p0')
     and fit the decay slope of log2 B_j against the ring index.
 
@@ -552,9 +545,9 @@ def check_h2(K: KernelSample, p0: float, Q: DyadicCube, jmax: int,
     L = K.level
     cells = _half_cube_cells(Q, L)
     pairs = [(int(a), int(b)) for ai, a in enumerate(cells) for b in cells[ai + 1 :]]
-    if cells.size > max_pairs:
+    if cells.size > _H2_MAX_PAIRS:
         rng = np.random.default_rng(seed)
-        picks = rng.choice(len(pairs), size=max_pairs, replace=False)
+        picks = rng.choice(len(pairs), size=_H2_MAX_PAIRS, replace=False)
         pairs = [pairs[int(i)] for i in picks]
     vol = 2.0 ** (-L)
     p0c = math.inf if p0 == 1.0 else p0 / (p0 - 1.0)

@@ -352,6 +352,7 @@ class SelectionResult:
     w_hat: float
     pointwise_constant: float
     covered: bool
+    rhs: np.ndarray  # the family's cellwise operator that the selection compared
     selected: tuple[DyadicCube, ...] = ()
 
     def report(self) -> dict:
@@ -396,8 +397,7 @@ def measure_weak_norm(a: CarlesonSequence, k: int, p0: float, m: int,
 
 
 def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
-                  cstar: float | None = None, seed: int = 0,
-                  wnorm_trials: int = 8) -> SelectionResult:
+                  cstar: float | None = None, seed: int = 0) -> SelectionResult:
     """Budget-driven selection of a sparse family dominating the sliced operator.
 
     Walks the k-generation tree below the root carrying a budget Delta.  A
@@ -420,7 +420,7 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
                 raise DomainError(f"complexity-{k} selection needs support on levels "
                                   f"root+j*k; found {argmax_cube([(j, arr > 0)])[1]}")
     if cstar is None:
-        w_hat = 2.0 * max(1.0, measure_weak_norm(a, k, p0, m, wnorm_trials, seed))
+        w_hat = 2.0 * max(1.0, measure_weak_norm(a, k, p0, m, seed=seed))
         cstar = 2.0 ** (2 * (m + 1)) * w_hat
     else:
         w_hat = float("nan")
@@ -473,7 +473,7 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
     lhs = eval_sparse_A(a, k, p0, fs).values
     rhs = eval_sparse_A(family, 0, p0, fs).values
     pointwise, covered = _cell_ratio(lhs, rhs)
-    return SelectionResult(family, float(cstar), w_hat, pointwise, covered,
+    return SelectionResult(family, float(cstar), w_hat, pointwise, covered, rhs,
                            tuple(sorted(selected)))
 
 
@@ -527,7 +527,7 @@ def dominate(a: CarlesonSequence, k: int, p0: float, fs,
     lhs = eval_sparse_A(a, k, p0, fs).values
     rhs = np.zeros_like(lhs)
     for sel in selections:
-        rhs += eval_sparse_A(sel.family, 0, p0, fs).values
+        rhs += sel.rhs
     cell_c, covered = _cell_ratio(lhs, rhs)
     return DominationResult(pieces, selections, cell_c, covered, lhs, rhs)
 

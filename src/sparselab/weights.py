@@ -275,12 +275,15 @@ def _power_cell_averages_1d(alpha: float, center: float, L: int) -> np.ndarray:
     return np.where(wrapped, split, plain) * N
 
 
-def power_weight(alpha: float, center=None, n: int = 1, L: int = 8, subsamples: int = 8) -> GridFunction:
+_POWER_SUBSAMPLES = 8  # midpoint-rule points per axis and cell of a 2d power weight
+
+
+def power_weight(alpha: float, center=None, n: int = 1, L: int = 8) -> GridFunction:
     """Cell-averaged power weight dist_torus(x, center)^alpha, alpha > -n.
 
     In one dimension the cell averages are exact (piecewise closed form);
-    in two dimensions they use a midpoint rule with subsamples^2 points per
-    cell, which keeps the weight strictly positive and finite.
+    in two dimensions they use a midpoint rule with 8^2 points per cell,
+    which keeps the weight strictly positive and finite.
     """
     if alpha <= -n:
         raise DomainError(f"power weight needs alpha > -n = {-n}, got {alpha}")
@@ -294,7 +297,7 @@ def power_weight(alpha: float, center=None, n: int = 1, L: int = 8, subsamples: 
         vals = _power_cell_averages_1d(alpha, center[0], L)
         return GridFunction(1, L, np.maximum(vals, WEIGHT_FLOOR))
     N = 1 << L
-    ss = subsamples
+    ss = _POWER_SUBSAMPLES
     pts = (np.arange(N)[:, None] + (np.arange(ss) + 0.5)[None, :] / ss) / N  # (N, ss)
     dx = np.abs(pts - center[0]) % 1.0
     dx = np.minimum(dx, 1.0 - dx)

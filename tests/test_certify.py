@@ -262,14 +262,6 @@ def test_sweep_deterministic():
     assert a.csv() == b.csv()
 
 
-def test_sweep_jobs_match_serial():
-    cfg = {"experiment": "buckley", "L": 5, "p": [2.0], "trials": 2, "seed": 5,
-           "weight_family": {"type": "power", "alpha_grid": [-0.5, 0.0, 0.5]}}
-    serial = sweep(cfg)
-    parallel = sweep({**cfg, "jobs": 3})
-    assert serial.ndjson() == parallel.ndjson()
-
-
 def test_sweep_resume_skips_done():
     cfg = {"experiment": "buckley", "L": 5, "p": [2.0], "trials": 2, "seed": 3,
            "weight_family": {"type": "power", "alpha_grid": [-0.3, 0.3]}}
@@ -279,14 +271,23 @@ def test_sweep_resume_skips_done():
     assert len(second.records) == len(first.records) - 2
 
 
+@pytest.mark.parametrize("placement", [{}, {"out": "x"}])
+def test_sweep_record_keys_pinned(placement):
+    # NDJSON files written by earlier versions resume only while these keys stay put
+    cfg = {"experiment": "buckley", "L": 5, "p": [2.0], "trials": 2, "seed": 3,
+           "weight_family": {"type": "power", "alpha_grid": [-0.3, 0.3]}, **placement}
+    assert [r.key() for r in sweep(cfg).records] == [
+        "a81adffcb7f4", "c548730f1477", "22b032b95570", "dd8cd6e98dc3"]
+
+
 def test_validate_config_canonical_types():
     loose = validate_config({"experiment": "buckley", "p0": 1, "L": 5.0, "p": [2],
                              "weight_family": {"alpha_grid": [0]}})
     exact = validate_config({"experiment": "buckley", "p0": 1.0, "L": 5, "p": [2.0],
                              "weight_family": {"alpha_grid": [0.0]}})
     assert json.dumps(loose, sort_keys=True) == json.dumps(exact, sort_keys=True)
-    # where a sweep writes and how many threads it uses do not enter the record keys
-    placed = sweep({**loose, "trials": 1, "out": "elsewhere", "jobs": 2})
+    # where a sweep writes does not enter the record keys
+    placed = sweep({**loose, "trials": 1, "out": "elsewhere"})
     assert placed.records[0].key() == sweep({**exact, "trials": 1}).records[0].key()
 
 

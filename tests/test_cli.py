@@ -528,21 +528,40 @@ def test_check_symbol_riesz1d_alias(capsys):
     assert rep["member"] is True
 
 
-def test_jobs_env_overrides_flag(capsys, tmp_path, monkeypatch):
-    cfg = {
-        "experiment": "buckley", "L": 5, "p": [2.0], "trials": 2, "seed": 9,
-        "weight_family": {"type": "power", "alpha_grid": [-0.3, 0.3]},
-        "out": str(tmp_path / "envjobs"),
-    }
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "cfg.json", "--jobs", "2"],
+    ["constants", "--weight", "w.gfn", "--resume"],
+])
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_sweep_rejects_jobs_key(capsys, tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    monkeypatch.setenv("SPARSELAB_JOBS", "2")
-    code, _, _ = run(capsys, "sweep", "--config", str(path), "--jobs", "1")
-    assert code == 0
-    # results are order-merged, so the parallel run matches the serial bytes
-    cfg["out"] = str(tmp_path / "serial")
-    path2 = tmp_path / "cfg2.json"
-    path2.write_text(json.dumps(cfg))
-    monkeypatch.delenv("SPARSELAB_JOBS")
-    assert run(capsys, "sweep", "--config", str(path2))[0] == 0
-    assert (tmp_path / "envjobs.ndjson").read_bytes() == (tmp_path / "serial.ndjson").read_bytes()
+    path.write_text(json.dumps({"experiment": "buckley", "L": 4, "jobs": 2}))
+    code, _, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 2
+    assert "unknown config keys: ['jobs']" in err
+
+
+def test_jobs_environment_is_ignored(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SPARSELAB_JOBS", "abc")
+    assert run(capsys, "check-symbol", "--symbol", "sign", "--N", "64")[0] == 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "buckley", "L": 4, "trials": 1}))
+    assert run(capsys, "sweep", "--config", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("L", [0, 3, 5, 6])
+def test_theorem_c_needs_level_6(capsys, tmp_path, L):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "theorem-c", "L": L, "trials": 1,
+                                "weight_family": {"type": "constant", "alpha_grid": [0.0]}}))
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    if L >= 6:
+        assert code == 0 and out
+    else:
+        assert code == 2 and out == ""
+        assert "'L'" in err
