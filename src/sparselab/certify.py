@@ -130,7 +130,7 @@ class CertificationRecord:
             raise DomainError(f"not a certification record: {d!r:.80}") from None
 
 
-def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs, maxlevel: int | None = None,
+def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs,
                       seed: int | None = None) -> CertificationRecord:
     """Sparse-form bound: ||A_S f||_{L^p(nu)} against [w]^beta prod ||f_i||_{L^{p_i}(w_i)}."""
     for f in fs:
@@ -139,7 +139,7 @@ def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs, maxlevel: int | None 
     if len(fs) != t.m:
         raise DomainError("tuple arity does not match the weights")
     lhs = weighted_norm(eval_sparse_A(S, 0, t.p0, fs), t.p, t.nu())
-    const = multi_ap_constant(t, r=t.p0, maxlevel=maxlevel)
+    const = multi_ap_constant(t, r=t.p0)
     beta = beta_exponent(t.exponents, t.p0)
     rhs = const.value**beta
     for f, p_i, w in zip(fs, t.exponents, t.weights):
@@ -179,7 +179,7 @@ def certify_theorem_a(a: CarlesonSequence, k: int, p0: float, fs, p: float,
     )
 
 
-def certify_theorem_c(op, t: WeightTuple, fs, h2, maxlevel: int | None = None,
+def certify_theorem_c(op, t: WeightTuple, fs, h2,
                       seed: int | None = None) -> CertificationRecord:
     """End-to-end operator bound through the oscillation decomposition.
 
@@ -202,7 +202,7 @@ def certify_theorem_c(op, t: WeightTuple, fs, h2, maxlevel: int | None = None,
     osc_ratios = [om / s for Q, om in dec.omegas.items()
                   if (s := float(series[Q.level][Q.index])) > 0]
     lhs = weighted_norm(u, t.p, t.nu())
-    const = multi_ap_constant(t, r=t.p0, maxlevel=maxlevel)
+    const = multi_ap_constant(t, r=t.p0)
     beta = beta_exponent(t.exponents, t.p0)
     rhs = const.value**beta
     for f, p_i, w in zip(fs, t.exponents, t.weights):
@@ -247,9 +247,9 @@ def certify_buckley(w: GridFunction, p: float, f: GridFunction,
 # Campaign helpers
 
 
-def extremal_probe_tuple(t: WeightTuple, maxlevel: int | None = None):
+def extremal_probe_tuple(t: WeightTuple):
     """Near-extremizer inputs f_i = sigma_i chi_Q on the witness cube of [w]."""
-    const = multi_ap_constant(t, r=t.p0, maxlevel=maxlevel)
+    const = multi_ap_constant(t, r=t.p0)
     Q = const.witness
     out = []
     for s in t.dual_weights():

@@ -391,10 +391,6 @@ class Annulus:
         return outer & ~inner
 
 
-def annulus_mask(Q: DyadicCube, j: int, L: int) -> np.ndarray:
-    return Annulus(Q, j).mask(L)
-
-
 def rearrangement(f: GridFunction, t: float) -> float:
     """Decreasing rearrangement f*(t) = inf{a > 0 : |{|f| > a}| < t}."""
     if t <= 0:

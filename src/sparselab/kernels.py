@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    DomainError,
-    DimensionError,
-    DyadicCube,
-    GridFunction,
-    annulus_mask,
-    dilate,
-)
+from .grid import DomainError, DimensionError, DyadicCube, GridFunction, dilate
 
 
 @dataclass(frozen=True)
@@ -524,6 +517,16 @@ def _fit_slope(xs, ys) -> tuple[float, float]:
 _H2_MAX_PAIRS = 64  # (x, xbar) pairs per fit; larger half cubes are sampled
 
 
+def _ring_rows(K: KernelSample, cells: np.ndarray, rings) -> np.ndarray:
+    """K(x, y_1, ...) for x in cells and y_i in rings[i]: shape (cells, |rings[0]|, ...)."""
+    N = 1 << K.level
+    m = len(rings)
+    return K.table[tuple(
+        (cells.reshape((-1,) + (1,) * m) - y.reshape((-1,) + (1,) * (m - 1 - i))) % N
+        for i, y in enumerate(rings)
+    )]
+
+
 def check_h2(K: KernelSample, p0: float, Q: DyadicCube, jmax: int,
              seed: int = 0) -> H2Report:
     """Measure B_j = sup_pairs (int_{S_j(Q)} |K(x,.) - K(xbar,.)|^p0' dy)^(1/p0')
@@ -532,10 +535,15 @@ def check_h2(K: KernelSample, p0: float, Q: DyadicCube, jmax: int,
     p0 = 1 uses the ring supremum in place of the integral.  All (x, xbar)
     pairs from the half cube are used while the half cube holds at most 64
     cells; beyond that a seeded sample of 64 pairs is drawn.  For bilinear
-    kernels the ring pairs are grouped by max(j1, j2).
+    kernels the ring pairs, S_0 = Q included, are grouped by max(j1, j2).
+
+    Each ring (pair) gathers the kernel rows of all half-cube cells once.
+    For a real kernel with every pair used, the p0 = 1 supremum is the
+    largest column max - min of those rows; otherwise the pairs are reduced
+    one first cell at a time, and the root is taken once, on the largest sum.
     """
-    if p0 < 1:
-        raise DomainError("p0 must be >= 1")
+    if not math.isfinite(p0) or p0 < 1:
+        raise DomainError(f"p0 must be finite and >= 1, got {p0}")
     if jmax < 1:
         raise DomainError("need at least one ring")
     if jmax > Q.level:
@@ -544,55 +552,40 @@ def check_h2(K: KernelSample, p0: float, Q: DyadicCube, jmax: int,
         )
     L = K.level
     cells = _half_cube_cells(Q, L)
-    pairs = [(int(a), int(b)) for ai, a in enumerate(cells) for b in cells[ai + 1 :]]
-    if cells.size > _H2_MAX_PAIRS:
+    ia, ib = np.triu_indices(cells.size, 1)
+    sampled = cells.size > _H2_MAX_PAIRS
+    if sampled:
         rng = np.random.default_rng(seed)
-        picks = rng.choice(len(pairs), size=_H2_MAX_PAIRS, replace=False)
-        pairs = [pairs[int(i)] for i in picks]
-    vol = 2.0 ** (-L)
+        picks = rng.choice(ia.size, size=_H2_MAX_PAIRS, replace=False)
+        ia, ib = ia[picks], ib[picks]
+    vol = 2.0 ** (-L * K.arity)
     p0c = math.inf if p0 == 1.0 else p0 / (p0 - 1.0)
+    # cells of S_0 = Q and of the rings S_j = 2^j Q minus 2^(j-1) Q, ascending;
+    # each dilate is built once and serves as one ring's outer and the next one's inner
+    hulls = [dilate(Q, j, L) for j in range(jmax + 1)]
+    rings = [np.flatnonzero(hulls[0])] + [np.flatnonzero(hulls[j] & ~hulls[j - 1])
+                                          for j in range(1, jmax + 1)]
 
-    ring_cells = []
-    for j in range(1, jmax + 1):
-        mask = annulus_mask(Q, j, L)
-        ring_cells.append(np.nonzero(mask.ravel())[0])
+    def ring_norm(rows: np.ndarray) -> float:
+        if math.isinf(p0c) and not sampled and np.isrealobj(rows):
+            return float((rows.max(0) - rows.min(0)).max())
+        top = 0.0
+        for a in np.unique(ia):
+            d = np.abs(rows[a] - rows[ib[ia == a]]).reshape(-1, rows[a].size)
+            top = max(top, float(d.max() if math.isinf(p0c) else (d**p0c).sum(1).max()))
+        return top if math.isinf(p0c) else (top * vol) ** (1.0 / p0c)
 
-    def ring_norm(diff_abs: np.ndarray) -> float:
-        if math.isinf(p0c):
-            return float(diff_abs.max()) if diff_abs.size else 0.0
-        total = float((diff_abs**p0c).sum())
-        weight = vol if K.arity == 1 else vol * vol
-        return (total * weight) ** (1.0 / p0c)
+    # ring index tuples with a positive entry, grouped by their largest one
+    b_values = [0.0] * jmax
+    for jj in itertools.product(range(jmax + 1), repeat=K.arity):
+        if max(jj) > 0:
+            rows = _ring_rows(K, cells, [rings[j] for j in jj])
+            b_values[max(jj) - 1] = max(b_values[max(jj) - 1], ring_norm(rows))
 
-    b_values = []
     js = list(range(1, jmax + 1))
-    if K.arity == 1:
-        for yc in ring_cells:
-            best = 0.0
-            for x, xbar in pairs:
-                d = np.abs(K.diff(x, xbar, (yc,)))
-                best = max(best, ring_norm(d))
-            b_values.append(best)
-    else:
-        grouped = {j: 0.0 for j in js}
-        for j1, yc1 in zip(js, ring_cells):
-            for j2, yc2 in zip(js, ring_cells):
-                j0 = max(j1, j2)
-                for x, xbar in pairs:
-                    d = np.abs(K.diff(x, xbar, (yc1, yc2)))
-                    grouped[j0] = max(grouped[j0], ring_norm(d))
-        # rings paired with S_0 = Q itself
-        q_cells = np.nonzero(dilate(Q, 0, L).ravel())[0]
-        for j, yc in zip(js, ring_cells):
-            for x, xbar in pairs:
-                d1 = np.abs(K.diff(x, xbar, (yc, q_cells)))
-                d2 = np.abs(K.diff(x, xbar, (q_cells, yc)))
-                grouped[j] = max(grouped[j], ring_norm(d1), ring_norm(d2))
-        b_values = [grouped[j] for j in js]
-
     fit_js = [j for j, b in zip(js, b_values) if b > 0 and j >= 2]
     fit_bs = [b for j, b in zip(js, b_values) if b > 0 and j >= 2]
     if len(fit_js) < 3:
-        return H2Report(p0, Q, js, b_values, None, None, len(pairs), True)
+        return H2Report(p0, Q, js, b_values, None, None, int(ia.size), True)
     slope, resid = _fit_slope(fit_js, np.log2(fit_bs))
-    return H2Report(p0, Q, js, b_values, -slope, resid, len(pairs), False)
+    return H2Report(p0, Q, js, b_values, -slope, resid, int(ia.size), False)

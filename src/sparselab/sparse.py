@@ -352,6 +352,7 @@ class SelectionResult:
     w_hat: float
     pointwise_constant: float
     covered: bool
+    lhs: np.ndarray  # the sliced operator's cellwise values that the selection compared
     rhs: np.ndarray  # the family's cellwise operator that the selection compared
     selected: tuple[DyadicCube, ...] = ()
 
@@ -473,7 +474,7 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
     lhs = eval_sparse_A(a, k, p0, fs).values
     rhs = eval_sparse_A(family, 0, p0, fs).values
     pointwise, covered = _cell_ratio(lhs, rhs)
-    return SelectionResult(family, float(cstar), w_hat, pointwise, covered, rhs,
+    return SelectionResult(family, float(cstar), w_hat, pointwise, covered, lhs, rhs,
                            tuple(sorted(selected)))
 
 
@@ -524,7 +525,8 @@ def dominate(a: CarlesonSequence, k: int, p0: float, fs,
         select_sparse(p.seq, k, p0, fs, cstar=cstar, seed=seed + 101 * i)
         for i, p in enumerate(pieces)
     ]
-    lhs = eval_sparse_A(a, k, p0, fs).values
+    # at k = 0 the single piece is a itself, so its selection already evaluated it
+    lhs = selections[0].lhs if k == 0 else eval_sparse_A(a, k, p0, fs).values
     rhs = np.zeros_like(lhs)
     for sel in selections:
         rhs += sel.rhs

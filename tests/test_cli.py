@@ -425,6 +425,14 @@ def test_check_h2_cli(capsys):
     assert abs(rep["delta_hat"] - 1.5) < 0.15
 
 
+@pytest.mark.parametrize("p0", ["nan", "inf"])
+def test_check_h2_non_finite_p0_exits_2(capsys, p0):
+    code, out, err = run(capsys, "check-h2", "--kernel", "hilbert", "--p0", p0, "--L", "8")
+    assert code == 2
+    assert out == ""
+    assert "p0 must be finite" in err
+
+
 def test_check_h2_unknown_kernel(capsys):
     code, _, err = run(capsys, "check-h2", "--kernel", "mystery")
     assert code == 2

@@ -357,6 +357,12 @@ def test_h2_bilinear_smooth_symbol():
     assert rep.delta_hat > 0
 
 
+@pytest.mark.parametrize("p0", [math.nan, math.inf, 0.5])
+def test_h2_rejects_bad_p0(p0):
+    with pytest.raises(DomainError, match="p0 must be finite and >= 1"):
+        check_h2(hilbert_kernel(8), p0, DyadicCube(5, (1,)), 4)
+
+
 def test_h2_rejects_saturated_rings():
     K = hilbert_kernel(9)
     with pytest.raises(DomainError):

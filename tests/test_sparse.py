@@ -582,6 +582,25 @@ def test_dominate_k0():
     assert math.isfinite(res.cell_constant)
 
 
+def test_dominate_k0_evaluates_a_once(monkeypatch):
+    import sparselab.sparse as sparse_mod
+
+    rng = rng_from(22)
+    a = random_carleson(rng, 1, 5)
+    fs = [random_function(rng, 1, 5)]
+    calls = []
+
+    def counted(obj, k, p0, fs):
+        calls.append(obj is a)
+        return eval_sparse_A(obj, k, p0, fs)
+
+    monkeypatch.setattr(sparse_mod, "eval_sparse_A", counted)
+    res = dominate(a, 0, 1.0, fs, cstar=4.0)
+    # the selection's own comparison evaluates a; dominate reuses it
+    assert calls.count(True) == 1
+    assert np.array_equal(res.lhs, eval_sparse_A(a, 0, 1.0, fs).values)
+
+
 def test_dominate_k2_random():
     rng = rng_from(23)
     for _ in range(5):
