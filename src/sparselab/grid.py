@@ -247,6 +247,8 @@ def block_reduce(values: np.ndarray, n: int, L: int, j: int, op: str = "mean") -
 
 def upsample(arr: np.ndarray, s: int) -> np.ndarray:
     """Repeat every entry s times along each axis: level-j values onto a level finer by log2(s)."""
+    if s == 1:
+        return arr
     grown = np.broadcast_to(arr.reshape([d for m in arr.shape for d in (m, 1)]),
                             [d for m in arr.shape for d in (m, s)])
     return grown.reshape([m * s for m in arr.shape])
@@ -280,11 +282,25 @@ def argmax_cube(levels) -> tuple[float, DyadicCube]:
 
 
 def mean_pyramid(values: np.ndarray, n: int, L: int) -> list[np.ndarray]:
-    """Per-cube means at every level 0..L, computed bottom-up."""
+    """Per-cube means at every level 0..L, computed bottom-up.
+
+    Each level halves the one below it with slice adds, last axis first, and
+    carries the same bits as ``block_reduce(..., "mean")``: numpy sums a
+    2 x 2 block of a larger array as (a00 + a01) + (a10 + a11).  A lone
+    block is summed in storage order instead, so the root step stays on
+    ``block_reduce``.
+    """
     out: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
     out[L] = np.asarray(values, dtype=float).reshape((1 << L,) * n)
-    for j in range(L - 1, -1, -1):
-        out[j] = block_reduce(out[j + 1], n, j + 1, j, "mean")
+    for j in range(L - 1, 0, -1):
+        v = out[j + 1].reshape((1 << j, 2) * n)
+        for ax in range(2 * n - 1, 0, -2):
+            head = (slice(None),) * ax
+            v = v[head + (0,)] + v[head + (1,)]
+        v /= 1 << n
+        out[j] = v
+    if L:
+        out[0] = block_reduce(out[1], n, 1, 0, "mean")
     return out
 
 

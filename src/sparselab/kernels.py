@@ -569,11 +569,20 @@ def check_h2(K: KernelSample, p0: float, Q: DyadicCube, jmax: int,
     def ring_norm(rows: np.ndarray) -> float:
         if math.isinf(p0c) and not sampled and np.isrealobj(rows):
             return float((rows.max(0) - rows.min(0)).max())
-        top = 0.0
+        top = scaled = 0.0
         for a in np.unique(ia):
             d = np.abs(rows[a] - rows[ib[ia == a]]).reshape(-1, rows[a].size)
-            top = max(top, float(d.max() if math.isinf(p0c) else (d**p0c).sum(1).max()))
-        return top if math.isinf(p0c) else (top * vol) ** (1.0 / p0c)
+            big = float(d.max(initial=0.0))
+            if math.isinf(p0c):
+                top = max(top, big)
+            elif big > 0 and abs(p0c * math.log2(big)) > 900:
+                # |d|^p0' would leave the float range: divide by the largest
+                # difference before the power, multiply it back after the root
+                sums = ((d / big) ** p0c).sum(1)
+                scaled = max(scaled, big * (float(sums.max()) * vol) ** (1.0 / p0c))
+            else:
+                top = max(top, float((d**p0c).sum(1).max()))
+        return top if math.isinf(p0c) else max(scaled, (top * vol) ** (1.0 / p0c))
 
     # ring index tuples with a positive entry, grouped by their largest one
     b_values = [0.0] * jmax

@@ -133,6 +133,7 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
     n, L = f.dim, f.level
     lam = 2.0 ** (-(n + 2))
     omegas: dict[DyadicCube, float] = {}
+    marks: dict[int, np.ndarray] = {}  # the family's cubes, level by level
     visit = {j: np.zeros((1 << j,) * n, dtype=bool) for j in range(Q0.level, L + 1)}
     visit[Q0.level][Q0.index] = True
 
@@ -147,6 +148,8 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
         if j == Q0.level:
             m0 = float(med[0])
         om = _osc_from_sorted(b, lam)
+        marks[j] = np.zeros_like(here)
+        marks[j][here] = om > 0.0
         for idx, w in zip(np.argwhere(here)[om > 0.0], om[om > 0.0]):
             omegas[DyadicCube(j, tuple(map(int, idx)))] = float(w)
         if N == 1:
@@ -167,7 +170,7 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
             if i < L:
                 covered = upsample(covered | stop, 2)
 
-    family = greedy_witness(omegas.keys(), n, L)
+    family = greedy_witness(marks, n, L)
     return LernerDecomposition(Q0, m0, lam, family, omegas)
 
 

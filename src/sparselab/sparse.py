@@ -9,6 +9,7 @@ against the complexity-0 operators of the selected families.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,78 +147,107 @@ def beta_sequence(a: CarlesonSequence, k: int) -> CarlesonSequence:
 
 
 class SparseFamily:
-    """Cubes with pairwise-disjoint witness cell sets E_Q, |Q| <= 2|E_Q|."""
+    """Cubes with pairwise-disjoint witness cell sets E_Q, |Q| <= 2|E_Q|.
+
+    Stored as level arrays: ``masks[j]`` flags the level-j cubes, one bool
+    array per populated level, and cube ids run in (level, row-major) order.
+    ``cells`` holds the ascending flat witness cells of cube 0, then of cube
+    1, and so on, ``sizes[i]`` of them for cube i.  ``cubes`` and ``witness``
+    are views built on first use.
+    """
 
     def __init__(self, dim: int, level: int, witness: dict[DyadicCube, np.ndarray]):
-        self.dim = dim
-        self.level = level
-        self.witness = {Q: np.asarray(w, dtype=np.int64) for Q, w in sorted(witness.items())}
-        self.cubes = tuple(self.witness)
+        ws = [np.sort(np.asarray(w, dtype=np.int64)) for _, w in sorted(witness.items())]
+        self.dim, self.level = dim, level
+        self.masks = {j: a > 0 for j, a in cube_levels(((Q, 1.0) for Q in witness), dim).items()}
+        self.cells = np.concatenate([np.zeros(0, dtype=np.int64)] + ws)
+        self.sizes = np.array([w.size for w in ws], dtype=np.int64)
+
+    @classmethod
+    def _of(cls, dim: int, level: int, masks: dict[int, np.ndarray], cells: np.ndarray,
+            sizes: np.ndarray) -> "SparseFamily":
+        fam = cls.__new__(cls)
+        fam.dim, fam.level, fam.masks, fam.cells, fam.sizes = dim, level, masks, cells, sizes
+        return fam
 
     def __len__(self):
-        return len(self.cubes)
+        return self.sizes.size
 
     def __iter__(self):
         return iter(self.cubes)
 
+    def _ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Level and index (one row) of every cube, in id order."""
+        lev = np.repeat(np.array(list(self.masks), dtype=np.int64),
+                        [int(m.sum()) for m in self.masks.values()])
+        idx = np.concatenate([np.zeros((0, self.dim), dtype=np.int64)]
+                             + [np.argwhere(m) for m in self.masks.values()])
+        return lev, idx
+
+    @functools.cached_property
+    def cubes(self) -> tuple[DyadicCube, ...]:
+        lev, idx = self._ids()
+        return tuple(DyadicCube(j, tuple(i)) for j, i in zip(lev.tolist(), idx.tolist()))
+
+    @functools.cached_property
+    def witness(self) -> dict[DyadicCube, np.ndarray]:
+        ends = np.cumsum(self.sizes).tolist()
+        return {Q: self.cells[e - s:e] for Q, s, e in zip(self.cubes, self.sizes.tolist(), ends)}
+
     def to_records(self, omegas: dict | None = None) -> list[dict]:
-        recs = []
-        for Q in self.cubes:
-            rec = {
-                "cube": {"level": Q.level, "index": list(Q.index)},
-                "E": _runs(self.witness[Q]),
-            }
-            if omegas is not None:
+        """Per cube its level and index, E_Q as [start, stop) cell runs, and omega if given."""
+        c = self.cells
+        owner = np.repeat(np.arange(len(self)), self.sizes)
+        # a run starts at every new owner and every gap between consecutive cells
+        new = np.ones(c.size, dtype=bool)
+        new[1:] = (owner[1:] != owner[:-1]) | (np.diff(c) != 1)
+        first = np.flatnonzero(new)
+        last = np.append(first[1:], c.size)[:first.size] - 1  # no cells, no runs
+        runs = np.stack([c[first], c[last] + 1], axis=1).tolist()
+        ends = np.cumsum(np.bincount(owner[first], minlength=len(self))).tolist()
+        lev, idx = self._ids()
+        recs = [{"cube": {"level": j, "index": i}, "E": runs[s:e]}
+                for j, i, s, e in zip(lev.tolist(), idx.tolist(), [0] + ends, ends)]
+        if omegas is not None:
+            for rec, Q in zip(recs, self.cubes):
                 rec["omega"] = omegas.get(Q, 0.0)
-            recs.append(rec)
         return recs
-
-
-def _runs(flat: np.ndarray) -> list[list[int]]:
-    """Sorted flat cell indices as [start, stop) runs."""
-    if flat.size == 0:
-        return []
-    flat = np.sort(flat)
-    breaks = np.nonzero(np.diff(flat) != 1)[0]
-    starts = np.concatenate(([0], breaks + 1))
-    stops = np.concatenate((breaks, [flat.size - 1]))
-    return [[int(flat[s]), int(flat[e]) + 1] for s, e in zip(starts, stops)]
 
 
 def verify_sparse(S: SparseFamily) -> bool:
     """Exact cell-count check of disjointness, containment and the half bound."""
     n, L = S.dim, S.level
-    ws = [S.witness[Q] for Q in S.cubes]
-    sizes = np.array([w.size for w in ws], dtype=np.int64)
-    cells = np.concatenate([np.zeros(0, dtype=np.int64)] + ws)
-    lev = np.array([Q.level for Q in S.cubes], dtype=np.int64)
+    lev, index = S._ids()
+    cells = S.cells
     if np.any(lev > L):
         raise DimensionError(f"resolution {L} too coarse for level-{int(lev.max())} cubes")
-    if np.any((1 << (L - lev)) ** n > 2 * sizes):
+    if np.any((1 << (L - lev)) ** n > 2 * S.sizes):
         return False
     if np.any((cells < 0) | (cells >= 1 << (n * L))):
         return False
     # a repeated cell is a duplicate inside one E_Q or an overlap between two
     if np.any(np.bincount(cells) > 1):
         return False
-    owner = np.repeat(np.arange(len(ws)), sizes)
-    index = np.array([Q.index for Q in S.cubes], dtype=np.int64).reshape(-1, n)[owner]
+    owner = np.repeat(np.arange(len(S)), S.sizes)
     coords = np.unravel_index(cells, (1 << L,) * n)
-    return all(np.array_equal(c >> (L - lev[owner]), index[:, a]) for a, c in enumerate(coords))
+    return all(np.array_equal(c >> (L - lev[owner]), index[owner, a]) for a, c in enumerate(coords))
 
 
-def greedy_witness(cubes, dim: int, level: int) -> SparseFamily:
+def greedy_witness(levels, dim: int, level: int) -> SparseFamily:
     """Assign E_Q = Q minus all family cubes strictly inside Q, deepest first.
 
-    Every cell goes to the deepest family cube containing it.  Raises
-    SparsityError naming the first cube, deepest level first and row-major
-    within it, whose leftover cells fall below half its measure.
+    ``levels`` maps a level j to a (2^j,)*dim array whose nonzero entries
+    mark the family's level-j cubes; an iterable of cubes is converted with
+    ``cube_levels``.  Every cell goes to the deepest family cube containing
+    it.  Raises SparsityError naming the first cube, deepest level first and
+    row-major within it, whose leftover cells fall below half its measure.
     """
-    # (level, row-major) order: the id order of the level arrays
-    found = sorted(set(cubes), key=lambda Q: (Q.level, Q.index))
-    if found and found[-1].level > level:
-        raise DimensionError(f"resolution {level} too coarse for level-{found[-1].level} cubes")
-    fam = {j: a > 0 for j, a in cube_levels(((Q, 1.0) for Q in found), dim).items()}
+    if not isinstance(levels, dict):
+        levels = cube_levels(((Q, 1.0) for Q in levels), dim)
+    fam = {j: np.asarray(a) != 0 for j, a in sorted(levels.items())}
+    fam = {j: m for j, m in fam.items() if m.any()}
+    if fam and max(fam) > level:
+        raise DimensionError(f"resolution {level} too coarse for level-{max(fam)} cubes")
     # owner: per cell, the id of the deepest family cube containing it (-1 for none)
     owner, first = np.full((1,) * dim, -1, dtype=np.int64), 0
     for j in range(level + 1):
@@ -227,17 +257,18 @@ def greedy_witness(cubes, dim: int, level: int) -> SparseFamily:
             first += int(fam[j].sum())
     cells = np.flatnonzero(owner >= 0)
     lab = owner.ravel()[cells]
-    sizes = np.bincount(lab, minlength=len(found))
-    cube_cells = (1 << (level - np.array([Q.level for Q in found], dtype=np.int64))) ** dim
+    sizes = np.bincount(lab, minlength=first)
+    # ids fit 16 bits up to 65,536 cubes, where numpy's stable sort is a radix sort
+    order = np.argsort(lab.astype(np.min_scalar_type(first)), kind="stable")
+    family = SparseFamily._of(dim, level, fam, cells[order], sizes)
+    lev, idx = family._ids()
+    cube_cells = (1 << (level - lev)) ** dim
     short = np.flatnonzero(2 * sizes < cube_cells)
     if short.size:
-        i = max(short, key=lambda i: found[i].level)
-        raise SparsityError(found[i], deficit=int(math.ceil(cube_cells[i] / 2)) - int(sizes[i]))
-    # ids fit 16 bits up to 65,536 cubes, where numpy's stable sort is a radix sort
-    cells = cells[np.argsort(lab.astype(np.min_scalar_type(len(found))), kind="stable")]
-    ends = np.cumsum(sizes).tolist()
-    witness = {Q: cells[e - int(size):e] for Q, size, e in zip(found, sizes, ends)}
-    return SparseFamily(dim, level, witness)
+        i = short[np.argmax(lev[short])]
+        raise SparsityError(DyadicCube(int(lev[i]), tuple(idx[i].tolist())),
+                            deficit=int(math.ceil(cube_cells[i] / 2)) - int(sizes[i]))
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +284,7 @@ def _operator_args(obj, k: int, p0: float, fs) -> tuple[dict[int, np.ndarray], i
     if isinstance(obj, CarlesonSequence):
         alpha, rootlvl = obj.levels, obj.root.level
     elif isinstance(obj, SparseFamily):
-        alpha, rootlvl = cube_levels(((Q, 1.0) for Q in obj.cubes), obj.dim), 0
+        alpha, rootlvl = obj.masks, 0
     else:
         raise DimensionError(f"cannot evaluate a sparse operator from {type(obj).__name__}")
     return (alpha, rootlvl) + _check_tuple(fs, obj.dim)
@@ -277,10 +308,21 @@ def eval_sparse_A(obj, k: int, p0: float, fs) -> GridFunction:
     Cubes whose k-th ancestor is not contained in the root are skipped.
     """
     alpha, rootlvl, n, L = _operator_args(obj, k, p0, fs)
-    pyramids = [mean_pyramid(np.abs(f.values) ** p0, n, L) for f in fs]
+    return GridFunction(n, L, _ancestor_sum(alpha, rootlvl, k, p0, _power_pyramids(fs, p0)))
+
+
+def _power_pyramids(fs, p0: float) -> list[list[np.ndarray]]:
+    """The mean pyramid of |f_i|^p0 for every input."""
+    return [mean_pyramid(np.abs(f.values) ** p0, f.dim, f.level) for f in fs]
+
+
+def _ancestor_sum(alpha: dict[int, np.ndarray], rootlvl: int, k: int, p0: float,
+                  pyramids) -> np.ndarray:
+    """Cell values of the ancestor-type operator from the inputs' power pyramids."""
+    L = len(pyramids[0]) - 1
     inv = 1.0 / p0
     # top-down: every level adds its term onto the sum of the coarser ones
-    out, top = np.zeros((1,) * n), 0
+    out, top = np.zeros(pyramids[0][0].shape), 0
     for j in alpha:
         if j - k < rootlvl:
             continue
@@ -291,7 +333,7 @@ def eval_sparse_A(obj, k: int, p0: float, fs) -> GridFunction:
             term = term * upsample(pyr[j - k] ** inv, 1 << k)
         out = upsample(out, 1 << (j - top)) + term
         top = j
-    return GridFunction(n, L, upsample(out, 1 << (L - top)))
+    return upsample(out, 1 << (L - top))
 
 
 def eval_sparse_T(obj, k: int, p0: float, fs) -> GridFunction:
@@ -354,7 +396,10 @@ class SelectionResult:
     covered: bool
     lhs: np.ndarray  # the sliced operator's cellwise values that the selection compared
     rhs: np.ndarray  # the family's cellwise operator that the selection compared
-    selected: tuple[DyadicCube, ...] = ()
+
+    @property
+    def selected(self) -> tuple[DyadicCube, ...]:
+        return self.family.cubes
 
     def report(self) -> dict:
         return {
@@ -430,7 +475,8 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
 
     step = max(k, 1)
     alpha = a.levels
-    pyramids = [mean_pyramid(f.values**p0, n, L) for f in fs]
+    # shared by the walk and the family's operator
+    pyramids = _power_pyramids(fs, p0)
     inv = 1.0 / p0
 
     # support-at-or-below flags: below the root, the walk visits exactly these cubes
@@ -446,7 +492,7 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
         prev = cur
 
     # one tested level at a time: reach marks the visited cubes, delta their budgets
-    selected: list[DyadicCube] = []
+    hits: dict[int, np.ndarray] = {}
     reach = np.zeros((1 << rl,) * n, dtype=bool)
     reach[a.root.index] = True
     delta = np.zeros((1 << rl,) * n)
@@ -459,7 +505,7 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
         # gamma: block max of the coefficients k levels deeper
         g = block_reduce(alpha[j + k], n, j + k, j, "max") if j + k in alpha else 0.0
         hit = reach & (delta - prod * g < 0.0)
-        selected.extend(DyadicCube(j, tuple(map(int, idx))) for idx in np.argwhere(hit))
+        hits[j] = hit
         if j + step > L:
             break
         base = np.where(hit, delta + cstar * prod, delta)
@@ -470,12 +516,11 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
         else:
             delta = upsample(base, 1 << k) - alpha.get(j + k, 0.0) * upsample(prod, 1 << k)
 
-    family = greedy_witness(selected, n, L)
+    family = greedy_witness(hits, n, L)
     lhs = eval_sparse_A(a, k, p0, fs).values
-    rhs = eval_sparse_A(family, 0, p0, fs).values
+    rhs = _ancestor_sum(family.masks, 0, 0, p0, pyramids)
     pointwise, covered = _cell_ratio(lhs, rhs)
-    return SelectionResult(family, float(cstar), w_hat, pointwise, covered, lhs, rhs,
-                           tuple(sorted(selected)))
+    return SelectionResult(family, float(cstar), w_hat, pointwise, covered, lhs, rhs)
 
 
 def _cell_ratio(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, bool]:

@@ -433,6 +433,19 @@ def test_check_h2_non_finite_p0_exits_2(capsys, p0):
     assert "p0 must be finite" in err
 
 
+def test_check_h2_p0_just_above_one(capsys):
+    # p0' = 10^6: the ring integrals must not overflow on the way to B_j
+    with np.errstate(over="raise", invalid="raise"):
+        code, out, err = run(capsys, "check-h2", "--kernel", "hilbert", "--p0", "1.000001",
+                             "--L", "10")
+    assert code == 0, err
+    b = json.loads(out)["b_values"]
+    assert len(b) == 5 and all(math.isfinite(v) and v > 0 for v in b)
+    _, ref, _ = run(capsys, "check-h2", "--kernel", "hilbert", "--p0", "1", "--L", "10")
+    # B_j tends to the ring supremum as p0 -> 1
+    assert np.allclose(b, json.loads(ref)["b_values"], rtol=1e-4)
+
+
 def test_check_h2_unknown_kernel(capsys):
     code, _, err = run(capsys, "check-h2", "--kernel", "mystery")
     assert code == 2

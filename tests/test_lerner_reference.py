@@ -118,6 +118,27 @@ def reference_greedy_witness(cubes, dim, level):
     return witness
 
 
+def reference_runs(flat):
+    """Sorted flat cell indices as [start, stop) runs, one cube at a time."""
+    if flat.size == 0:
+        return []
+    flat = np.sort(flat)
+    breaks = np.nonzero(np.diff(flat) != 1)[0]
+    starts = np.concatenate(([0], breaks + 1))
+    stops = np.concatenate((breaks, [flat.size - 1]))
+    return [[int(flat[s]), int(flat[e]) + 1] for s, e in zip(starts, stops)]
+
+
+def reference_records(witness, omegas=None):
+    recs = []
+    for Q in sorted(witness):
+        rec = {"cube": {"level": Q.level, "index": list(Q.index)}, "E": reference_runs(witness[Q])}
+        if omegas is not None:
+            rec["omega"] = omegas.get(Q, 0.0)
+        recs.append(rec)
+    return recs
+
+
 def reference_verify_sparse(S):
     seen = set()
     for Q in S.cubes:
@@ -261,3 +282,25 @@ def test_verify_sparse_matches_reference(case, seed, how):
         return
     assert verify_sparse(bad) == reference_verify_sparse(bad)
     assert not verify_sparse(bad)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cube_set_case(), st.integers(0, 2**32 - 1), st.booleans())
+def test_records_match_reference_runs(case, seed, with_omegas):
+    n, L, cubes = case
+    try:
+        fam = greedy_witness(cubes, n, L)
+    except SparsityError:
+        return
+    rng = rng_from(seed)
+    omegas = {Q: float(rng.uniform()) for Q in fam.cubes if rng.random() < 0.8} if with_omegas else None
+    assert repr(fam.to_records(omegas)) == repr(reference_records(fam.witness, omegas))
+    # a family built from a dict: cells in any order, repeated cells, empty witnesses
+    wit = {}
+    for Q, w in fam.witness.items():
+        w = rng.permutation(w)
+        if w.size and rng.random() < 0.3:
+            w = np.append(w, w[: int(rng.integers(1, w.size + 1))])
+        wit[Q] = w[: int(rng.integers(0, w.size + 1))] if rng.random() < 0.2 else w
+    rebuilt = SparseFamily(n, L, wit)
+    assert repr(rebuilt.to_records(omegas)) == repr(reference_records(wit, omegas))
