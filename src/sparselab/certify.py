@@ -130,6 +130,16 @@ class CertificationRecord:
             raise DomainError(f"not a certification record: {d!r:.80}") from None
 
 
+def _weighted_bound(t: WeightTuple, fs) -> tuple[float, float, float]:
+    """[w]^beta prod_i ||f_i||_{L^{p_i}(w_i)}, with [w] the tuple's constant at r = p0."""
+    const = multi_ap_constant(t, r=t.p0).value
+    beta = beta_exponent(t.exponents, t.p0)
+    rhs = const**beta
+    for f, p_i, w in zip(fs, t.exponents, t.weights):
+        rhs *= weighted_norm(f, p_i, w)
+    return const, beta, rhs
+
+
 def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs,
                       seed: int | None = None) -> CertificationRecord:
     """Sparse-form bound: ||A_S f||_{L^p(nu)} against [w]^beta prod ||f_i||_{L^{p_i}(w_i)}."""
@@ -139,17 +149,13 @@ def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs,
     if len(fs) != t.m:
         raise DomainError("tuple arity does not match the weights")
     lhs = weighted_norm(eval_sparse_A(S, 0, t.p0, fs), t.p, t.nu())
-    const = multi_ap_constant(t, r=t.p0)
-    beta = beta_exponent(t.exponents, t.p0)
-    rhs = const.value**beta
-    for f, p_i, w in zip(fs, t.exponents, t.weights):
-        rhs *= weighted_norm(f, p_i, w)
+    const, beta, rhs = _weighted_bound(t, fs)
     return CertificationRecord(
         "theorem-b",
         {"m": t.m, "p0": t.p0, "p": list(t.exponents), "L": t.level, "n": t.dim,
          "family_size": len(S)},
         lhs, rhs,
-        constants={"multi_ap": const.value, "beta": beta},
+        constants={"multi_ap": const, "beta": beta},
         seed=seed,
         degenerate=(rhs == 0.0),
     )
@@ -202,18 +208,14 @@ def certify_theorem_c(op, t: WeightTuple, fs, h2,
     osc_ratios = [om / s for Q, om in dec.omegas.items()
                   if (s := float(series[Q.level][Q.index])) > 0]
     lhs = weighted_norm(u, t.p, t.nu())
-    const = multi_ap_constant(t, r=t.p0)
-    beta = beta_exponent(t.exponents, t.p0)
-    rhs = const.value**beta
-    for f, p_i, w in zip(fs, t.exponents, t.weights):
-        rhs *= weighted_norm(f, p_i, w)
+    const, beta, rhs = _weighted_bound(t, fs)
     return CertificationRecord(
         "theorem-c",
         {"operator": getattr(op, "name", type(op).__name__), "m": t.m, "p0": t.p0,
          "p": list(t.exponents), "L": t.level, "n": t.dim},
         lhs, rhs,
         constants={
-            "multi_ap": const.value,
+            "multi_ap": const,
             "beta": beta,
             "delta0": delta0,
             "family_size": len(dec.family),
@@ -249,14 +251,8 @@ def certify_buckley(w: GridFunction, p: float, f: GridFunction,
 
 def extremal_probe_tuple(t: WeightTuple):
     """Near-extremizer inputs f_i = sigma_i chi_Q on the witness cube of [w]."""
-    const = multi_ap_constant(t, r=t.p0)
-    Q = const.witness
-    out = []
-    for s in t.dual_weights():
-        vals = np.zeros_like(s.values)
-        vals[Q.cell_slices(t.level)] = s.values[Q.cell_slices(t.level)]
-        out.append(GridFunction(t.dim, t.level, vals))
-    return out
+    chi = GridFunction.indicator(t.dim, t.level, multi_ap_constant(t, r=t.p0).witness)
+    return [s * chi for s in t.dual_weights()]
 
 
 def power_weight_tuple(alpha: float, exponents, p0: float, n: int = 1, L: int = 8) -> WeightTuple:

@@ -56,7 +56,7 @@ def read_weight(path) -> GridFunction:
 
 def read_carleson(path) -> CarlesonSequence:
     """Sequence file: one cube per line, 'level index... alpha', level at most MAX_LEVEL[n]."""
-    coeffs = {}
+    coeffs, lines = {}, {}
     n = None
     for ln, line in enumerate(read_text(path).splitlines(), start=1):
         toks = line.split()
@@ -77,7 +77,10 @@ def read_carleson(path) -> CarlesonSequence:
         if not 0 <= level <= MAX_LEVEL[n]:
             raise FormatError(f"line {ln}: level {level} out of range 0..{MAX_LEVEL[n]} "
                               f"for n={n}")
-        coeffs[DyadicCube(level, index)] = alpha
+        Q = DyadicCube(level, index)
+        if Q in lines:
+            raise FormatError(f"line {ln}: repeats the cube of line {lines[Q]}")
+        coeffs[Q], lines[Q] = alpha, ln
     if n is None:
         raise FormatError("line 1: empty coefficient file")
     return CarlesonSequence.from_cubes(root_cube(n), coeffs)

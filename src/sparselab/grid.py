@@ -267,6 +267,21 @@ def cube_levels(items, n: int) -> dict[int, np.ndarray]:
     return dict(sorted(out.items()))
 
 
+def mask_ids(masks: dict[int, np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level and index (one row) of the flagged cubes, (level, row-major) order."""
+    lev = np.repeat(np.array(list(masks), dtype=np.int64),
+                    [int(np.count_nonzero(m)) for m in masks.values()])
+    idx = np.concatenate([np.zeros((0, n), dtype=np.int64)]
+                         + [np.argwhere(m) for m in masks.values()])
+    return lev, idx
+
+
+def mask_cubes(masks: dict[int, np.ndarray], n: int) -> tuple[DyadicCube, ...]:
+    """The flagged cubes of level masks, in the order of ``mask_ids``."""
+    lev, idx = mask_ids(masks, n)
+    return tuple(DyadicCube(j, tuple(i)) for j, i in zip(lev.tolist(), idx.tolist()))
+
+
 def argmax_cube(levels) -> tuple[float, DyadicCube]:
     """Largest entry over (level, array) pairs and the cube attaining it.
 

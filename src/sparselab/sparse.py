@@ -24,6 +24,8 @@ from .grid import (
     block_reduce,
     cube_levels,
     dilate_products,
+    mask_cubes,
+    mask_ids,
     mean_pyramid,
     top_level,
     upsample,
@@ -176,18 +178,9 @@ class SparseFamily:
     def __iter__(self):
         return iter(self.cubes)
 
-    def _ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Level and index (one row) of every cube, in id order."""
-        lev = np.repeat(np.array(list(self.masks), dtype=np.int64),
-                        [int(m.sum()) for m in self.masks.values()])
-        idx = np.concatenate([np.zeros((0, self.dim), dtype=np.int64)]
-                             + [np.argwhere(m) for m in self.masks.values()])
-        return lev, idx
-
     @functools.cached_property
     def cubes(self) -> tuple[DyadicCube, ...]:
-        lev, idx = self._ids()
-        return tuple(DyadicCube(j, tuple(i)) for j, i in zip(lev.tolist(), idx.tolist()))
+        return mask_cubes(self.masks, self.dim)
 
     @functools.cached_property
     def witness(self) -> dict[DyadicCube, np.ndarray]:
@@ -205,7 +198,7 @@ class SparseFamily:
         last = np.append(first[1:], c.size)[:first.size] - 1  # no cells, no runs
         runs = np.stack([c[first], c[last] + 1], axis=1).tolist()
         ends = np.cumsum(np.bincount(owner[first], minlength=len(self))).tolist()
-        lev, idx = self._ids()
+        lev, idx = mask_ids(self.masks, self.dim)
         recs = [{"cube": {"level": j, "index": i}, "E": runs[s:e]}
                 for j, i, s, e in zip(lev.tolist(), idx.tolist(), [0] + ends, ends)]
         if omegas is not None:
@@ -217,7 +210,7 @@ class SparseFamily:
 def verify_sparse(S: SparseFamily) -> bool:
     """Exact cell-count check of disjointness, containment and the half bound."""
     n, L = S.dim, S.level
-    lev, index = S._ids()
+    lev, index = mask_ids(S.masks, S.dim)
     cells = S.cells
     if np.any(lev > L):
         raise DimensionError(f"resolution {L} too coarse for level-{int(lev.max())} cubes")
@@ -261,7 +254,7 @@ def greedy_witness(levels, dim: int, level: int) -> SparseFamily:
     # ids fit 16 bits up to 65,536 cubes, where numpy's stable sort is a radix sort
     order = np.argsort(lab.astype(np.min_scalar_type(first)), kind="stable")
     family = SparseFamily._of(dim, level, fam, cells[order], sizes)
-    lev, idx = family._ids()
+    lev, idx = mask_ids(family.masks, dim)
     cube_cells = (1 << (level - lev)) ** dim
     short = np.flatnonzero(2 * sizes < cube_cells)
     if short.size:
@@ -623,17 +616,26 @@ def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Embedding
 
 @dataclass
 class CZDecomposition:
+    """A CZ decomposition: ``masks[i]`` holds input i's stopping cubes, one bool
+    array per populated level in level order, and ``stopping[i]`` lists them in
+    (level, row-major) order, built on first read."""
+
     base: DyadicCube
     lam: float
     p0: float
     m: int
     good: list[GridFunction]
     bad: list[GridFunction]
-    stopping: list[list[DyadicCube]]
+    masks: list[dict[int, np.ndarray]]
     short_circuit: list[int]
 
+    @functools.cached_property
+    def stopping(self) -> list[list[DyadicCube]]:
+        return [list(mask_cubes(ms, self.base.dim)) for ms in self.masks]
+
     def verify(self, fs, tol: float = 1e-9) -> bool:
-        """Recheck every structural invariant against the original tuple."""
+        """Recheck every structural invariant against the original tuple, one pass
+        per level of stopping cubes, with block means reduced from the full grid."""
         if self.short_circuit:
             return True
         thr = self.lam ** (1.0 / self.m)
@@ -643,20 +645,16 @@ class CZDecomposition:
             b, g = self.bad[i].values, self.good[i].values
             if not np.allclose(power, g + b, rtol=0, atol=tol):
                 return False
-            meas = 0.0
-            for R in self.stopping[i]:
-                block = b[R.cell_slices(L)]
-                if abs(block.mean()) > tol:
+            inside = np.zeros_like(b, dtype=bool)
+            for j, stop in self.masks[i].items():
+                if np.any(np.abs(block_reduce(b, n, L, j)[stop]) > tol):
                     return False
-                avg = float(power[R.cell_slices(L)].mean()) ** (1.0 / self.p0)
-                parent = float(power[R.ancestor(1).cell_slices(L)].mean()) ** (1.0 / self.p0)
-                if not (avg > thr * (1 - 1e-12) and parent <= thr * (1 + 1e-12)):
+                avg = block_reduce(power, n, L, j)[stop] ** (1.0 / self.p0)
+                parent = upsample(block_reduce(power, n, L, j - 1), 2)[stop] ** (1.0 / self.p0)
+                if not (np.all(avg > thr * (1 - 1e-12)) and np.all(parent <= thr * (1 + 1e-12))):
                     return False
-                meas += R.volume
-            outside = np.ones_like(b, dtype=bool)
-            for R in self.stopping[i]:
-                outside[R.cell_slices(L)] = False
-            if np.any(np.abs(b[outside]) > tol):
+                inside |= upsample(stop, 1 << (L - j))
+            if np.any(np.abs(b[~inside]) > tol):
                 return False
             # the height bound holds inside the base cube, where every cell
             # sits below a non-stopping ancestor
@@ -668,6 +666,7 @@ class CZDecomposition:
             if l1 > lp * (1 + 1e-12) + tol:
                 return False
             norm_bound = self.lam ** (-self.p0 / self.m) * lp
+            meas = sum(np.count_nonzero(s) * 2.0 ** (-n * j) for j, s in self.masks[i].items())
             if meas > norm_bound * (1 + 1e-12) + tol:
                 return False
         return True
@@ -681,6 +680,10 @@ def cz_decompose(fs, lam: float, p0: float, m: int, P: DyadicCube) -> CZDecompos
     cube and the good part stays bounded by the inflated parent average.
     When some <f_i>_{P,p0} already exceeds the height the index is reported
     in short_circuit and no decomposition is attempted for it.
+
+    One top-down sweep over the mean pyramid of |f_i|^p0 finds them level
+    by level, as level masks; ``stopping[i]`` runs in (level, row-major)
+    order, which in two dimensions is not parent by parent.
     """
     if lam <= 0:
         raise DomainError(f"level lambda must be positive, got {lam}")
@@ -690,37 +693,30 @@ def cz_decompose(fs, lam: float, p0: float, m: int, P: DyadicCube) -> CZDecompos
         raise DimensionError(f"m = {m} does not match {len(fs)} functions")
     n, L = _check_tuple(fs)
     thr_pow = lam ** (p0 / m)  # compare p0-th powers of averages
-    good, bad, stopping, short = [], [], [], []
+    outside = cube_levels([(P, 1.0)], n)[P.level] == 0  # the level-P.level cubes but P
+    good, bad, masks, short = [], [], [], []
     for i, f in enumerate(fs):
         power = np.abs(f.values) ** p0
         pyr = mean_pyramid(power, n, L)
+        stops: dict[int, np.ndarray] = {}
+        b = np.zeros_like(power)
         if pyr[P.level][P.index] > thr_pow:
             short.append(i)
-            good.append(GridFunction(n, L, power))
-            bad.append(GridFunction.constant(n, L, 0.0))
-            stopping.append([])
-            continue
-        cubes: list[DyadicCube] = []
-        frontier = [P]
-        while frontier:
-            nxt = []
-            for Q in frontier:
-                if Q.level == L:
-                    continue
-                for C in Q.children():
-                    if pyr[C.level][C.index] > thr_pow:
-                        cubes.append(C)
-                    else:
-                        nxt.append(C)
-            frontier = nxt
-        b = np.zeros_like(power)
-        for R in cubes:
-            sl = R.cell_slices(L)
-            b[sl] = power[sl] - power[sl].mean()
+        else:
+            # covered: outside P or inside a coarser stopping cube
+            covered = outside
+            for j in range(P.level + 1, L + 1):
+                covered = upsample(covered, 2)
+                stop = ~covered & (pyr[j] > thr_pow)
+                if stop.any():
+                    stops[j] = stop
+                    covered = covered | stop
+                    cells = upsample(stop, 1 << (L - j))
+                    b[cells] = (power - upsample(pyr[j], 1 << (L - j)))[cells]
         good.append(GridFunction(n, L, power - b))
         bad.append(GridFunction(n, L, b))
-        stopping.append(cubes)
-    return CZDecomposition(P, lam, p0, m, good, bad, stopping, short)
+        masks.append(stops)
+    return CZDecomposition(P, lam, p0, m, good, bad, masks, short)
 
 
 # ---------------------------------------------------------------------------
@@ -733,23 +729,22 @@ def dyadic_maximal(f: GridFunction, p0: float = 1.0, sigma: GridFunction | None 
 
     Plain mode returns sup_Q <f>_{Q,p0}; with sigma it returns the
     sigma-weighted maximal function sup_Q sigma(Q)^-1 int_Q |f| sigma.
+    The averages come from the inputs' mean pyramids, and one running
+    maximum is carried top-down from the root to level maxlevel.
     """
     n, L = f.dim, f.level
     maxlevel = top_level(maxlevel, L)
-    out = np.zeros((1 << L,) * n)
     if sigma is not None:
         if np.any(sigma.values <= 0):
             raise DomainError("sigma must be strictly positive")
-        num = np.abs(f.values) * sigma.values
-        den = sigma.values
-        for j in range(maxlevel + 1):
-            ratio = block_reduce(num, n, L, j, "mean") / block_reduce(den, n, L, j, "mean")
-            out = np.maximum(out, upsample(ratio, 1 << (L - j)))
-        return GridFunction(n, L, out)
-    if p0 < 1:
-        raise DomainError("p0 must be >= 1")
-    power = np.abs(f.values) ** p0
-    for j in range(maxlevel + 1):
-        avg = block_reduce(power, n, L, j, "mean")
-        out = np.maximum(out, upsample(avg, 1 << (L - j)))
-    return GridFunction(n, L, out ** (1.0 / p0))
+        num = mean_pyramid(np.abs(f.values) * sigma.values, n, L)
+        levels = [a / s for a, s in zip(num[:maxlevel + 1], mean_pyramid(sigma.values, n, L))]
+    else:
+        if p0 < 1:
+            raise DomainError("p0 must be >= 1")
+        levels = mean_pyramid(np.abs(f.values) ** p0, n, L)
+    out = levels[0]
+    for j in range(1, maxlevel + 1):
+        out = np.maximum(upsample(out, 2), levels[j])
+    out = upsample(out, 1 << (L - maxlevel))
+    return GridFunction(n, L, out if sigma is not None else out ** (1.0 / p0))

@@ -7,6 +7,7 @@ per-cube arguments behind those inequalities stay valid verbatim.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .grid import (
     GridFunction,
     argmax_cube,
     block_reduce,
+    mean_pyramid,
     top_level,
     _match,
 )
@@ -69,6 +71,21 @@ def _positive(w: GridFunction) -> None:
         raise DomainError("weight must be strictly positive cellwise")
 
 
+def _extreme_pyramid(values: np.ndarray, n: int, L: int, op: str) -> list[np.ndarray]:
+    """Per-cube min or max at every level 0..L, each level reduced from the one below."""
+    out = [values]
+    for j in range(L - 1, -1, -1):
+        out.append(block_reduce(out[-1], n, j + 1, j, op))
+    return out[::-1]
+
+
+def _supremum(levels, maxlevel: int | None, L: int) -> ConstantReport:
+    """The largest per-cube value over levels 0..maxlevel (None: L) and the cube attaining it."""
+    maxlevel = top_level(maxlevel, L)
+    value, witness = argmax_cube(enumerate(itertools.islice(levels, maxlevel + 1)))
+    return ConstantReport(value, witness, "dyadic", maxlevel)
+
+
 def ap_constant(w: GridFunction, p: float, maxlevel: int | None = None) -> ConstantReport:
     """Muckenhoupt constant sup_Q <w>_Q <w^(-1/(p-1))>_Q^(p-1) over dyadic cubes.
 
@@ -78,19 +95,13 @@ def ap_constant(w: GridFunction, p: float, maxlevel: int | None = None) -> Const
         raise DomainError(f"A_p constant needs p >= 1, got {p}")
     _positive(w)
     n, L = w.dim, w.level
-    maxlevel = top_level(maxlevel, L)
-    per_level = []
-    vals = w.values
-    dual = None if p == 1 else vals ** (-1.0 / (p - 1.0))
-    for j in range(maxlevel + 1):
-        mw = block_reduce(vals, n, L, j, "mean")
-        if p == 1:
-            a = mw / block_reduce(vals, n, L, j, "min")
-        else:
-            a = mw * block_reduce(dual, n, L, j, "mean") ** (p - 1.0)
-        per_level.append(a)
-    value, witness = argmax_cube(enumerate(per_level))
-    return ConstantReport(value, witness, "dyadic", maxlevel)
+    mw = mean_pyramid(w.values, n, L)
+    if p == 1:
+        levels = map(np.divide, mw, _extreme_pyramid(w.values, n, L, "min"))
+    else:
+        dual = mean_pyramid(w.values ** (-1.0 / (p - 1.0)), n, L)
+        levels = (a * d ** (p - 1.0) for a, d in zip(mw, dual))
+    return _supremum(levels, maxlevel, L)
 
 
 def rh_constant(w: GridFunction, q: float, maxlevel: int | None = None) -> ConstantReport:
@@ -99,18 +110,11 @@ def rh_constant(w: GridFunction, q: float, maxlevel: int | None = None) -> Const
         raise DomainError(f"RH_q constant needs q > 1, got {q}")
     _positive(w)
     n, L = w.dim, w.level
-    maxlevel = top_level(maxlevel, L)
-    per_level = []
-    vals = w.values
-    for j in range(maxlevel + 1):
-        mw = block_reduce(vals, n, L, j, "mean")
-        if math.isinf(q):
-            a = block_reduce(vals, n, L, j, "max") / mw
-        else:
-            a = block_reduce(vals**q, n, L, j, "mean") ** (1.0 / q) / mw
-        per_level.append(a)
-    value, witness = argmax_cube(enumerate(per_level))
-    return ConstantReport(value, witness, "dyadic", maxlevel)
+    if math.isinf(q):
+        top = _extreme_pyramid(w.values, n, L, "max")
+    else:
+        top = (a ** (1.0 / q) for a in mean_pyramid(w.values**q, n, L))
+    return _supremum(map(np.divide, top, mean_pyramid(w.values, n, L)), maxlevel, L)
 
 
 class WeightTuple:
@@ -118,6 +122,7 @@ class WeightTuple:
 
     Carries nu = prod w_i^(p/p_i) and the dual weights sigma_i = w_i^(1-a_i')
     with a_i = p_i/p_0.  Requires p_0 < min p_i so every a_i exceeds 1.
+    nu and the multiple-weight constants are computed once per tuple.
     """
 
     def __init__(self, weights, exponents, p0: float = 1.0):
@@ -140,6 +145,8 @@ class WeightTuple:
         self.exponents = exponents
         self.p0 = float(p0)
         self.p = 1.0 / sum(1.0 / p for p in exponents)
+        self._nu: GridFunction | None = None
+        self._constants: dict[tuple[float, int | None], ConstantReport] = {}
 
     @property
     def m(self) -> int:
@@ -153,27 +160,21 @@ class WeightTuple:
     def level(self) -> int:
         return self.weights[0].level
 
-    def a(self, r: float | None = None) -> float:
-        r = self.p0 if r is None else r
-        return self.p / r
-
     def a_i(self, r: float | None = None) -> tuple[float, ...]:
         r = self.p0 if r is None else r
         return tuple(p / r for p in self.exponents)
 
     def nu(self) -> GridFunction:
-        vals = np.ones_like(self.weights[0].values)
-        for w, p_i in zip(self.weights, self.exponents):
-            vals = vals * w.values ** (self.p / p_i)
-        return GridFunction(self.dim, self.level, vals)
+        if self._nu is None:
+            vals = np.ones_like(self.weights[0].values)
+            for w, p_i in zip(self.weights, self.exponents):
+                vals = vals * w.values ** (self.p / p_i)
+            self._nu = GridFunction(self.dim, self.level, vals)
+        return self._nu
 
     def dual_weights(self, r: float | None = None) -> tuple[GridFunction, ...]:
-        r = self.p0 if r is None else r
-        out = []
-        for w, a_i in zip(self.weights, self.a_i(r)):
-            api = conjugate(a_i)
-            out.append(GridFunction(self.dim, self.level, w.values ** (1.0 - api)))
-        return tuple(out)
+        return tuple(GridFunction(self.dim, self.level, w.values ** (1.0 - conjugate(a_i)))
+                     for w, a_i in zip(self.weights, self.a_i(r)))
 
 
 def dual_weights(t: WeightTuple) -> tuple[GridFunction, ...]:
@@ -185,26 +186,22 @@ def multi_ap_constant(t: WeightTuple, r: float = 1.0, maxlevel: int | None = Non
     """Multiple-weight constant sup_Q <nu>_Q prod_i <w_i^(1-a_i')>_Q^((p/r)/a_i').
 
     r = 1 gives the plain multilinear class; r = p0 gives the class used by
-    the sparse-operator bound, with a_i = p_i/r.
+    the sparse-operator bound, with a_i = p_i/r.  The report is computed
+    once per (r, maxlevel) and kept on the tuple.
     """
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
     if r >= min(t.exponents):
         raise DomainError(f"r = {r} must be below min p_i = {min(t.exponents)}")
     n, L = t.dim, t.level
-    maxlevel = top_level(maxlevel, L)
-    a = t.p / r
-    a_i = [p / r for p in t.exponents]
-    nu_vals = t.nu().values
-    duals = [w.values ** (1.0 - conjugate(ai)) for w, ai in zip(t.weights, a_i)]
-    per_level = []
-    for j in range(maxlevel + 1):
-        acc = block_reduce(nu_vals, n, L, j, "mean")
-        for d, ai in zip(duals, a_i):
-            acc = acc * block_reduce(d, n, L, j, "mean") ** (a / conjugate(ai))
-        per_level.append(acc)
-    value, witness = argmax_cube(enumerate(per_level))
-    return ConstantReport(value, witness, "dyadic", maxlevel)
+    key = (float(r), maxlevel)
+    if key not in t._constants:
+        levels = mean_pyramid(t.nu().values, n, L)
+        for s, ai in zip(t.dual_weights(r), t.a_i(r)):
+            e = (t.p / r) / conjugate(ai)
+            levels = [acc * d**e for acc, d in zip(levels, mean_pyramid(s.values, n, L))]
+        t._constants[key] = _supremum(levels, maxlevel, L)
+    return t._constants[key]
 
 
 @dataclass(frozen=True)
@@ -314,15 +311,8 @@ def holder_identity_slack(t: WeightTuple, Q: DyadicCube, r: float | None = None)
     Returns (lhs, rhs) as plain numbers with lhs = |Q|.
     """
     r = t.p0 if r is None else r
-    n, L = t.dim, t.level
     vol = Q.volume
-    a = t.p / r
-    m = t.m
-    nu_int = float(t.nu().on(Q).mean()) * vol
-    rhs = nu_int ** (1.0 / (m * a))
-    for w, p_i in zip(t.weights, t.exponents):
-        ai = p_i / r
-        api = conjugate(ai)
-        s_int = float((w.values ** (1.0 - api))[Q.cell_slices(L)].mean()) * vol
-        rhs *= s_int ** (1.0 / (m * api))
+    rhs = (float(t.nu().on(Q).mean()) * vol) ** (1.0 / (t.m * (t.p / r)))
+    for s, ai in zip(t.dual_weights(r), t.a_i(r)):
+        rhs *= (float(s.on(Q).mean()) * vol) ** (1.0 / (t.m * conjugate(ai)))
     return vol, rhs

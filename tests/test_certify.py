@@ -93,6 +93,25 @@ def test_theorem_b_extremal_probe():
     assert rec.params["family_size"] == 1
 
 
+def test_theorem_b_sweep_scans_each_tuple_once(monkeypatch):
+    from sparselab import weights
+
+    scans = []
+    supremum = weights._supremum
+
+    def counted(*args):
+        scans.append(args)
+        return supremum(*args)
+
+    monkeypatch.setattr(weights, "_supremum", counted)
+    res = sweep({"experiment": "theorem-b", "n": 2, "L": 5, "m": 2, "p0": 1.0,
+                 "p": [2.0, 2.0], "trials": 6, "seed": 1,
+                 "weight_family": {"type": "power", "alpha_grid": [-0.3, 0.0, 0.3]}})
+    # 3 points x 6 trials certify 18 records and probe 3 times, all on 3 weight tuples
+    assert len(res.records) == 18
+    assert len(scans) == 3
+
+
 def test_theorem_b_rejects_negative():
     t = ones_tuple(m=1)
     fam = greedy_witness([R1], 1, 6)

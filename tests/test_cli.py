@@ -7,7 +7,7 @@ import pytest
 from sparselab import cli
 from sparselab.certify import CertificationRecord, SweepResult
 from sparselab.cli import emit_plot, main, read_carleson, write_carleson
-from sparselab.grid import DomainError, GridFunction, read_gfn, root_cube, write_gfn
+from sparselab.grid import DomainError, FormatError, GridFunction, read_gfn, root_cube, write_gfn
 from sparselab.samples import random_carleson, rng_from
 from sparselab.sparse import CarlesonSequence
 
@@ -139,6 +139,13 @@ def test_carleson_reader_rejects(tmp_path):
     path = tmp_path / "bad.seq"
     path.write_text("2 1\n")
     with pytest.raises(Exception):
+        read_carleson(path)
+
+
+def test_carleson_reader_rejects_repeated_cube(tmp_path):
+    path = tmp_path / "dup.seq"
+    path.write_text("1 0 0.5\n2 3 0.1\n# a comment\n1 0 0.7\n")
+    with pytest.raises(FormatError, match="line 4: repeats the cube of line 1"):
         read_carleson(path)
 
 
@@ -298,13 +305,16 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
     ({"experiment": "buckley", "seed": -1}, None),
     ({"experiment": "theorem-c", "L": 6, "m": 2}, None),
     (None, ["check-h2", "--kernel", "hilbert", "--L", "40"]),
+    pytest.param("1 0 0.5\n1 0 0.7\n", ["dominate", "--alpha", "IN", "--f", "F"],
+                 id="seq-repeated-cube"),
 ])
-def test_bad_sweep_inputs_exit_2(capsys, tmp_path, config, argv):
+def test_bad_sweep_inputs_exit_2(capsys, tmp_path, function_file, config, argv):
+    # a string config is the text of the input file named IN
+    path = tmp_path / "cfg.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     if argv is None:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        argv = ["sweep", "--config", str(path)]
-    code, out, err = run(capsys, *argv)
+        argv = ["sweep", "--config", "IN"]
+    code, out, err = run(capsys, *({"IN": str(path), "F": function_file}.get(a, a) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
