@@ -200,13 +200,12 @@ def certify_theorem_c(op, t: WeightTuple, fs, h2,
         raise DomainError("tuple arity does not match the weights")
     u = op.apply(fs)
     dec = lerner_decompose(u, root_cube(fs[0].dim))
-    # the ring series of every cube, one table per level present
-    series = {}
-    for j in {Q.level for Q in dec.omegas}:
-        rings = dilate_products(fs, j, t.p0)
-        series[j] = sum(2.0 ** (-ell * delta0) * v for ell, v in enumerate(rings))
-    osc_ratios = [om / s for Q, om in dec.omegas.items()
-                  if (s := float(series[Q.level][Q.index])) > 0]
+    # omega(Q) over the ring series of Q, one level of family cubes at a time
+    osc_ratio_sup = 0.0
+    for j, om in dec.osc.items():
+        s = sum(2.0 ** (-ell * delta0) * v for ell, v in enumerate(dilate_products(fs, j, t.p0)))
+        ratio = np.divide(om, s, out=np.zeros_like(om), where=s > 0)
+        osc_ratio_sup = max(osc_ratio_sup, float(ratio.max()))
     lhs = weighted_norm(u, t.p, t.nu())
     const, beta, rhs = _weighted_bound(t, fs)
     return CertificationRecord(
@@ -220,7 +219,7 @@ def certify_theorem_c(op, t: WeightTuple, fs, h2,
             "delta0": delta0,
             "family_size": len(dec.family),
             "median": dec.base_median,
-            "osc_ratio_sup": max(osc_ratios, default=0.0),
+            "osc_ratio_sup": osc_ratio_sup,
         },
         seed=seed,
         degenerate=(rhs == 0.0 and lhs == 0.0),

@@ -30,6 +30,7 @@ from .grid import (
     FormatError,
     GridFunction,
     MAX_LEVEL,
+    argmax_cube,
     check_resolution,
     read_gfn,
     read_text,
@@ -193,7 +194,7 @@ def cmd_decompose(args) -> int:
     }
     _dump(report, args.out)
     if not ok:
-        worst = max(dec.omegas, key=lambda Q: dec.omegas[Q], default=Q0)
+        worst = argmax_cube(dec.osc.items())[1] if dec.osc else Q0
         print(f"decomposition check failed near {worst}", file=sys.stderr)
         return 3
     return 0

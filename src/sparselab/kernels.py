@@ -237,28 +237,20 @@ class BilinearMultiplierOperator:
 # Symbol class checkers
 
 
-def _central_diff(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-spacing central difference and the mask of valid lattice points."""
-    v = np.moveaxis(values, axis, 0)
-    out = np.zeros_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / 2.0
-    valid = np.zeros(v.shape, dtype=bool)
-    valid[1:-1] = True
-    return np.moveaxis(out, 0, axis), np.moveaxis(valid, 0, axis)
-
-
 def _derivative(sym: Symbol, alpha: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Iterated unit-spacing central differences and the mask of lattice points whose
+    stencils stayed inside the lattice: order r along an axis leaves indices r .. N-1-r."""
     vals = np.asarray(sym.values, dtype=complex)
     valid = np.ones(vals.shape, dtype=bool)
     for ax, order in enumerate(alpha):
         for _ in range(order):
-            vals, ok = _central_diff(vals, ax)
-            valid &= ok
-            # shrink the valid band the same way the stencil does
-            v = np.moveaxis(valid, ax, 0)
-            v[0] = False
-            v[-1] = False
-            valid = np.moveaxis(v, 0, ax)
+            v = np.moveaxis(vals, ax, 0)
+            out = np.zeros_like(v)  # the end points, outside the band, stay zero
+            out[1:-1] = (v[2:] - v[:-2]) / 2.0
+            vals = np.moveaxis(out, 0, ax)
+        band = np.zeros(vals.shape[ax], dtype=bool)
+        band[order:vals.shape[ax] - order] = True
+        valid &= band.reshape([-1 if a == ax else 1 for a in range(vals.ndim)])
     if sum(alpha) > 0:
         stencil = sum(alpha)
         grids = np.meshgrid(*[np.abs(sym.frequencies())] * sym.freq_dim, indexing="ij")

@@ -16,6 +16,7 @@ gives their stopping cubes on every deeper level at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,6 @@ from .grid import (
     DyadicCube,
     GridFunction,
     block_reduce,
-    cube_levels,
     dilate_products,
     upsample,
 )
@@ -64,8 +64,6 @@ def _osc_from_sorted(b: np.ndarray, lam: float) -> np.ndarray:
 
 def median(f: GridFunction, Q: DyadicCube) -> float:
     """A median of f on Q: smallest valid cell value (ties broken downward)."""
-    if Q.level > f.level:
-        raise DimensionError("cube finer than the function resolution")
     return float(_median_from_sorted(np.sort(f.on(Q).reshape(1, -1), axis=1))[0])
 
 
@@ -73,45 +71,49 @@ def local_osc(f: GridFunction, Q: DyadicCube, lam: float) -> float:
     """Local mean oscillation inf_c ((f - c) chi_Q)^*(lam |Q|)."""
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lambda must lie in (0,1), got {lam}")
-    if Q.level > f.level:
-        raise DimensionError("cube finer than the function resolution")
     return float(_osc_from_sorted(np.sort(f.on(Q).reshape(1, -1), axis=1), lam)[0])
 
 
 @dataclass
 class LernerDecomposition:
+    """``osc[j][Q.index]`` is omega(f; Q), one array per level holding a family cube,
+    zero off the family; ``omegas`` is the cube-keyed view, built on first read."""
+
     base: DyadicCube
     base_median: float
     lam: float
     family: SparseFamily
-    omegas: dict[DyadicCube, float]
+    osc: dict[int, np.ndarray]
+
+    @functools.cached_property
+    def omegas(self) -> dict[DyadicCube, float]:
+        return {Q: float(self.osc[Q.level][Q.index]) for Q in self.family.cubes}
 
     def bound_function(self) -> np.ndarray:
         """The cell values of 2 sum_Q omega(Q) chi_Q, summed coarse to fine cell by cell."""
         L = self.family.level
         n = self.family.dim
         out, top = np.zeros((1,) * n), 0
-        for j, om in cube_levels(self.omegas.items(), n).items():
+        for j, om in self.osc.items():
             out = upsample(out, 1 << (j - top)) + om
             top = j
         return 2.0 * upsample(out, 1 << (L - top))
 
-    def verify(self, f: GridFunction, tol: float = 1e-9) -> bool:
-        lhs = np.abs(f.values - self.base_median)
-        rhs = self.bound_function()
+    def _sides(self, f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+        """|f - median| and the bound function on the base cube's cells."""
         sl = self.base.cell_slices(f.level)
-        if np.any(lhs[sl] > rhs[sl] + tol):
-            return False
-        return verify_sparse(self.family)
+        return np.abs(f.values - self.base_median)[sl], self.bound_function()[sl]
+
+    def verify(self, f: GridFunction, tol: float = 1e-9) -> bool:
+        lhs, rhs = self._sides(f)
+        return not np.any(lhs > rhs + tol) and verify_sparse(self.family)
 
     def max_violation(self, f: GridFunction) -> float:
-        lhs = np.abs(f.values - self.base_median)
-        rhs = self.bound_function()
-        sl = self.base.cell_slices(f.level)
-        return float(np.max(lhs[sl] - rhs[sl]))
+        lhs, rhs = self._sides(f)
+        return float(np.max(lhs - rhs))
 
     def to_records(self) -> list[dict]:
-        return self.family.to_records(self.omegas)
+        return self.family.to_records(self.osc)
 
 
 def _blocks(arr: np.ndarray, n: int, j: int) -> np.ndarray:
@@ -132,8 +134,7 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
         raise DimensionError("base cube finer than the function resolution")
     n, L = f.dim, f.level
     lam = 2.0 ** (-(n + 2))
-    omegas: dict[DyadicCube, float] = {}
-    marks: dict[int, np.ndarray] = {}  # the family's cubes, level by level
+    osc: dict[int, np.ndarray] = {}
     visit = {j: np.zeros((1 << j,) * n, dtype=bool) for j in range(Q0.level, L + 1)}
     visit[Q0.level][Q0.index] = True
 
@@ -148,10 +149,9 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
         if j == Q0.level:
             m0 = float(med[0])
         om = _osc_from_sorted(b, lam)
-        marks[j] = np.zeros_like(here)
-        marks[j][here] = om > 0.0
-        for idx, w in zip(np.argwhere(here)[om > 0.0], om[om > 0.0]):
-            omegas[DyadicCube(j, tuple(map(int, idx)))] = float(w)
+        if om.any():
+            osc[j] = np.zeros(here.shape)
+            osc[j][here] = om
         if N == 1:
             continue
         k = _rank(lam, N)
@@ -170,8 +170,7 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
             if i < L:
                 covered = upsample(covered | stop, 2)
 
-    family = greedy_witness(marks, n, L)
-    return LernerDecomposition(Q0, m0, lam, family, omegas)
+    return LernerDecomposition(Q0, m0, lam, greedy_witness(osc, n, L), osc)
 
 
 @dataclass

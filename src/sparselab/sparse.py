@@ -187,8 +187,9 @@ class SparseFamily:
         ends = np.cumsum(self.sizes).tolist()
         return {Q: self.cells[e - s:e] for Q, s, e in zip(self.cubes, self.sizes.tolist(), ends)}
 
-    def to_records(self, omegas: dict | None = None) -> list[dict]:
-        """Per cube its level and index, E_Q as [start, stop) cell runs, and omega if given."""
+    def to_records(self, omegas: dict[int, np.ndarray] | None = None) -> list[dict]:
+        """Per cube its level and index, E_Q as [start, stop) cell runs, and omega if
+        given as level arrays ``omegas[j][Q.index]`` (0.0 on a level they lack)."""
         c = self.cells
         owner = np.repeat(np.arange(len(self)), self.sizes)
         # a run starts at every new owner and every gap between consecutive cells
@@ -202,8 +203,10 @@ class SparseFamily:
         recs = [{"cube": {"level": j, "index": i}, "E": runs[s:e]}
                 for j, i, s, e in zip(lev.tolist(), idx.tolist(), [0] + ends, ends)]
         if omegas is not None:
-            for rec, Q in zip(recs, self.cubes):
-                rec["omega"] = omegas.get(Q, 0.0)
+            om = [omegas[j][m] if j in omegas else np.zeros(np.count_nonzero(m))
+                  for j, m in self.masks.items()]
+            for rec, w in zip(recs, np.concatenate([np.zeros(0)] + om).tolist()):
+                rec["omega"] = w
         return recs
 
 
@@ -420,18 +423,14 @@ def measure_weak_norm(a: CarlesonSequence, k: int, p0: float, m: int,
     shape = (1 << L_res,) * n
     for _ in range(trials):
         fs = []
-        ok = True
         for _ in range(m):
             vals = rng.uniform(0.0, 1.0, shape)
             nrm = (vals**p0).mean() ** (1.0 / p0)
-            if nrm == 0:
-                ok = False
+            if nrm == 0:  # a trial with a zero input is skipped
                 break
             fs.append(GridFunction(n, L_res, vals / nrm))
-        if not ok:
-            continue
-        out = eval_sparse_A(a, k, p0, fs)
-        best = max(best, weak_norm(out, p0 / m))
+        else:
+            best = max(best, weak_norm(eval_sparse_A(a, k, p0, fs), p0 / m))
     return best
 
 
@@ -447,7 +446,14 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
     is 2^(2(m+1)) times twice the measured weak-norm estimate (floored at
     one, which the single-generation averaging operator always attains).
     """
-    n, L = _check_tuple(fs, a.dim)
+    _operator_args(a, k, p0, fs)
+    return _select(a, k, p0, fs, cstar, seed, _power_pyramids(fs, p0))
+
+
+def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, seed: int,
+            pyramids) -> SelectionResult:
+    """``select_sparse`` on checked arguments and the inputs' |f_i|^p0 mean pyramids."""
+    n, L = a.dim, len(pyramids[0]) - 1
     for f in fs:
         if np.any(f.values < 0):
             raise DomainError("selection needs nonnegative input functions")
@@ -468,8 +474,6 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
 
     step = max(k, 1)
     alpha = a.levels
-    # shared by the walk and the family's operator
-    pyramids = _power_pyramids(fs, p0)
     inv = 1.0 / p0
 
     # support-at-or-below flags: below the root, the walk visits exactly these cubes
@@ -510,7 +514,7 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
             delta = upsample(base, 1 << k) - alpha.get(j + k, 0.0) * upsample(prod, 1 << k)
 
     family = greedy_witness(hits, n, L)
-    lhs = eval_sparse_A(a, k, p0, fs).values
+    lhs = _ancestor_sum(alpha, rl, k, p0, pyramids)
     rhs = _ancestor_sum(family.masks, 0, 0, p0, pyramids)
     pointwise, covered = _cell_ratio(lhs, rhs)
     return SelectionResult(family, float(cstar), w_hat, pointwise, covered, lhs, rhs)
@@ -555,16 +559,17 @@ def dominate(a: CarlesonSequence, k: int, p0: float, fs,
     complexity-k operator divided by the sum of the selected families'
     complexity-0 operators.
     """
+    _operator_args(a, k, p0, fs)
     if k == 0:
         pieces = [SlicePiece(0, a.root, a)]
     else:
         pieces = slice_scales(a, k)
-    selections = [
-        select_sparse(p.seq, k, p0, fs, cstar=cstar, seed=seed + 101 * i)
-        for i, p in enumerate(pieces)
-    ]
+    # every piece's selection and the comparison below share one pyramid per input
+    pyramids = _power_pyramids(fs, p0)
+    selections = [_select(p.seq, k, p0, fs, cstar, seed + 101 * i, pyramids)
+                  for i, p in enumerate(pieces)]
     # at k = 0 the single piece is a itself, so its selection already evaluated it
-    lhs = selections[0].lhs if k == 0 else eval_sparse_A(a, k, p0, fs).values
+    lhs = selections[0].lhs if k == 0 else _ancestor_sum(a.levels, a.root.level, k, p0, pyramids)
     rhs = np.zeros_like(lhs)
     for sel in selections:
         rhs += sel.rhs

@@ -50,7 +50,8 @@ def clamp_weight(f: GridFunction) -> GridFunction:
 
 @dataclass(frozen=True)
 class ConstantReport:
-    """A scanned supremum together with the cube attaining it."""
+    """A scanned supremum and its witness: the coarsest, then first row-major, cube
+    within 1e-14 relative of it, so rounding cannot pick among equal cubes."""
 
     value: float
     witness: DyadicCube
@@ -80,9 +81,11 @@ def _extreme_pyramid(values: np.ndarray, n: int, L: int, op: str) -> list[np.nda
 
 
 def _supremum(levels, maxlevel: int | None, L: int) -> ConstantReport:
-    """The largest per-cube value over levels 0..maxlevel (None: L) and the cube attaining it."""
+    """The largest per-cube value over levels 0..maxlevel (None: L) and its witness."""
     maxlevel = top_level(maxlevel, L)
-    value, witness = argmax_cube(enumerate(itertools.islice(levels, maxlevel + 1)))
+    levels = list(itertools.islice(levels, maxlevel + 1))
+    value = max(float(v.max()) for v in levels)  # positive, so the band below is its near-ties
+    witness = argmax_cube((j, v >= value * (1 - 1e-14)) for j, v in enumerate(levels))[1]
     return ConstantReport(value, witness, "dyadic", maxlevel)
 
 

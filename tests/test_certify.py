@@ -112,6 +112,15 @@ def test_theorem_b_sweep_scans_each_tuple_once(monkeypatch):
     assert len(scans) == 3
 
 
+def test_theorem_c_sweep_builds_no_cube_per_family_member(built_cubes):
+    res = sweep({"experiment": "theorem-c", "n": 1, "L": 12, "m": 1, "p0": 1.0, "p": [2.0],
+                 "trials": 2, "seed": 1,
+                 "weight_family": {"type": "power", "alpha_grid": [-0.6, 0.0, 0.6]}})
+    assert all(r.constants["family_size"] > 0 for r in res.records)
+    # the H2 fit's cube, each trial's base cube and each weight tuple's witness
+    assert len(built_cubes) <= 1 + 2 * 3 + 3
+
+
 def test_theorem_b_rejects_negative():
     t = ones_tuple(m=1)
     fam = greedy_witness([R1], 1, 6)

@@ -114,6 +114,15 @@ def test_decompose(capsys, function_file, tmp_path):
     assert all("omega" in r for r in rep["family"])
 
 
+def test_decompose_builds_only_the_base_cube(capsys, tmp_path, built_cubes):
+    path = tmp_path / "f2.gfn"
+    write_gfn(path, GridFunction(2, 6, rng_from(9).standard_normal((64, 64))))
+    built_cubes.clear()
+    code, out, _ = run(capsys, "decompose", "--function", str(path))
+    assert code == 0 and json.loads(out)["family"]
+    assert [(Q.level, Q.index) for Q in built_cubes] == [(0, (0, 0))]
+
+
 # --- select / dominate -------------------------------------------------------------
 
 
@@ -307,6 +316,8 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
     (None, ["check-h2", "--kernel", "hilbert", "--L", "40"]),
     pytest.param("1 0 0.5\n1 0 0.7\n", ["dominate", "--alpha", "IN", "--f", "F"],
                  id="seq-repeated-cube"),
+    pytest.param("2 1 0.5\n", ["select", "--alpha", "IN", "--f", "F", "--k", "-1",
+                               "--cstar", "4"], id="select-negative-k"),
 ])
 def test_bad_sweep_inputs_exit_2(capsys, tmp_path, function_file, config, argv):
     # a string config is the text of the input file named IN

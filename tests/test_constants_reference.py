@@ -4,8 +4,10 @@ per-level full-grid block_reduce loops they replaced."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparselab.certify import power_weight_tuple
 from sparselab.grid import MAX_LEVEL, GridFunction, argmax_cube, block_reduce, top_level, upsample
 from sparselab.sparse import dyadic_maximal
 from sparselab.weights import WeightTuple, ap_constant, conjugate, multi_ap_constant, rh_constant
@@ -155,3 +157,24 @@ def test_dyadic_maximal_matches_block_reduce_loop(case, data):
         got = dyadic_maximal(f, p0, maxlevel=maxlevel).values
         ref = reference_maximal(f, p0, maxlevel=maxlevel)
     assert np.all(np.abs(got - ref) <= REL_MAXIMAL * ref)
+
+
+def reference_tie_witness(levels):
+    """The coarsest, then first row-major, cube within 1e-14 relative of the maximum."""
+    top = max(float(v.max()) for v in levels)
+    for j, v in enumerate(levels):
+        hits = np.argwhere(v >= top * (1 - 1e-14))
+        if hits.size:
+            return j, tuple(int(i) for i in hits[0])
+
+
+@pytest.mark.parametrize("alpha", [0.3, -0.3])
+def test_tied_constant_names_the_root_in_both_summation_orders(alpha):
+    # the root and all four level-1 cubes attain the same constant mathematically
+    t = power_weight_tuple(alpha, (2, 2), 1.0, n=2, L=8)
+    rep = multi_ap_constant(t, r=t.p0)
+    ref = reference_multi_ap_levels(t, t.p0)
+    assert (rep.witness.level, rep.witness.index) == (0, (0, 0))
+    assert reference_tie_witness(ref) == (0, (0, 0))
+    level1 = ref[1].ravel()
+    assert np.all(np.abs(level1 - ref[0][0, 0]) <= 1e-14 * ref[0][0, 0])

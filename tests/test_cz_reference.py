@@ -166,20 +166,13 @@ def test_cz_matches_frontier_walk_and_per_cube_verify(case, kind):
     assert dec.verify(fs) == reference_verify(dec, stopping, fs)
 
 
-def test_cz_builds_no_cube_until_stopping_is_read(monkeypatch):
+def test_cz_builds_no_cube_until_stopping_is_read(built_cubes):
     rng = rng_from(61)
     fs = [random_function(rng, 2, 6), random_function(rng, 2, 6)]
     P = DyadicCube(0, (0, 0))
-    built = []
-    post_init = DyadicCube.__post_init__
-
-    def counted(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(DyadicCube, "__post_init__", counted)
+    built_cubes.clear()
     dec = cz_decompose(fs, 0.6, 1.5, 2, P)
     assert not dec.short_circuit and any(dec.masks)
     assert dec.verify(fs)
-    assert built == []
-    assert sum(len(c) for c in dec.stopping) == len(built) > 0
+    assert built_cubes == []
+    assert sum(len(c) for c in dec.stopping) == len(built_cubes) > 0

@@ -8,6 +8,7 @@ from sparselab.kernels import (
     BilinearMultiplierOperator,
     HilbertOperator,
     Symbol,
+    _derivative,
     apply_bilinear_multiplier,
     apply_linear_multiplier,
     check_h2,
@@ -261,6 +262,32 @@ def test_hormander_cone():
     rep = check_hormander_bilinear(symbol_cone(64), 2)
     assert rep.member
     assert all(math.isfinite(v) for v in rep.constants.values())
+
+
+@pytest.mark.parametrize("alpha", [(2, 0), (0, 2), (1, 1), (2, 1)])
+def test_derivative_valid_entries_match_direct_differences(alpha):
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    deriv, valid = _derivative(Symbol(2, vals), alpha)
+    # order r along an axis is sum_i C(r, i) (-1)^i v[x + r - 2i] / 2^r
+    direct = np.zeros_like(vals)
+    for i in range(alpha[0] + 1):
+        for j in range(alpha[1] + 1):
+            c = math.comb(alpha[0], i) * math.comb(alpha[1], j) * (-1) ** (i + j)
+            direct += c * np.roll(vals, (2 * i - alpha[0], 2 * j - alpha[1]), axis=(0, 1))
+    direct /= 2.0 ** sum(alpha)
+    band = [slice(r, 32 - r) for r in alpha]
+    assert valid[tuple(band)].sum() > 0
+    assert not np.any(valid & ~np.pad(np.ones((32 - 2 * alpha[0], 32 - 2 * alpha[1]), bool),
+                                      [(r, r) for r in alpha]))
+    assert np.allclose(deriv[valid], direct[valid], rtol=0, atol=1e-12)
+
+
+def test_hormander_cone_constant_independent_of_resolution():
+    # a degree-0 homogeneous symbol: scaled derivatives are bounded uniformly in N
+    largest = [max(check_hormander_bilinear(symbol_cone(N), 2).constants.values())
+               for N in (32, 64, 256)]
+    assert max(largest) <= 1.01 * min(largest)
 
 
 def test_hormander_growing():

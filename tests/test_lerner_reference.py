@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparselab.grid import DyadicCube, GridFunction
+from sparselab.certify import certify_theorem_c
+from sparselab.grid import DyadicCube, GridFunction, cube_levels, dilate_products
 from sparselab.oscillation import lerner_decompose, local_osc, median
 from sparselab.samples import rng_from
 from sparselab.sparse import SparseFamily, SparsityError, greedy_witness, verify_sparse
-from sparselab.weights import power_weight
+from sparselab.weights import WeightTuple, power_weight
 
 
 # --- references: the per-cube code, kept verbatim in behaviour ----------------------
@@ -293,8 +294,14 @@ def test_records_match_reference_runs(case, seed, with_omegas):
     except SparsityError:
         return
     rng = rng_from(seed)
-    omegas = {Q: float(rng.uniform()) for Q in fam.cubes if rng.random() < 0.8} if with_omegas else None
-    assert repr(fam.to_records(omegas)) == repr(reference_records(fam.witness, omegas))
+    omegas = levels = None
+    if with_omegas:
+        # some cubes absent, and whole family levels missing from the level arrays
+        dropped = {j for j in fam.masks if rng.random() < 0.3}
+        omegas = {Q: float(rng.uniform()) for Q in fam.cubes
+                  if rng.random() < 0.8 and Q.level not in dropped}
+        levels = cube_levels(omegas.items(), n)
+    assert repr(fam.to_records(levels)) == repr(reference_records(fam.witness, omegas))
     # a family built from a dict: cells in any order, repeated cells, empty witnesses
     wit = {}
     for Q, w in fam.witness.items():
@@ -303,4 +310,56 @@ def test_records_match_reference_runs(case, seed, with_omegas):
             w = np.append(w, w[: int(rng.integers(1, w.size + 1))])
         wit[Q] = w[: int(rng.integers(0, w.size + 1))] if rng.random() < 0.2 else w
     rebuilt = SparseFamily(n, L, wit)
-    assert repr(rebuilt.to_records(omegas)) == repr(reference_records(wit, omegas))
+    assert repr(rebuilt.to_records(levels)) == repr(reference_records(wit, omegas))
+
+
+def reference_osc_ratio_sup(omegas, fs, p0, delta0):
+    """omega(Q) over the ring series of Q, one family cube at a time."""
+    series = {}
+    for j in {Q.level for Q in omegas}:
+        rings = dilate_products(fs, j, p0)
+        series[j] = sum(2.0 ** (-ell * delta0) * v for ell, v in enumerate(rings))
+    ratios = [om / s for Q, om in omegas.items() if (s := float(series[Q.level][Q.index])) > 0]
+    return max(ratios, default=0.0)
+
+
+class _FirstInput:
+    """The operator f -> f_1, whatever the other inputs are."""
+
+    def apply(self, fs):
+        return fs[0]
+
+
+@st.composite
+def theorem_c_case(draw):
+    n, L = _grid(draw)
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from([1, 2]))
+    fs = [GridFunction(n, L, rng.uniform(-1.0, 1.0, (1 << L,) * n)
+                       * (rng.random((1 << L,) * n) < draw(st.sampled_from([0.0, 0.3, 1.0]))))
+          for _ in range(m)]
+    return fs, draw(st.sampled_from([1.0, 1.5])), draw(st.sampled_from([0.25, 1.0, 3.0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(theorem_c_case())
+def test_osc_ratio_sup_matches_reference(case):
+    fs, p0, delta0 = case
+    n, L = fs[0].dim, fs[0].level
+    t = WeightTuple([GridFunction.constant(n, L, 1.0)] * len(fs), [2.0] * len(fs), p0)
+    rec = certify_theorem_c(_FirstInput(), t, fs, delta0)
+    omegas = lerner_decompose(fs[0], DyadicCube(0, (0,) * n)).omegas
+    assert rec.constants["osc_ratio_sup"] == reference_osc_ratio_sup(omegas, fs, p0, delta0)
+
+
+def test_decomposition_builds_no_cube(built_cubes):
+    rng = rng_from(12)
+    f = GridFunction(2, 6, rng.standard_normal((64, 64)))
+    Q0 = DyadicCube(0, (0, 0))
+    built_cubes.clear()
+    dec = lerner_decompose(f, Q0)
+    dec.bound_function()
+    assert dec.verify(f)
+    recs = dec.to_records()
+    assert built_cubes == [] and len(recs) > 0
+    assert len(dec.omegas) == len(built_cubes) == len(recs)

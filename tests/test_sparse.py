@@ -10,6 +10,7 @@ from sparselab.grid import (
     all_cubes,
     average,
     dilate,
+    mean_pyramid,
     root_cube,
     weak_norm,
     weighted_norm,
@@ -582,23 +583,26 @@ def test_dominate_k0():
     assert math.isfinite(res.cell_constant)
 
 
-def test_dominate_k0_evaluates_a_once(monkeypatch):
+@pytest.mark.parametrize("k", [0, 2])
+def test_dominate_builds_one_pyramid_per_input(monkeypatch, k):
     import sparselab.sparse as sparse_mod
 
     rng = rng_from(22)
     a = random_carleson(rng, 1, 5)
-    fs = [random_function(rng, 1, 5)]
-    calls = []
+    fs = [random_function(rng, 1, 5), random_function(rng, 1, 5)]
+    built = []
 
-    def counted(obj, k, p0, fs):
-        calls.append(obj is a)
-        return eval_sparse_A(obj, k, p0, fs)
+    def counted(values, n, L):
+        built.append(L)
+        return mean_pyramid(values, n, L)
 
-    monkeypatch.setattr(sparse_mod, "eval_sparse_A", counted)
-    res = dominate(a, 0, 1.0, fs, cstar=4.0)
-    # the selection's own comparison evaluates a; dominate reuses it
-    assert calls.count(True) == 1
-    assert np.array_equal(res.lhs, eval_sparse_A(a, 0, 1.0, fs).values)
+    monkeypatch.setattr(sparse_mod, "mean_pyramid", counted)
+    res = dominate(a, k, 1.0, fs, cstar=4.0)
+    # every selection and the comparison share the pyramids of |f_i|^p0
+    assert len(built) == len(fs)
+    assert len(res.pieces) >= (1 if k == 0 else 2)
+    monkeypatch.undo()
+    assert np.array_equal(res.lhs, eval_sparse_A(a, k, 1.0, fs).values)
 
 
 def test_dominate_k2_random():
