@@ -45,7 +45,7 @@ def beta_exponent(pbar, p0: float) -> float:
     pbar = tuple(float(p) for p in pbar)
     if not pbar:
         raise DomainError("need at least one exponent")
-    if p0 < 1 or p0 >= min(pbar):
+    if not 1 <= p0 < min(pbar):
         raise DomainError(f"p0 = {p0} must satisfy 1 <= p0 < min p_i")
     p = 1.0 / sum(1.0 / q for q in pbar)
     best = 1.0
@@ -375,7 +375,7 @@ def validate_config(config: dict) -> dict:
     p, p0, m = out["p"][0], out["p0"], out["m"]
     if exp == "buckley" and p <= 1:
         raise DomainError(f"buckley needs p > 1, got {p}")
-    if exp == "theorem-a" and (p <= 0 or p0 < 1):
+    if exp == "theorem-a" and (not p > 0 or not p0 >= 1):
         raise DomainError(f"theorem-a needs p > 0 and p0 >= 1, got p = {p}, p0 = {p0}")
     if exp in ("theorem-b", "theorem-c"):
         exponents = out["p"] if len(out["p"]) == m else [p] * m

@@ -165,13 +165,18 @@ def cmd_constants(args) -> int:
             raise DomainError("need one exponent per weight")
         t = WeightTuple(tuple(ws), tuple(args.p), p0=args.p0)
         rep = multi_ap_constant(t, r=args.r, maxlevel=args.maxlevel)
-    else:
+    elif args.weight:
         w = read_weight(args.weight)
         if args.rh is not None:
-            q = math.inf if args.rh in ("inf", "oo") else float(args.rh)
+            try:
+                q = math.inf if args.rh in ("inf", "oo") else float(args.rh)
+            except ValueError:
+                raise DomainError(f"--rh must be a number or inf, got {args.rh!r}") from None
             rep = rh_constant(w, q, maxlevel=args.maxlevel)
         else:
             rep = ap_constant(w, args.p[0], maxlevel=args.maxlevel)
+    else:
+        raise DomainError("constants needs --weight or --weights")
     _dump({**rep.to_dict(), "seed": args.seed}, args.out)
     return 0
 
@@ -450,8 +455,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, DomainError, DimensionError, FileNotFoundError,
-            json.JSONDecodeError) as err:
+    except (FormatError, DomainError, DimensionError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SparsityError as err:

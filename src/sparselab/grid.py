@@ -254,6 +254,38 @@ def upsample(arr: np.ndarray, s: int) -> np.ndarray:
     return grown.reshape([m * s for m in arr.shape])
 
 
+_COMBINE = {"sum": np.add, "any": np.logical_or, "min": np.minimum, "max": np.maximum}
+
+
+def fold_up(terms: dict[int, np.ndarray], n: int, hi: int, lo: int,
+            op: str) -> dict[int, np.ndarray]:
+    """Fine-to-coarse fold: S_j = block_reduce(S_(j+1), op) combined by op with terms[j].
+
+    The reduction comes first.  Returns {j: S_j} for lo <= j <= hi in
+    ascending order, leaving out a level with neither a term nor a finer S.
+    """
+    out: dict[int, np.ndarray] = {}
+    acc = None
+    for j in range(hi, lo - 1, -1):
+        if acc is not None:
+            acc = block_reduce(acc, n, j + 1, j, op)
+        if j in terms:
+            acc = terms[j] if acc is None else _COMBINE[op](acc, terms[j])
+        if acc is not None:
+            out[j] = acc
+    return dict(reversed(out.items()))
+
+
+def fold_down(levels, n: int, L: int, op=np.add) -> np.ndarray:
+    """Coarse-to-fine fold onto the cells: from a zero root, out = op(upsample(out), arr)
+    for each (j, arr) in ascending levels, then upsampled to level L."""
+    out, top = np.zeros((1,) * n), 0
+    for j, arr in levels:
+        out = op(upsample(out, 1 << (j - top)), arr)
+        top = j
+    return upsample(out, 1 << (L - top))
+
+
 def cube_levels(items, n: int) -> dict[int, np.ndarray]:
     """(cube, value) pairs as one array per populated level, in level order, indexed by
     Q.index: zero for cubes not listed, the last value for a repeated cube."""
@@ -321,7 +353,7 @@ def mean_pyramid(values: np.ndarray, n: int, L: int) -> list[np.ndarray]:
 
 def average(f: GridFunction, Q: DyadicCube, p0: float) -> float:
     """The local p0-average of f over Q, ((1/|Q|) * int_Q |f|^p0)^(1/p0)."""
-    if p0 < 1:
+    if not p0 >= 1:
         raise DomainError(f"p0 must be >= 1, got {p0}")
     if Q.dim != f.dim:
         raise DimensionError("cube dimension does not match function dimension")

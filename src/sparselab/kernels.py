@@ -74,11 +74,9 @@ def _frequencies(N: int) -> np.ndarray:
 
 def symbol_from_function(fn, N: int, freq_dim: int = 1, name: str = "") -> Symbol:
     freqs = _frequencies(N)
-    if freq_dim == 1:
-        vals = np.array([fn(float(x)) for x in freqs], dtype=complex)
-    else:
-        vals = np.array([[fn(float(x), float(y)) for y in freqs] for x in freqs], dtype=complex)
-    return Symbol(freq_dim, vals, name)
+    vals = np.array([fn(*map(float, xs)) for xs in itertools.product(freqs, repeat=freq_dim)],
+                    dtype=complex)
+    return Symbol(freq_dim, vals.reshape((freqs.size,) * freq_dim), name)
 
 
 def symbol_identity(N: int, freq_dim: int = 1) -> Symbol:
@@ -122,11 +120,7 @@ def symbol_smooth_bump(N: int, freq_dim: int = 2, width: float = 0.25) -> Symbol
     """Smooth compactly supported bump exp(-1/(1-r^2)) on r < 1, r = |xi|/(width N/2)."""
     freqs = _frequencies(N).astype(float)
     scale = width * (N / 2)
-    if freq_dim == 1:
-        r2 = (freqs / scale) ** 2
-    else:
-        X, Y = np.meshgrid(freqs, freqs, indexing="ij")
-        r2 = (X**2 + Y**2) / scale**2
+    r2 = sum(g**2 for g in np.meshgrid(*[freqs] * freq_dim, indexing="ij")) / scale**2
     out = np.zeros_like(r2, dtype=complex)
     inside = r2 < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
@@ -404,13 +398,8 @@ class KernelSample:
     def diff(self, x: int, xbar: int, ys: tuple[np.ndarray, ...]) -> np.ndarray:
         """K(x, y...) - K(xbar, y...) on arrays of y cell indices."""
         N = 1 << self.level
-        if self.arity == 1:
-            (y,) = ys
-            return self.table[(x - y) % N] - self.table[(xbar - y) % N]
-        y1, y2 = ys
-        a = self.table[np.ix_((x - y1) % N, (x - y2) % N)]
-        b = self.table[np.ix_((xbar - y1) % N, (xbar - y2) % N)]
-        return a - b
+        return (self.table[np.ix_(*((x - y) % N for y in ys))]
+                - self.table[np.ix_(*((xbar - y) % N for y in ys))])
 
 
 def kernel_from_symbol(m: Symbol, arity: int, level: int | None = None) -> KernelSample:
@@ -427,11 +416,7 @@ def kernel_from_symbol(m: Symbol, arity: int, level: int | None = None) -> Kerne
     level = int(math.log2(N)) if level is None else level
     if 1 << level != N:
         raise DimensionError("kernel level must match the symbol lattice")
-    mf = m.fft_order()
-    if arity == 1:
-        table = np.fft.ifft(mf) * N
-    else:
-        table = np.fft.ifft2(mf) * N * N
+    table = np.fft.ifftn(m.fft_order()) * N**arity
     if m.is_hermitian():
         table = table.real
     return KernelSample(arity, 1, level, table, m.name)

@@ -27,8 +27,9 @@ from .grid import (
     DimensionError,
     DyadicCube,
     GridFunction,
-    block_reduce,
     dilate_products,
+    fold_down,
+    fold_up,
     upsample,
 )
 from .sparse import SparseFamily, greedy_witness, verify_sparse
@@ -91,13 +92,7 @@ class LernerDecomposition:
 
     def bound_function(self) -> np.ndarray:
         """The cell values of 2 sum_Q omega(Q) chi_Q, summed coarse to fine cell by cell."""
-        L = self.family.level
-        n = self.family.dim
-        out, top = np.zeros((1,) * n), 0
-        for j, om in self.osc.items():
-            out = upsample(out, 1 << (j - top)) + om
-            top = j
-        return 2.0 * upsample(out, 1 << (L - top))
+        return 2.0 * fold_down(self.osc.items(), self.family.dim, self.family.level)
 
     def _sides(self, f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
         """|f - median| and the bound function on the base cube's cells."""
@@ -130,8 +125,8 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
     the excess set has density at least 2^-(n+1).  Constant functions come
     back with an empty family.
     """
-    if Q0.level > f.level:
-        raise DimensionError("base cube finer than the function resolution")
+    if Q0.dim != f.dim or Q0.level > f.level:
+        raise DimensionError(f"base cube {Q0} does not fit the n={f.dim}, L={f.level} grid")
     n, L = f.dim, f.level
     lam = 2.0 ** (-(n + 2))
     osc: dict[int, np.ndarray] = {}
@@ -160,9 +155,7 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
         E = np.zeros(f.values.shape, dtype=bool)
         _blocks(E, n, j)[here] = (g > t[:, None]).reshape((-1,) + (1 << (L - j),) * n)
         # excess counts of every deeper cube, then the maximal ones of density >= 2^-(n+1)
-        cnt = {L: E}
-        for i in range(L - 1, j, -1):
-            cnt[i] = block_reduce(cnt[i + 1], n, i + 1, i, "sum")
+        cnt = fold_up({L: E}, n, L, j + 1, "sum")
         covered = np.zeros((1 << (j + 1),) * n, dtype=bool)
         for i in range(j + 1, L + 1):
             stop = ~covered & (cnt[i] * (1 << (n + 1)) >= 1 << (n * (L - i)))

@@ -51,7 +51,7 @@ def random_carleson(rng, n: int, L: int, root: DyadicCube | None = None,
     return CarlesonSequence(root, coeffs).normalized()
 
 
-def random_sparse_family(rng, n: int, L: int, starts: int = 3) -> SparseFamily:
+def random_sparse_family(rng, n: int, L: int) -> SparseFamily:
     """Random sparse family built from branch-limited descents.
 
     Each descent selects its cube and recurses into at most half of the
@@ -73,8 +73,8 @@ def random_sparse_family(rng, n: int, L: int, starts: int = 3) -> SparseFamily:
 
     lvl = int(rng.integers(1, max(2, L - 2)))
     side = 1 << lvl
-    count = min(starts, side**n)
-    # distinct start cubes at a common level keep the branch budgets disjoint
+    count = min(3, side**n)
+    # three descents from distinct start cubes at a common level keep the branch budgets disjoint
     picks = rng.choice(side**n, size=count, replace=False)
     for flat in picks:
         descend(DyadicCube(lvl, tuple(int(i) for i in np.unravel_index(flat, (side,) * n))))

@@ -24,6 +24,8 @@ from .grid import (
     block_reduce,
     cube_levels,
     dilate_products,
+    fold_down,
+    fold_up,
     mask_cubes,
     mask_ids,
     mean_pyramid,
@@ -110,18 +112,9 @@ def packing(a: CarlesonSequence) -> tuple[float, DyadicCube]:
         return 0.0, a.root
     # partial packing sums S(Q) accumulated from the deepest level upward;
     # ties go to the deepest cube
-    S = None
-    ratios = []
-    for j in range(max(dense), a.root.level - 1, -1):
-        vol = 2.0 ** (-n * j)
-        cur = np.zeros((1 << j,) * n)
-        if S is not None:
-            cur += block_reduce(S, n, j + 1, j, "sum")
-        if j in dense:
-            cur += dense[j] * vol
-        ratios.append((j, cur / vol))
-        S = cur
-    return argmax_cube(ratios)
+    S = fold_up({j: arr * 2.0 ** (-n * j) for j, arr in dense.items()},
+                n, max(dense), a.root.level, "sum")
+    return argmax_cube((j, S[j] / 2.0 ** (-n * j)) for j in reversed(S))
 
 
 def verify_carleson(a: CarlesonSequence, tol: float = 1e-12) -> CarlesonReport:
@@ -275,7 +268,7 @@ def _operator_args(obj, k: int, p0: float, fs) -> tuple[dict[int, np.ndarray], i
     """Coefficient level arrays (1 on family cubes), root level, n and L, all checked."""
     if k < 0:
         raise DomainError("complexity k must be nonnegative")
-    if p0 < 1:
+    if not p0 >= 1:
         raise DomainError("p0 must be >= 1")
     if isinstance(obj, CarlesonSequence):
         alpha, rootlvl = obj.levels, obj.root.level
@@ -283,7 +276,10 @@ def _operator_args(obj, k: int, p0: float, fs) -> tuple[dict[int, np.ndarray], i
         alpha, rootlvl = obj.masks, 0
     else:
         raise DimensionError(f"cannot evaluate a sparse operator from {type(obj).__name__}")
-    return (alpha, rootlvl) + _check_tuple(fs, obj.dim)
+    n, L = _check_tuple(fs, obj.dim)
+    if max(alpha, default=0) > L:
+        raise DimensionError(f"resolution {L} too coarse for level-{max(alpha)} cubes")
+    return alpha, rootlvl, n, L
 
 
 def _check_tuple(fs, dim: int | None = None) -> tuple[int, int]:
@@ -315,31 +311,23 @@ def _power_pyramids(fs, p0: float) -> list[list[np.ndarray]]:
 def _ancestor_sum(alpha: dict[int, np.ndarray], rootlvl: int, k: int, p0: float,
                   pyramids) -> np.ndarray:
     """Cell values of the ancestor-type operator from the inputs' power pyramids."""
-    L = len(pyramids[0]) - 1
     inv = 1.0 / p0
+
+    def term(j: int, arr: np.ndarray) -> np.ndarray:
+        return functools.reduce(lambda t, pyr: t * upsample(pyr[j - k] ** inv, 1 << k),
+                                pyramids, arr)
+
     # top-down: every level adds its term onto the sum of the coarser ones
-    out, top = np.zeros(pyramids[0][0].shape), 0
-    for j in alpha:
-        if j - k < rootlvl:
-            continue
-        if j > L:
-            raise DimensionError(f"resolution {L} too coarse for level-{j} cubes")
-        term = alpha[j]
-        for pyr in pyramids:
-            term = term * upsample(pyr[j - k] ** inv, 1 << k)
-        out = upsample(out, 1 << (j - top)) + term
-        top = j
-    return upsample(out, 1 << (L - top))
+    return fold_down(((j, term(j, arr)) for j, arr in alpha.items() if j - k >= rootlvl),
+                     pyramids[0][0].ndim, len(pyramids[0]) - 1)
 
 
 def eval_sparse_T(obj, k: int, p0: float, fs) -> GridFunction:
     """Dilate-type sparse operator sum_Q alpha_Q prod_i <f_i>_{2^k Q,p0} chi_Q."""
     alpha, _, n, L = _operator_args(obj, k, p0, fs)
     # coarse to fine, so every cell sums its cubes' terms in level order
-    out = np.zeros((1 << L,) * n)
-    for j, arr in alpha.items():
-        out += upsample(arr * dilate_products(fs, j, p0)[min(k, j)], 1 << (L - j))
-    return GridFunction(n, L, out)
+    return GridFunction(n, L, fold_down(
+        ((j, arr * dilate_products(fs, j, p0)[min(k, j)]) for j, arr in alpha.items()), n, L))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +356,8 @@ def slice_scales(a: CarlesonSequence, k: int) -> list[SlicePiece]:
         if not levels:
             continue
         # the level-top cubes P with support below them, row-major
-        used = sum(block_reduce(arr > 0, a.dim, j, top, "any") for j, arr in levels.items())
+        used = fold_up({j: arr > 0 for j, arr in levels.items()}, a.dim, max(levels), top,
+                       "any")[top]
         for idx in np.argwhere(used).tolist():
             P = DyadicCube(top, tuple(idx))
             mine = np.zeros(used.shape, dtype=bool)
@@ -477,16 +466,8 @@ def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, see
     inv = 1.0 / p0
 
     # support-at-or-below flags: below the root, the walk visits exactly these cubes
-    sab: dict[int, np.ndarray] = {}
-    prev = None
-    for j in range(L, rl - 1, -1):
-        cur = np.zeros((1 << j,) * n, dtype=bool)
-        if j in alpha:
-            cur |= alpha[j] > 0
-        if prev is not None:
-            cur |= block_reduce(prev, n, j + 1, j, "any")
-        sab[j] = cur
-        prev = cur
+    # (a level with none is absent)
+    sab = fold_up({j: arr > 0 for j, arr in alpha.items()}, n, L, rl, "any")
 
     # one tested level at a time: reach marks the visited cubes, delta their budgets
     hits: dict[int, np.ndarray] = {}
@@ -495,7 +476,7 @@ def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, see
     delta = np.zeros((1 << rl,) * n)
     for j in range(rl, L + 1, step):
         if j > rl:
-            reach = sab[j]
+            reach = sab.get(j, False)
         prod = 1.0
         for pyr in pyramids:
             prod = prod * pyr[j] ** inv
@@ -650,7 +631,6 @@ class CZDecomposition:
             b, g = self.bad[i].values, self.good[i].values
             if not np.allclose(power, g + b, rtol=0, atol=tol):
                 return False
-            inside = np.zeros_like(b, dtype=bool)
             for j, stop in self.masks[i].items():
                 if np.any(np.abs(block_reduce(b, n, L, j)[stop]) > tol):
                     return False
@@ -658,8 +638,8 @@ class CZDecomposition:
                 parent = upsample(block_reduce(power, n, L, j - 1), 2)[stop] ** (1.0 / self.p0)
                 if not (np.all(avg > thr * (1 - 1e-12)) and np.all(parent <= thr * (1 + 1e-12))):
                     return False
-                inside |= upsample(stop, 1 << (L - j))
-            if np.any(np.abs(b[~inside]) > tol):
+            inside = fold_down(self.masks[i].items(), n, L, np.logical_or)
+            if np.any(np.abs(b[np.logical_not(inside)]) > tol):
                 return False
             # the height bound holds inside the base cube, where every cell
             # sits below a non-stopping ancestor
@@ -692,7 +672,7 @@ def cz_decompose(fs, lam: float, p0: float, m: int, P: DyadicCube) -> CZDecompos
     """
     if lam <= 0:
         raise DomainError(f"level lambda must be positive, got {lam}")
-    if p0 < 1:
+    if not p0 >= 1:
         raise DomainError("p0 must be >= 1")
     if m != len(fs):
         raise DimensionError(f"m = {m} does not match {len(fs)} functions")
@@ -745,11 +725,8 @@ def dyadic_maximal(f: GridFunction, p0: float = 1.0, sigma: GridFunction | None 
         num = mean_pyramid(np.abs(f.values) * sigma.values, n, L)
         levels = [a / s for a, s in zip(num[:maxlevel + 1], mean_pyramid(sigma.values, n, L))]
     else:
-        if p0 < 1:
+        if not p0 >= 1:
             raise DomainError("p0 must be >= 1")
         levels = mean_pyramid(np.abs(f.values) ** p0, n, L)
-    out = levels[0]
-    for j in range(1, maxlevel + 1):
-        out = np.maximum(upsample(out, 2), levels[j])
-    out = upsample(out, 1 << (L - maxlevel))
+    out = fold_down(enumerate(levels[:maxlevel + 1]), n, L, np.maximum)
     return GridFunction(n, L, out if sigma is not None else out ** (1.0 / p0))

@@ -20,7 +20,7 @@ from .grid import (
     DyadicCube,
     GridFunction,
     argmax_cube,
-    block_reduce,
+    fold_up,
     mean_pyramid,
     top_level,
     _match,
@@ -31,7 +31,7 @@ WEIGHT_FLOOR = 1e-300
 
 def conjugate(p: float) -> float:
     """Holder conjugate p' = p/(p-1); conjugate(1) = inf."""
-    if p < 1:
+    if not p >= 1:
         raise DomainError(f"conjugate exponent needs p >= 1, got {p}")
     if p == 1:
         return math.inf
@@ -72,14 +72,6 @@ def _positive(w: GridFunction) -> None:
         raise DomainError("weight must be strictly positive cellwise")
 
 
-def _extreme_pyramid(values: np.ndarray, n: int, L: int, op: str) -> list[np.ndarray]:
-    """Per-cube min or max at every level 0..L, each level reduced from the one below."""
-    out = [values]
-    for j in range(L - 1, -1, -1):
-        out.append(block_reduce(out[-1], n, j + 1, j, op))
-    return out[::-1]
-
-
 def _supremum(levels, maxlevel: int | None, L: int) -> ConstantReport:
     """The largest per-cube value over levels 0..maxlevel (None: L) and its witness."""
     maxlevel = top_level(maxlevel, L)
@@ -94,13 +86,13 @@ def ap_constant(w: GridFunction, p: float, maxlevel: int | None = None) -> Const
 
     p = 1 uses the essential-infimum form sup_Q <w>_Q / inf_Q w.
     """
-    if p < 1:
+    if not p >= 1:
         raise DomainError(f"A_p constant needs p >= 1, got {p}")
     _positive(w)
     n, L = w.dim, w.level
     mw = mean_pyramid(w.values, n, L)
     if p == 1:
-        levels = map(np.divide, mw, _extreme_pyramid(w.values, n, L, "min"))
+        levels = map(np.divide, mw, fold_up({L: w.values}, n, L, 0, "min").values())
     else:
         dual = mean_pyramid(w.values ** (-1.0 / (p - 1.0)), n, L)
         levels = (a * d ** (p - 1.0) for a, d in zip(mw, dual))
@@ -109,12 +101,12 @@ def ap_constant(w: GridFunction, p: float, maxlevel: int | None = None) -> Const
 
 def rh_constant(w: GridFunction, q: float, maxlevel: int | None = None) -> ConstantReport:
     """Reverse Holder constant sup_Q <w^q>_Q^(1/q) / <w>_Q; q = inf uses sup_Q w."""
-    if q <= 1:
+    if not q > 1:
         raise DomainError(f"RH_q constant needs q > 1, got {q}")
     _positive(w)
     n, L = w.dim, w.level
     if math.isinf(q):
-        top = _extreme_pyramid(w.values, n, L, "max")
+        top = fold_up({L: w.values}, n, L, 0, "max").values()
     else:
         top = (a ** (1.0 / q) for a in mean_pyramid(w.values**q, n, L))
     return _supremum(map(np.divide, top, mean_pyramid(w.values, n, L)), maxlevel, L)
@@ -192,7 +184,7 @@ def multi_ap_constant(t: WeightTuple, r: float = 1.0, maxlevel: int | None = Non
     the sparse-operator bound, with a_i = p_i/r.  The report is computed
     once per (r, maxlevel) and kept on the tuple.
     """
-    if r < 1:
+    if not r >= 1:
         raise DomainError(f"r must be >= 1, got {r}")
     if r >= min(t.exponents):
         raise DomainError(f"r = {r} must be below min p_i = {min(t.exponents)}")

@@ -318,6 +318,13 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
                  id="seq-repeated-cube"),
     pytest.param("2 1 0.5\n", ["select", "--alpha", "IN", "--f", "F", "--k", "-1",
                                "--cstar", "4"], id="select-negative-k"),
+    pytest.param("2 1 0.5\n", ["select", "--alpha", "IN", "--f", "F", "--p0", "nan"],
+                 id="select-nan-p0"),
+    pytest.param("2 1 0.5\n", ["dominate", "--alpha", "IN", "--f", "F", "--p0", "nan"],
+                 id="dominate-nan-p0"),
+    pytest.param("GFN1 2 2\n" + "1 " * 16 + "\n",
+                 ["decompose", "--function", "IN", "--level", "2", "--index", "1"],
+                 id="decompose-one-index-on-n2"),
 ])
 def test_bad_sweep_inputs_exit_2(capsys, tmp_path, function_file, config, argv):
     # a string config is the text of the input file named IN
@@ -479,6 +486,10 @@ def test_check_h2_unknown_kernel(capsys):
     ["check-symbol", "--symbol", "sign", "--N", "0"],
     ["check-symbol", "--symbol", "identity", "--N", "-4"],
     ["check-symbol", "--bilinear", "--symbol", "cone", "--N", "0"],
+    ["constants", "--weight", "W", "--rh", "abc"],
+    ["constants"],
+    ["constants", "--weight", "."],
+    ["constants", "--weight", "W", "--out", "."],
 ])
 def test_out_of_range_arguments_exit_2(capsys, weight_file, argv):
     code, out, err = run(capsys, *(weight_file if a == "W" else a for a in argv))

@@ -247,6 +247,11 @@ def test_ring_average_products_rejects_mismatched_cube():
         ring_average_products([f], DyadicCube(4, (1, 1)), 1.0)
 
 
+def test_lerner_decompose_rejects_mismatched_cube():
+    with pytest.raises(DimensionError):
+        lerner_decompose(GridFunction.constant(2, 3, 1.0), DyadicCube(2, (1,)))
+
+
 def test_osc_profile_identity_ratio():
     rng = rng_from(9)
     f = GridFunction(1, 6, rng.uniform(0.5, 1.5, 64))

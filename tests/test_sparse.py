@@ -670,3 +670,20 @@ def test_dilate_form_dominated_by_selected_families():
             worst = max(worst, float((lhs[pos] / rhs[pos]).max()))
     assert math.isfinite(worst)
     assert worst < 6.0
+
+
+def test_nan_p0_is_rejected():
+    # NaN fails every comparison, so each check is written as "not p0 >= 1"
+    from sparselab.certify import beta_exponent
+
+    rng = rng_from(4)
+    a = random_carleson(rng, 1, 5)
+    fs = [random_function(rng, 1, 5)]
+    nan = float("nan")
+    for call in (lambda: eval_sparse_A(a, 0, nan, fs), lambda: eval_sparse_T(a, 0, nan, fs),
+                 lambda: select_sparse(a, 0, nan, fs), lambda: dominate(a, 1, nan, fs),
+                 lambda: cz_decompose(fs, 1.0, nan, 1, root_cube(1)),
+                 lambda: dyadic_maximal(fs[0], nan), lambda: average(fs[0], root_cube(1), nan),
+                 lambda: beta_exponent((2.0, 3.0), nan)):
+        with pytest.raises(DomainError):
+            call()
