@@ -201,9 +201,10 @@ def certify_theorem_c(op, t: WeightTuple, fs, h2,
     u = op.apply(fs)
     dec = lerner_decompose(u, root_cube(fs[0].dim))
     # omega(Q) over the ring series of Q, one level of family cubes at a time
+    dil = dilate_products(fs, dec.osc, t.p0)
     osc_ratio_sup = 0.0
     for j, om in dec.osc.items():
-        s = sum(2.0 ** (-ell * delta0) * v for ell, v in enumerate(dilate_products(fs, j, t.p0)))
+        s = sum(2.0 ** (-ell * delta0) * v for ell, v in enumerate(dil[j]))
         ratio = np.divide(om, s, out=np.zeros_like(om), where=s > 0)
         osc_ratio_sup = max(osc_ratio_sup, float(ratio.max()))
     lhs = weighted_norm(u, t.p, t.nu())
@@ -255,12 +256,12 @@ def extremal_probe_tuple(t: WeightTuple):
 
 
 def power_weight_tuple(alpha: float, exponents, p0: float, n: int = 1, L: int = 8) -> WeightTuple:
-    """Weight pair (dist^alpha, dist^-alpha) centred at 0 and 1/2 respectively."""
-    w1 = power_weight(alpha, center=(0.0,) * n, n=n, L=L)
-    w2 = power_weight(-alpha, center=(0.5,) * n, n=n, L=L)
-    weights = [w1, w2][: len(tuple(exponents))]
-    while len(weights) < len(tuple(exponents)):
-        weights.append(GridFunction.constant(n, L, 1.0))
+    """Weight pair (dist^alpha, dist^-alpha) centred at 0 and 1/2 respectively,
+    cut or padded with constant weights to one weight per exponent."""
+    m = len(tuple(exponents))
+    weights = [power_weight(a, center=(c,) * n, n=n, L=L)
+               for a, c in [(alpha, 0.0), (-alpha, 0.5)][:m]]
+    weights += [GridFunction.constant(n, L, 1.0) for _ in range(m - len(weights))]
     return WeightTuple(tuple(weights), tuple(exponents), p0=p0)
 
 
@@ -416,64 +417,50 @@ def _grid_points(cfg: dict) -> list[dict]:
 def _run_point(cfg: dict, point: dict, point_index: int,
                h2: H2Report | None) -> list[CertificationRecord]:
     n, L, m = cfg["n"], cfg["L"], cfg["m"]
-    trials = cfg["trials"]
-    seed_seq = np.random.SeedSequence([cfg["seed"], point_index])
-    rng = np.random.default_rng(seed_seq)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], point_index]))
     exp = cfg["experiment"]
-    records: list[CertificationRecord] = []
+    # each experiment's trial draws its inputs from rng in a fixed order and certifies them
     if exp == "buckley":
-        alpha = point["alpha"]
-        w = (power_weight(alpha, n=n, L=L) if cfg["weight_family"]["type"] == "power"
+        w = (power_weight(point["alpha"], n=n, L=L) if cfg["weight_family"]["type"] == "power"
              else GridFunction.constant(n, L, 1.0))
-        p = cfg["p"][0]
-        for ti in range(trials):
-            f = samples.random_function(rng, n, L)
-            rec = certify_buckley(w, p, f, seed=cfg["seed"])
-            rec.params["alpha"] = alpha
-            rec.params["trial"] = ti
-            records.append(rec)
-        return records
-    if exp == "theorem-a":
-        k = point["k"]
-        p = cfg["p"][0]
-        for ti in range(trials):
-            a = samples.random_carleson(rng, n, L, k_grid=k)
+
+        def trial(ti: int) -> CertificationRecord:
+            return certify_buckley(w, cfg["p"][0], samples.random_function(rng, n, L))
+    elif exp == "theorem-a":
+        def trial(ti: int) -> CertificationRecord:
+            a = samples.random_carleson(rng, n, L, k_grid=point["k"])
             fs = [samples.random_function(rng, n, L) for _ in range(m)]
-            rec = certify_theorem_a(a, k, cfg["p0"], fs, p, seed=cfg["seed"])
-            rec.params["trial"] = ti
-            if not rec.degenerate:
-                records.append(rec)
-        return records
-    # theorem-b / theorem-c share the weight grid
-    alpha = point["alpha"]
-    exponents = tuple(cfg["p"]) if len(cfg["p"]) == m else tuple([cfg["p"][0]] * m)
-    if cfg["weight_family"]["type"] == "constant":
-        ones = tuple(GridFunction.constant(n, L, 1.0) for _ in range(m))
-        t = WeightTuple(ones, exponents, p0=cfg["p0"])
+            return certify_theorem_a(a, point["k"], cfg["p0"], fs, cfg["p"][0], seed=cfg["seed"])
     else:
-        t = power_weight_tuple(alpha, exponents, cfg["p0"], n=n, L=L)
-    if exp == "theorem-b":
-        probes = [extremal_probe_tuple(t)]
-        for ti in range(trials):
-            if ti < len(probes):
-                fs = probes[ti]
-                kind = "extremal"
-            else:
+        # theorem-b / theorem-c share the weight grid
+        exponents = tuple(cfg["p"]) if len(cfg["p"]) == m else tuple([cfg["p"][0]] * m)
+        if cfg["weight_family"]["type"] == "constant":
+            ones = tuple(GridFunction.constant(n, L, 1.0) for _ in range(m))
+            t = WeightTuple(ones, exponents, p0=cfg["p0"])
+        else:
+            t = power_weight_tuple(point["alpha"], exponents, cfg["p0"], n=n, L=L)
+        if exp == "theorem-b":
+            probe = extremal_probe_tuple(t)
+
+            def trial(ti: int) -> CertificationRecord:
+                fs = probe if ti == 0 else [samples.random_function(rng, n, L) for _ in range(m)]
+                rec = certify_theorem_b(samples.random_sparse_family(rng, n, L), t, fs)
+                rec.params["inputs"] = "extremal" if ti == 0 else "random"
+                return rec
+        else:
+            # the reference singular operator; h2 is fitted once per sweep
+            op = HilbertOperator()
+
+            def trial(ti: int) -> CertificationRecord:
                 fs = [samples.random_function(rng, n, L) for _ in range(m)]
-                kind = "random"
-            fam = samples.random_sparse_family(rng, n, L)
-            rec = certify_theorem_b(fam, t, fs, seed=cfg["seed"])
-            rec.params.update({"alpha": alpha, "trial": ti, "inputs": kind})
-            if not rec.degenerate:
-                records.append(rec)
-        return records
-    # theorem-c with the reference singular operator; h2 is fitted once per sweep
-    op = HilbertOperator()
-    for ti in range(trials):
-        fs = [samples.random_function(rng, n, L) for _ in range(m)]
-        rec = certify_theorem_c(op, t, fs, h2, seed=cfg["seed"])
-        rec.params.update({"alpha": alpha, "trial": ti})
-        if not rec.degenerate:
+                return certify_theorem_c(op, t, fs, h2)
+    records: list[CertificationRecord] = []
+    for ti in range(cfg["trials"]):
+        rec = trial(ti)
+        rec.params.update({**point, "trial": ti})
+        rec.seed = cfg["seed"]
+        # a degenerate buckley record is kept; the theorems drop theirs
+        if exp == "buckley" or not rec.degenerate:
             records.append(rec)
     return records
 

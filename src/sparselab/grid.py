@@ -367,67 +367,64 @@ def average(f: GridFunction, Q: DyadicCube, p0: float) -> float:
     return float((block**p0).mean() ** (1.0 / p0))
 
 
+def _window_start(i, j: int, L: int, width: int):
+    """First level-L cell, per axis, of the width-cell window centred on the level-j
+    cube with index i.  Floor division keeps, for a bottom-level cube, the cells
+    whose centres lie in the window."""
+    s = 1 << (L - j)
+    return i * s + (s - width) // 2
+
+
 def dilate(Q: DyadicCube, k: int, L: int) -> np.ndarray:
     """Boolean cell mask of the concentric dilate 2^k Q at resolution L.
 
-    The dilate wraps periodically and saturates to the whole torus once its
-    side reaches 1.  A cell belongs to the dilate when its center lies in
-    the half-open cube [c - s/2, c + s/2) per axis; whenever the dilate is
-    aligned with cell boundaries this is exactly the covered cell set, and
-    it stays well defined for dilates of bottom-level cubes whose boundary
-    cuts through cells.
+    The dilate is a cyclic window of s * 2^k cells per axis, s = 2^(L - Q.level),
+    centred on Q: it wraps periodically and saturates to the whole torus once
+    its side reaches 1.  A cell belongs to it when the cell's centre does, so
+    the mask stays well defined for dilates of bottom-level cubes whose
+    boundary cuts through cells.
     """
     if k < 0:
         raise DomainError("dilation order must be nonnegative")
-    n = Q.dim
-    N = 1 << L
-    shape = (N,) * n
     if L < Q.level:
         raise DimensionError(f"resolution {L} too coarse for a level-{Q.level} cube")
-    if k == 0:
-        mask = np.zeros(shape, dtype=bool)
-        mask[Q.cell_slices(L)] = True
-        return mask
-    if k >= Q.level:
-        return np.ones(shape, dtype=bool)
-    half = 2.0 ** (k - Q.level) / 2.0
-    centers = (np.arange(N) + 0.5) / N
-    axes = []
-    for i, c in zip(Q.index, Q.center()):
-        rel = (centers - c + 0.5) % 1.0 - 0.5
-        axes.append((-half <= rel) & (rel < half))
+    N = 1 << L
+    width = (1 << (L - Q.level)) << k
+    cells = np.arange(N)
+    axes = [(cells - _window_start(i, Q.level, L, width)) % N < width for i in Q.index]
     return functools.reduce(np.logical_and.outer, axes)
 
 
-def dilate_products(fs, j: int, p0: float) -> np.ndarray:
-    """prod_i <f_i>_{2^l Q, p0} for every level-j cube Q and l = 0..j, as one array.
+def dilate_products(fs, levels, p0: float) -> dict[int, np.ndarray]:
+    """prod_i <f_i>_{2^l Q, p0} for every cube Q of each requested level j and l = 0..j.
 
-    Entry ``[l][Q.index]`` is the product over the cells of ``dilate(Q, l, L)``.
-    Those cells form a cyclic window of the base level b = min(j + 1, L):
-    s * 2^l cells per axis, s = 2^(b - j), starting at s*i + (s - s*2^l) // 2
-    for a cube with index i along that axis.  Window means of every
-    power-of-two width come from repeated pairwise averaging of cyclic
-    shifts, so each term is a mean of nonnegative numbers and nothing
-    cancels near weight singularities (prefix-sum differences would).
+    Returns {j: array}, with entry ``[j][l][Q.index]`` the product over the
+    cells of ``dilate(Q, l, L)``: a cyclic window of 2^w cells per axis,
+    w = L - j + l.  One chain per input serves every level: T_0 = |f|^p0 and
+    T_w averages T_(w-1) with its cyclic shift by 2^(w-1) along each axis, so
+    T_w at a cell is the mean of the window starting there, and each level
+    gathers its windows at the starts of ``_window_start``.  Every term is a
+    mean of nonnegative numbers, so nothing cancels near weight singularities
+    (prefix-sum differences would), and a level's values do not depend on
+    which other levels were requested.
     """
     n, L = fs[0].dim, fs[0].level
-    if j > L:
-        raise DimensionError(f"resolution {L} too coarse for level-{j} cubes")
-    b = min(j + 1, L)
-    s = 1 << (b - j)
-    starts = s * np.arange(1 << j)
+    levels = sorted(set(levels))
+    if levels and levels[-1] > L:
+        raise DimensionError(f"resolution {L} too coarse for level-{levels[-1]} cubes")
     inv = 1.0 / p0
-    out = np.ones((j + 1,) + (1 << j,) * n)
+    out = {j: np.ones((j + 1,) + (1 << j,) * n) for j in levels}
     for f in fs:
-        t = block_reduce(np.abs(f.values) ** p0, n, L, b)
-        for e in range(b + 1):
-            if e:
+        t = np.abs(f.values) ** p0
+        for w in range(L + 1):
+            if w:
                 for ax in range(n):
-                    t = 0.5 * (t + np.roll(t, -(1 << (e - 1)), axis=ax))
-            ell = e - (b - j)
-            if ell >= 0:
-                idx = (starts + (s - (1 << e)) // 2) % (1 << b)
-                out[ell] = out[ell] * t[np.ix_(*(idx,) * n)] ** inv
+                    t = 0.5 * (t + np.roll(t, -(1 << (w - 1)), axis=ax))
+            for j in levels:
+                ell = w - (L - j)
+                if ell >= 0:
+                    idx = _window_start(np.arange(1 << j), j, L, 1 << w) % (1 << L)
+                    out[j][ell] = out[j][ell] * t[np.ix_(*(idx,) * n)] ** inv
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DomainError, DimensionError, DyadicCube, GridFunction, dilate
+from .grid import DomainError, DimensionError, DyadicCube, GridFunction, _window_start, dilate
 
 
 @dataclass(frozen=True)
@@ -284,6 +284,13 @@ class MslReport:
 _GROWTH_CAP = 1.75  # per-octave growth above this flags an unbounded symbol
 
 
+def _too_steep(octaves: list[float]) -> bool:
+    """Whether the positive per-octave values, if two or more, grow from the first to
+    the last by more than _GROWTH_CAP per octave on average."""
+    pos = [v for v in octaves if v > 0]
+    return len(pos) >= 2 and (pos[-1] / pos[0]) ** (1.0 / (len(pos) - 1)) > _GROWTH_CAP
+
+
 def check_msl(m: Symbol, s: float, l: int, radii=None) -> MslReport:
     """Ring-integrated derivative sums sup_R (R^(s|a|-n) int_{R<|x|<2R} |d^a m|^s)^(1/s).
 
@@ -317,12 +324,8 @@ def check_msl(m: Symbol, s: float, l: int, radii=None) -> MslReport:
             total = float((np.abs(deriv[ring]) ** s).sum())
             vals.append((float(R) ** (s * sum(alpha) - d) * total) ** (1.0 / s))
         terms[alpha] = vals
-        pos = [v for v in vals if v > 0]
-        if len(pos) >= 2:
-            octaves = len(pos) - 1
-            growth = (pos[-1] / pos[0]) ** (1.0 / octaves)
-            if growth > _GROWTH_CAP or not all(map(math.isfinite, vals)):
-                member = False
+        if _too_steep(vals) or not all(map(math.isfinite, vals)):
+            member = False
     return MslReport(s, l, list(radii), terms, member)
 
 
@@ -367,11 +370,8 @@ def check_hormander_bilinear(m: Symbol, s: int) -> HormanderReport:
         for R in radii:
             ring = (weight > R) & (weight <= 2 * R) & valid
             octs.append(float(w[ring].max()) if ring.any() else 0.0)
-        pos = [v for v in octs if v > 0]
-        if len(pos) >= 2:
-            growth = (pos[-1] / pos[0]) ** (1.0 / (len(pos) - 1))
-            if growth > _GROWTH_CAP:
-                member = False
+        if _too_steep(octs):
+            member = False
     return HormanderReport(s, constants, member)
 
 
@@ -476,10 +476,10 @@ def _half_cube_cells(Q: DyadicCube, L: int) -> np.ndarray:
     """Cell indices of the concentric half cube of Q (1d)."""
     if L < Q.level + 2:
         raise DimensionError("need L >= level + 2 to resolve the half cube")
-    s = 1 << (L - Q.level)
+    width = 1 << (L - Q.level - 1)
     (i,) = Q.index
-    start = i * s + s // 4
-    return np.arange(start, start + s // 2, dtype=np.int64)
+    start = _window_start(i, Q.level, L, width)
+    return np.arange(start, start + width, dtype=np.int64)
 
 
 def _fit_slope(xs, ys) -> tuple[float, float]:

@@ -201,7 +201,7 @@ def ring_average_products(fs, Q: DyadicCube, p0: float) -> list[float]:
     """prod_i <f_i>_{2^l Q, p0} for l = 0..Q.level (the last dilate saturates)."""
     if Q.dim != fs[0].dim:
         raise DimensionError("cube dimension does not match function dimension")
-    return dilate_products(fs, Q.level, p0)[(slice(None), *Q.index)].tolist()
+    return dilate_products(fs, [Q.level], p0)[Q.level][(slice(None), *Q.index)].tolist()
 
 
 def osc_profile(op, fs, Q: DyadicCube, lam: float, p0: float, delta0: float) -> OscillationProfile:

@@ -325,9 +325,10 @@ def _ancestor_sum(alpha: dict[int, np.ndarray], rootlvl: int, k: int, p0: float,
 def eval_sparse_T(obj, k: int, p0: float, fs) -> GridFunction:
     """Dilate-type sparse operator sum_Q alpha_Q prod_i <f_i>_{2^k Q,p0} chi_Q."""
     alpha, _, n, L = _operator_args(obj, k, p0, fs)
+    dil = dilate_products(fs, alpha, p0)
     # coarse to fine, so every cell sums its cubes' terms in level order
     return GridFunction(n, L, fold_down(
-        ((j, arr * dilate_products(fs, j, p0)[min(k, j)]) for j, arr in alpha.items()), n, L))
+        ((j, arr * dil[j][min(k, j)]) for j, arr in alpha.items()), n, L))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +377,7 @@ def slice_scales(a: CarlesonSequence, k: int) -> list[SlicePiece]:
 class SelectionResult:
     family: SparseFamily
     cstar: float
-    w_hat: float
+    w_hat: float | None  # the measured weak-norm bound; None when cstar was given
     pointwise_constant: float
     covered: bool
     lhs: np.ndarray  # the sliced operator's cellwise values that the selection compared
@@ -457,7 +458,7 @@ def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, see
         w_hat = 2.0 * max(1.0, measure_weak_norm(a, k, p0, m, seed=seed))
         cstar = 2.0 ** (2 * (m + 1)) * w_hat
     else:
-        w_hat = float("nan")
+        w_hat = None
     if cstar <= 0:
         raise DomainError("cstar must be positive")
 
@@ -540,19 +541,16 @@ def dominate(a: CarlesonSequence, k: int, p0: float, fs,
     complexity-k operator divided by the sum of the selected families'
     complexity-0 operators.
     """
-    _operator_args(a, k, p0, fs)
-    if k == 0:
-        pieces = [SlicePiece(0, a.root, a)]
-    else:
-        pieces = slice_scales(a, k)
-    # every piece's selection and the comparison below share one pyramid per input
+    _, _, n, L = _operator_args(a, k, p0, fs)
+    pieces = slice_scales(a, k) if k else [SlicePiece(0, a.root, a)]
+    # every piece's selection shares one pyramid per input
     pyramids = _power_pyramids(fs, p0)
     selections = [_select(p.seq, k, p0, fs, cstar, seed + 101 * i, pyramids)
                   for i, p in enumerate(pieces)]
-    # at k = 0 the single piece is a itself, so its selection already evaluated it
-    lhs = selections[0].lhs if k == 0 else _ancestor_sum(a.levels, a.root.level, k, p0, pyramids)
-    rhs = np.zeros_like(lhs)
+    # the pieces reassemble the operator, so their sides add up to the whole
+    lhs, rhs = np.zeros((1 << L,) * n), np.zeros((1 << L,) * n)
     for sel in selections:
+        lhs += sel.lhs
         rhs += sel.rhs
     cell_c, covered = _cell_ratio(lhs, rhs)
     return DominationResult(pieces, selections, cell_c, covered, lhs, rhs)

@@ -192,7 +192,7 @@ def reference_eval_sparse_T(obj, k, p0, fs):
     out = np.zeros((1 << L,) * n)
     for Q, alpha in items:
         if Q.level not in tables:
-            tables[Q.level] = dilate_products(fs, Q.level, p0)
+            tables[Q.level] = dilate_products(fs, [Q.level], p0)[Q.level]
         out[Q.cell_slices(L)] += alpha * float(tables[Q.level][(min(k, Q.level), *Q.index)])
     return out
 

@@ -177,6 +177,20 @@ def test_select_cli_tiny_cstar_fails_witness(capsys, alpha_file, function_file):
     assert "witness failed at" in err
 
 
+@pytest.mark.parametrize("command", ["select", "dominate"])
+def test_given_cstar_reports_no_weak_norm(capsys, tmp_path, command):
+    seq, f = tmp_path / "s.seq", tmp_path / "f.gfn"
+    seq.write_text("1 0 0.5\n")
+    f.write_text("GFN1 1 2\n1 2 3 4\n")
+    code, out, err = run(capsys, command, "--alpha", str(seq), "--f", str(f),
+                         "--k", "0", "--cstar", "100")
+    assert code == 0, err
+    rep = json.loads(out)
+    sel = rep if command == "select" else rep["selections"][0]
+    assert sel["cstar"] == 100.0
+    assert sel["w_hat"] is None
+
+
 def test_dominate_cli(capsys, alpha_file, function_file):
     code, out, _ = run(
         capsys, "dominate", "--alpha", alpha_file, "--f", function_file, "--k", "2"

@@ -1,9 +1,13 @@
 """The CLI exit-code contract as a property.
 
-Any argv exits 0, 2 or 3, prints no traceback and writes strict JSON.  The
-argv comes from ``build_parser()``'s own actions, with values drawn from
-edge pools, and names generated input files: grid functions, coefficient
-sequences and sweep configs, well formed or broken in the usual ways.
+Any argv exits 0, 2 or 3, prints no traceback and writes strict JSON, and
+an output goes non-finite only from an input at the edge of the float range.
+The argv comes from ``build_parser()``'s own actions and names generated
+input files: grid functions, coefficient sequences and sweep configs.  Half
+the cases are clean, with every option given an ordinary value and
+well-formed files on one grid, so commands run to their outputs; in the
+others at most one value comes from an edge pool and a file may be broken
+in one of the usual ways.
 """
 
 import argparse
@@ -25,8 +29,10 @@ GOOD = {"weight": GFN, "weights": GFN, "function": GFN, "f": GFN, "alpha": ["S.s
         "config": ["C.json"], "out": ["out.json"], "rh": ["2", "3", "inf"],
         "symbol": ["sign", "identity", "cone", "bump", "A.gfn"],
         "kernel": ["hilbert", "symbol:A.gfn"], "N": ["4", "8", "16"], "L": ["2", "3", "4"],
-        int: ["0", "1", "2", "3"], float: ["1", "1.5", "2", "3"]}
+        int: ["0", "1", "2", "3", "4"], float: ["1", "1.5", "2", "3", "4", "100"]}
 EDGE = ["0", "-1", "nan", "inf", "1e308", "", "\u00e9", "abc", "1.5", "missing.gfn", "S.seq", "."]
+# tokens of the inputs that may overflow on the way to an output
+EXTREME = ("1e308", "1e+308", "1e-320", "inf", "nan")
 
 
 def _commands() -> dict[str, list[argparse.Action]]:
@@ -40,14 +46,15 @@ COMMANDS = _commands()
 
 
 @st.composite
-def argvs(draw):
-    """A subcommand and its options, every value usable except at most one from EDGE."""
+def argvs(draw, clean):
+    """A subcommand and its options: when clean every option with a usable value,
+    else some of them, every value usable except at most one from EDGE."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     actions = COMMANDS[command]
-    edge_at = draw(st.integers(-len(actions) // 2, len(actions) - 1))
+    edge_at = -1 if clean else draw(st.integers(-len(actions) // 2, len(actions) - 1))
     argv = [command]
     for i, action in enumerate(actions):
-        if not action.required and i != edge_at and draw(st.booleans()):
+        if not (clean or action.required or i == edge_at) and draw(st.booleans()):
             continue
         flag = action.option_strings[0]
         pool = st.sampled_from(EDGE if i == edge_at else
@@ -64,17 +71,19 @@ def argvs(draw):
 
 
 @st.composite
-def gfn_texts(draw):
-    kind = draw(st.sampled_from(["ok"] * 6 + ["count", "level", "empty", "token", "ascii"]))
+def gfn_texts(draw, grid):
+    """A grid function file: well formed with ordinary values on the (n, L) grid if
+    given, else on any grid, possibly with edge values or broken."""
+    kind = "ok" if grid else draw(st.sampled_from(["ok"] * 6 + ["count", "level", "empty",
+                                                                "token", "ascii"]))
     if kind == "empty":
         return ""
-    n = draw(st.sampled_from([1, 2]))
-    L = draw(st.integers(0, 4 if n == 1 else 3))
+    n, L = grid or _grids(draw)
     if kind == "level":
         return f"GFN1 {n} {13 if n == 1 else 9}\n1\n"
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    pool = draw(st.sampled_from([[0.25, 1.0, 4.0], [0.0, 1.0], [-1.0, 1.0], [1e308, 1.0],
-                                 [1e-320, 1.0]]))
+    pool = draw(st.sampled_from([[0.25, 1.0, 4.0], [1.0, 2.0, 4.0], [0.0, 1.0]] + (
+        [] if grid else [[-1.0, 1.0], [1e308, 1.0], [1e-320, 1.0]])))
     vals = [repr(float(v)) for v in rng.choice(pool, (1 << L) ** n)]
     if kind == "count":
         vals = vals[1:] if draw(st.booleans()) else vals + ["1.0"]
@@ -85,16 +94,19 @@ def gfn_texts(draw):
 
 
 @st.composite
-def seq_texts(draw):
-    kind = draw(st.sampled_from(["ok"] * 5 + ["repeat", "level", "empty", "fields", "token"]))
+def seq_texts(draw, grid):
+    """A coefficient sequence file: well formed with ordinary values on the (n, L) grid
+    if given, else possibly with edge values or broken."""
+    kind = "ok" if grid else draw(st.sampled_from(["ok"] * 5 + ["repeat", "level", "empty",
+                                                                "fields", "token"]))
     if kind == "empty":
         return ""
-    n = draw(st.sampled_from([1, 2]))
-    cubes = draw(st.lists(st.integers(0, 3).flatmap(
+    n, L = grid or (draw(st.sampled_from([1, 2])), 3)
+    cubes = draw(st.lists(st.integers(0, L).flatmap(
         lambda j: st.tuples(st.just(j), *[st.integers(0, (1 << j) - 1)] * n)),
         min_size=1, max_size=4, unique=True))
-    rows = [[*map(str, Q), draw(st.sampled_from(["0.5", "1.0", "0.5", "0", "-1", "1e308", "nan"]))]
-            for Q in cubes]
+    values = ["0.5", "1", "2", "4", "0"] + ([] if grid else ["-1", "1e308", "nan"])
+    rows = [[*map(str, Q), draw(st.sampled_from(values))] for Q in cubes]
     if kind == "repeat":
         rows.append(rows[0][:-1] + ["0.25"])
     if kind == "level":
@@ -104,6 +116,21 @@ def seq_texts(draw):
     if kind == "token":
         rows[0][0] = "x"
     return "".join(" ".join(r) + "\n" for r in rows)
+
+
+def _grids(draw) -> tuple[int, int]:
+    n = draw(st.sampled_from([1, 2]))
+    return n, draw(st.integers(0, 4 if n == 1 else 3))
+
+
+@st.composite
+def cases(draw):
+    """An argv and the texts of its input files, clean in half the cases."""
+    clean = draw(st.booleans())
+    grid = _grids(draw) if clean else None
+    files = {"A.gfn": draw(gfn_texts(grid)), "B.gfn": draw(gfn_texts(grid)),
+             "S.seq": draw(seq_texts(grid)), "C.json": draw(config_texts())}
+    return draw(argvs(clean)), files
 
 
 FIELDS = {
@@ -153,9 +180,9 @@ def _strict_json(text: str) -> None:
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(argvs(), gfn_texts(), gfn_texts(), seq_texts(), config_texts())
-def test_every_argv_keeps_the_exit_code_contract(argv, gfn_a, gfn_b, seq, config):
-    inputs = {"A.gfn": gfn_a, "B.gfn": gfn_b, "S.seq": seq, "C.json": config}
+@given(cases())
+def test_every_argv_keeps_the_exit_code_contract(case):
+    argv, inputs = case
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in inputs.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
@@ -178,6 +205,9 @@ def test_every_argv_keeps_the_exit_code_contract(argv, gfn_a, gfn_b, seq, config
             os.chdir(cwd)
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if "non-finite value in output field" in err.getvalue():
+        used = [text for name, text in inputs.items() if any(name in a for a in argv)]
+        assert any(x in text for x in EXTREME for text in argv + used), (argv, err.getvalue())
     _strict_json(out.getvalue())
     for name, text in written.items():
         if not name.endswith((".csv", ".svg")):

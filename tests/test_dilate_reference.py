@@ -95,7 +95,7 @@ def ring_case(draw):
 @given(ring_case())
 def test_dilate_products_match_mask_loop(case):
     fs, j, p0 = case
-    table = dilate_products(fs, j, p0)
+    table = dilate_products(fs, [j], p0)[j]
     assert table.shape == (j + 1,) + (1 << j,) * fs[0].dim
     for Q in cubes_at_level(fs[0].dim, j):
         ref = reference_ring_average_products(fs, Q, p0)
@@ -126,3 +126,23 @@ def test_eval_sparse_T_matches_mask_loop(case):
     out = eval_sparse_T(obj, k, p0, fs)
     np.testing.assert_allclose(out.values, reference_eval_sparse_T(obj, k, p0, fs),
                                rtol=1e-12, atol=0)
+
+
+@st.composite
+def level_subset_case(draw):
+    n = draw(st.sampled_from([1, 2]))
+    L = draw(st.integers(0, 7) if n == 1 else st.integers(0, 4))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    fs = [_inputs(draw, n, L, rng) for _ in range(draw(st.integers(1, 2)))]
+    levels = draw(st.lists(st.integers(0, L), min_size=1, unique=True))
+    return fs, levels, draw(st.sampled_from([1.0, 1.5, 2.0]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(level_subset_case())
+def test_dilate_products_level_is_independent_of_the_others_requested(case):
+    fs, levels, p0 = case
+    tables = dilate_products(fs, levels, p0)
+    assert sorted(tables) == sorted(levels)
+    for j in levels:
+        assert np.array_equal(tables[j], dilate_products(fs, [j], p0)[j]), j

@@ -317,7 +317,7 @@ def reference_osc_ratio_sup(omegas, fs, p0, delta0):
     """omega(Q) over the ring series of Q, one family cube at a time."""
     series = {}
     for j in {Q.level for Q in omegas}:
-        rings = dilate_products(fs, j, p0)
+        rings = dilate_products(fs, [j], p0)[j]
         series[j] = sum(2.0 ** (-ell * delta0) * v for ell, v in enumerate(rings))
     ratios = [om / s for Q, om in omegas.items() if (s := float(series[Q.level][Q.index])) > 0]
     return max(ratios, default=0.0)

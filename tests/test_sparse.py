@@ -605,6 +605,22 @@ def test_dominate_builds_one_pyramid_per_input(monkeypatch, k):
     assert np.array_equal(res.lhs, eval_sparse_A(a, k, 1.0, fs).values)
 
 
+def test_dominate_lhs_is_the_operator():
+    rng = rng_from(26)
+    fs = [random_function(rng, 2, 5), random_function(rng, 2, 5)]
+    a = random_carleson(rng, 2, 5, density=0.5)
+    # levels 3 and 5, one residue mod k under the level-1 roots P: every cell lies in
+    # one piece and adds its cubes' terms in the order eval_sparse_A does
+    odd = CarlesonSequence(a.root, {j: arr for j, arr in a.levels.items() if j % 2})
+    res = dominate(odd, 2, 1.5, fs)
+    assert {(p.ell, p.root.level) for p in res.pieces} == {(1, 1)} and len(res.pieces) > 1
+    assert np.array_equal(res.lhs, eval_sparse_A(odd, 2, 1.5, fs).values)
+    # levels 2 to 5, two residues: each cell adds one sum per residue
+    res = dominate(a, 2, 1.5, fs)
+    assert {p.ell for p in res.pieces} == {0, 1} and len(res.pieces) > 2
+    np.testing.assert_allclose(res.lhs, eval_sparse_A(a, 2, 1.5, fs).values, rtol=1e-12, atol=0)
+
+
 def test_dominate_k2_random():
     rng = rng_from(23)
     for _ in range(5):
