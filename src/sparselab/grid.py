@@ -141,6 +141,12 @@ def all_cubes(n: int, maxlevel: int) -> Iterator[DyadicCube]:
         yield from cubes_at_level(n, j)
 
 
+def _cells_of(cube: DyadicCube, n: int, L: int) -> tuple[slice, ...]:
+    if cube.dim != n:
+        raise DimensionError(f"cube {cube} is not {n}-dimensional")
+    return cube.cell_slices(L)
+
+
 class GridFunction:
     """Real function that is constant on each lattice cell of resolution 2^-L.
 
@@ -182,12 +188,12 @@ class GridFunction:
     @classmethod
     def indicator(cls, dim: int, level: int, cube: DyadicCube) -> "GridFunction":
         vals = np.zeros((1 << level,) * dim)
-        vals[cube.cell_slices(level)] = 1.0
+        vals[_cells_of(cube, dim, level)] = 1.0
         return cls(dim, level, vals)
 
     def on(self, cube: DyadicCube) -> np.ndarray:
         """The block of cell values covered by ``cube``."""
-        return self.values[cube.cell_slices(self.level)]
+        return self.values[_cells_of(cube, self.dim, self.level)]
 
     def integral(self) -> float:
         return float(self.values.sum() * self.cell_volume)
@@ -237,12 +243,31 @@ def _match(f: GridFunction, g: GridFunction) -> None:
         )
 
 
+_COMBINE = {"sum": np.add, "any": np.logical_or, "min": np.minimum, "max": np.maximum}
+
+
 def block_reduce(values: np.ndarray, n: int, L: int, j: int, op: str = "mean") -> np.ndarray:
-    """Reduce level-L cell values to one number per level-j cube (op: mean/sum/min/max/any)."""
+    """Reduce level-L cell values to one number per level-j cube (op: mean/sum/min/max/any).
+
+    One level below the root halves each axis with the fold's ufuncs, last axis
+    first, which is numpy's reduce bit for bit and dtype for dtype (see README);
+    the root and deeper reductions are numpy's.
+    """
     if j > L:
         raise DimensionError(f"cannot reduce to level {j} from resolution {L}")
     v = values.reshape((1 << j, 1 << (L - j)) * n)
-    return getattr(v, op)(axis=tuple(range(1, 2 * n, 2)))
+    if L - j != 1 or j == 0:
+        return getattr(v, op)(axis=tuple(range(1, 2 * n, 2)))
+    summing = op in ("sum", "mean")
+    if summing and v.dtype == bool:
+        v = v.astype(np.int64)
+    combine = _COMBINE["sum" if summing else op]
+    for ax in range(2 * n - 1, 0, -2):
+        head = (slice(None),) * ax
+        v = combine(v[head + (0,)], v[head + (1,)])
+    if summing:
+        v += 0  # numpy's sum starts from +0.0, so a sum of -0.0 is +0.0
+    return v / (1 << n) if op == "mean" else v
 
 
 def upsample(arr: np.ndarray, s: int) -> np.ndarray:
@@ -252,9 +277,6 @@ def upsample(arr: np.ndarray, s: int) -> np.ndarray:
     grown = np.broadcast_to(arr.reshape([d for m in arr.shape for d in (m, 1)]),
                             [d for m in arr.shape for d in (m, s)])
     return grown.reshape([m * s for m in arr.shape])
-
-
-_COMBINE = {"sum": np.add, "any": np.logical_or, "min": np.minimum, "max": np.maximum}
 
 
 def fold_up(terms: dict[int, np.ndarray], n: int, hi: int, lo: int,
@@ -284,6 +306,19 @@ def fold_down(levels, n: int, L: int, op=np.add) -> np.ndarray:
         out = op(upsample(out, 1 << (j - top)), arr)
         top = j
     return upsample(out, 1 << (L - top))
+
+
+def maximal(flags: dict[int, np.ndarray], covered: np.ndarray) -> dict[int, np.ndarray]:
+    """The flagged cubes of ``flags`` (ascending levels) under no flagged cube and outside
+    ``covered``, a cube mask on a level no finer than the first: {j: mask} per level kept."""
+    out: dict[int, np.ndarray] = {}
+    for j, flag in flags.items():
+        covered = upsample(covered, (1 << j) // covered.shape[0])
+        stop = flag & ~covered
+        if stop.any():
+            out[j] = stop
+            covered = covered | stop
+    return out
 
 
 def cube_levels(items, n: int) -> dict[int, np.ndarray]:
@@ -329,42 +364,16 @@ def argmax_cube(levels) -> tuple[float, DyadicCube]:
 
 
 def mean_pyramid(values: np.ndarray, n: int, L: int) -> list[np.ndarray]:
-    """Per-cube means at every level 0..L, computed bottom-up.
-
-    Each level halves the one below it with slice adds, last axis first, and
-    carries the same bits as ``block_reduce(..., "mean")``: numpy sums a
-    2 x 2 block of a larger array as (a00 + a01) + (a10 + a11).  A lone
-    block is summed in storage order instead, so the root step stays on
-    ``block_reduce``.
-    """
-    out: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
-    out[L] = np.asarray(values, dtype=float).reshape((1 << L,) * n)
-    for j in range(L - 1, 0, -1):
-        v = out[j + 1].reshape((1 << j, 2) * n)
-        for ax in range(2 * n - 1, 0, -2):
-            head = (slice(None),) * ax
-            v = v[head + (0,)] + v[head + (1,)]
-        v /= 1 << n
-        out[j] = v
-    if L:
-        out[0] = block_reduce(out[1], n, 1, 0, "mean")
-    return out
+    """Per-cube means at every level 0..L, computed bottom-up by ``block_reduce``."""
+    cells = np.asarray(values, dtype=float).reshape((1 << L,) * n)
+    return list(fold_up({L: cells}, n, L, 0, "mean").values())
 
 
 def average(f: GridFunction, Q: DyadicCube, p0: float) -> float:
     """The local p0-average of f over Q, ((1/|Q|) * int_Q |f|^p0)^(1/p0)."""
     if not p0 >= 1:
         raise DomainError(f"p0 must be >= 1, got {p0}")
-    if Q.dim != f.dim:
-        raise DimensionError("cube dimension does not match function dimension")
-    if Q.level > f.level:
-        raise DimensionError(
-            f"cube level {Q.level} exceeds function resolution {f.level}"
-        )
-    block = np.abs(f.on(Q))
-    if p0 == 1:
-        return float(block.mean())
-    return float((block**p0).mean() ** (1.0 / p0))
+    return float((np.abs(f.on(Q)) ** p0).mean() ** (1.0 / p0))
 
 
 def _window_start(i, j: int, L: int, width: int):

@@ -30,7 +30,7 @@ from .grid import (
     dilate_products,
     fold_down,
     fold_up,
-    upsample,
+    maximal,
 )
 from .sparse import SparseFamily, greedy_witness, verify_sparse
 
@@ -156,12 +156,9 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
         _blocks(E, n, j)[here] = (g > t[:, None]).reshape((-1,) + (1 << (L - j),) * n)
         # excess counts of every deeper cube, then the maximal ones of density >= 2^-(n+1)
         cnt = fold_up({L: E}, n, L, j + 1, "sum")
-        covered = np.zeros((1 << (j + 1),) * n, dtype=bool)
-        for i in range(j + 1, L + 1):
-            stop = ~covered & (cnt[i] * (1 << (n + 1)) >= 1 << (n * (L - i)))
-            visit[i] |= stop
-            if i < L:
-                covered = upsample(covered | stop, 2)
+        dense = {i: c * (1 << (n + 1)) >= 1 << (n * (L - i)) for i, c in cnt.items()}
+        stops = maximal(dense, np.zeros((1 << j,) * n, dtype=bool))
+        visit.update((i, visit[i] | s) for i, s in stops.items())
 
     return LernerDecomposition(Q0, m0, lam, greedy_witness(osc, n, L), osc)
 

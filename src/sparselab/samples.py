@@ -66,7 +66,7 @@ def random_sparse_family(rng, n: int, L: int) -> SparseFamily:
         if Q.level >= L or rng.random() < 0.25:
             return
         kids = list(Q.children())
-        take = 1 if n == 1 else int(rng.integers(1, 3))
+        take = int(rng.integers(1, (1 << (n - 1)) + 1))
         picks = rng.choice(len(kids), size=take, replace=False)
         for i in picks:
             descend(kids[int(i)])

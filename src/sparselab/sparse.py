@@ -20,6 +20,7 @@ from .grid import (
     DimensionError,
     DyadicCube,
     GridFunction,
+    _match,
     argmax_cube,
     block_reduce,
     cube_levels,
@@ -28,6 +29,7 @@ from .grid import (
     fold_up,
     mask_cubes,
     mask_ids,
+    maximal,
     mean_pyramid,
     top_level,
     upsample,
@@ -237,18 +239,16 @@ def greedy_witness(levels, dim: int, level: int) -> SparseFamily:
     fam = {j: m for j, m in fam.items() if m.any()}
     if fam and max(fam) > level:
         raise DimensionError(f"resolution {level} too coarse for level-{max(fam)} cubes")
-    # owner: per cell, the id of the deepest family cube containing it (-1 for none)
-    owner, first = np.full((1,) * dim, -1, dtype=np.int64), 0
-    for j in range(level + 1):
-        owner = upsample(owner, 2) if j else owner
-        if j in fam:
-            owner = np.where(fam[j], first + np.cumsum(fam[j]).reshape(fam[j].shape) - 1, owner)
-            first += int(fam[j].sum())
-    cells = np.flatnonzero(owner >= 0)
-    lab = owner.ravel()[cells]
-    sizes = np.bincount(lab, minlength=first)
+    # 1-based cube ids grow with depth: a cell's largest is its deepest family cube's
+    starts = np.cumsum([0] + [int(np.count_nonzero(m)) for m in fam.values()]).tolist()
+    ids = {j: np.where(m, np.cumsum(m).reshape(m.shape) + c, 0)
+           for (j, m), c in zip(fam.items(), starts)}
+    owner = fold_down(ids.items(), dim, level, np.maximum).ravel()
+    cells = np.flatnonzero(owner)
+    lab = owner[cells].astype(np.int64) - 1
+    sizes = np.bincount(lab, minlength=starts[-1])
     # ids fit 16 bits up to 65,536 cubes, where numpy's stable sort is a radix sort
-    order = np.argsort(lab.astype(np.min_scalar_type(first)), kind="stable")
+    order = np.argsort(lab.astype(np.min_scalar_type(starts[-1])), kind="stable")
     family = SparseFamily._of(dim, level, fam, cells[order], sizes)
     lev, idx = mask_ids(family.masks, dim)
     cube_cells = (1 << (level - lev)) ** dim
@@ -662,11 +662,8 @@ def cz_decompose(fs, lam: float, p0: float, m: int, P: DyadicCube) -> CZDecompos
     <f_i>_{R,p0} above lam^(1/m); each bad part has exact zero mean on its
     cube and the good part stays bounded by the inflated parent average.
     When some <f_i>_{P,p0} already exceeds the height the index is reported
-    in short_circuit and no decomposition is attempted for it.
-
-    One top-down sweep over the mean pyramid of |f_i|^p0 finds them level
-    by level, as level masks; ``stopping[i]`` runs in (level, row-major)
-    order, which in two dimensions is not parent by parent.
+    in short_circuit and no decomposition is attempted for it.  ``grid.maximal``
+    finds the stopping cubes on the mean pyramid of |f_i|^p0.
     """
     if lam <= 0:
         raise DomainError(f"level lambda must be positive, got {lam}")
@@ -675,27 +672,21 @@ def cz_decompose(fs, lam: float, p0: float, m: int, P: DyadicCube) -> CZDecompos
     if m != len(fs):
         raise DimensionError(f"m = {m} does not match {len(fs)} functions")
     n, L = _check_tuple(fs)
+    if P.dim != n or P.level > L:
+        raise DimensionError(f"base cube {P} does not fit the n={n}, L={L} grid")
     thr_pow = lam ** (p0 / m)  # compare p0-th powers of averages
     outside = cube_levels([(P, 1.0)], n)[P.level] == 0  # the level-P.level cubes but P
     good, bad, masks, short = [], [], [], []
     for i, f in enumerate(fs):
         power = np.abs(f.values) ** p0
         pyr = mean_pyramid(power, n, L)
-        stops: dict[int, np.ndarray] = {}
-        b = np.zeros_like(power)
         if pyr[P.level][P.index] > thr_pow:
             short.append(i)
-        else:
-            # covered: outside P or inside a coarser stopping cube
-            covered = outside
-            for j in range(P.level + 1, L + 1):
-                covered = upsample(covered, 2)
-                stop = ~covered & (pyr[j] > thr_pow)
-                if stop.any():
-                    stops[j] = stop
-                    covered = covered | stop
-                    cells = upsample(stop, 1 << (L - j))
-                    b[cells] = (power - upsample(pyr[j], 1 << (L - j)))[cells]
+        stops = {} if i in short else maximal(
+            {j: pyr[j] > thr_pow for j in range(P.level + 1, L + 1)}, outside)
+        # a cell lies in at most one stopping cube, whose mean is above thr_pow > 0
+        means = fold_down(((j, np.where(s, pyr[j], 0.0)) for j, s in stops.items()), n, L)
+        b = np.where(means > 0, power - means, 0.0)
         good.append(GridFunction(n, L, power - b))
         bad.append(GridFunction(n, L, b))
         masks.append(stops)
@@ -718,6 +709,7 @@ def dyadic_maximal(f: GridFunction, p0: float = 1.0, sigma: GridFunction | None 
     n, L = f.dim, f.level
     maxlevel = top_level(maxlevel, L)
     if sigma is not None:
+        _match(f, sigma)
         if np.any(sigma.values <= 0):
             raise DomainError("sigma must be strictly positive")
         num = mean_pyramid(np.abs(f.values) * sigma.values, n, L)

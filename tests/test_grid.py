@@ -20,6 +20,8 @@ from sparselab.grid import (
     weak_norm,
     weighted_norm,
 )
+from sparselab.oscillation import local_osc, median
+from sparselab.weights import WeightTuple, holder_identity_slack
 
 
 def gf1(vals):
@@ -153,6 +155,25 @@ def test_average_level_mismatch():
         average(f, DyadicCube(3, (0,)), 1.0)
     with pytest.raises(DomainError):
         average(f, root_cube(1), 0.5)
+
+
+CUBE_READERS = {
+    "on": lambda f, Q: f.on(Q),
+    "indicator": lambda f, Q: GridFunction.indicator(f.dim, f.level, Q),
+    "median": median,
+    "local_osc": lambda f, Q: local_osc(f, Q, 0.25),
+    "average": lambda f, Q: average(f, Q, 1.0),
+    "holder_identity_slack": lambda f, Q: holder_identity_slack(
+        WeightTuple((f,), (2.0,), p0=1.0), Q),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUBE_READERS))
+@pytest.mark.parametrize("n, Q", [(2, DyadicCube(1, (0,))), (1, DyadicCube(1, (0, 0)))])
+def test_cube_of_another_dimension_rejected(name, n, Q):
+    f = GridFunction(n, 3, np.linspace(0.1, 1.0, 8**n))
+    with pytest.raises(DimensionError):
+        CUBE_READERS[name](f, Q)
 
 
 # --- dilate ------------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""The halving mean pyramid against the per-level block_reduce chain it replaced."""
+"""The mean pyramid against a chain of numpy block means, one per level."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from sparselab.grid import block_reduce, mean_pyramid
+from sparselab.grid import mean_pyramid
 
 
 def reference_mean_pyramid(values, n, L):
-    """One block_reduce(..., "mean") per level, kept as the reference."""
+    """Each level numpy's mean over the 2^n children of every cube of the level below."""
     out = [None] * (L + 1)
     out[L] = np.asarray(values, dtype=float).reshape((1 << L,) * n)
     for j in range(L - 1, -1, -1):
-        out[j] = block_reduce(out[j + 1], n, j + 1, j, "mean")
+        out[j] = out[j + 1].reshape((1 << j, 2) * n).mean(axis=tuple(range(1, 2 * n, 2)))
     return out
 
 

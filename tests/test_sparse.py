@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sparselab.grid import (
+    MAX_LEVEL,
+    DimensionError,
     DomainError,
     DyadicCube,
     GridFunction,
@@ -162,6 +164,44 @@ def test_random_families_sparse():
     for _ in range(10):
         fam = random_sparse_family(rng, 2, 4)
         assert verify_sparse(fam)
+
+
+def reference_random_sparse_family(rng, n, L):
+    """The sampler with its former `n == 1` branch for the children taken."""
+    chosen = set()
+
+    def descend(Q):
+        if rng.random() < 0.85:
+            chosen.add(Q)
+        if Q.level >= L or rng.random() < 0.25:
+            return
+        kids = list(Q.children())
+        take = 1 if n == 1 else int(rng.integers(1, 3))
+        for i in rng.choice(len(kids), size=take, replace=False):
+            descend(kids[int(i)])
+
+    lvl = int(rng.integers(1, max(2, L - 2)))
+    side = 1 << lvl
+    for flat in rng.choice(side**n, size=min(3, side**n), replace=False):
+        descend(DyadicCube(lvl, tuple(int(i) for i in np.unravel_index(flat, (side,) * n))))
+    if not chosen:
+        chosen.add(root_cube(n))
+    return greedy_witness(chosen, n, L)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_sparse_family_matches_branching_reference(n):
+    for L in range(1, MAX_LEVEL[n] + 1):
+        for seed in range(20):
+            rng, ref_rng = rng_from(seed), rng_from(seed)
+            got = random_sparse_family(rng, n, L)
+            ref = reference_random_sparse_family(ref_rng, n, L)
+            assert list(got.masks) == list(ref.masks)
+            assert all(np.array_equal(got.masks[j], ref.masks[j]) for j in ref.masks)
+            assert np.array_equal(got.cells, ref.cells)
+            assert np.array_equal(got.sizes, ref.sizes)
+            # the same number of draws: both generators continue alike
+            assert rng.random() == ref_rng.random()
 
 
 # --- sparse operators ------------------------------------------------------------
@@ -475,6 +515,13 @@ def test_cz_invariants_randomized():
         done += 1
 
 
+@pytest.mark.parametrize("P", [DyadicCube(5, (0,)), DyadicCube(1, (0, 0))])
+def test_cz_rejects_base_cube_off_the_grid(P):
+    f = GridFunction.constant(1, 4, 1.0)
+    with pytest.raises(DimensionError, match="does not fit"):
+        cz_decompose([f], 1.0, 1.0, 1, P)
+
+
 def test_cz_rejects_bad_lambda():
     f = GridFunction.constant(1, 3, 1.0)
     with pytest.raises(DomainError):
@@ -562,6 +609,14 @@ def test_maximal_rejects_negative_maxlevel(sigma):
     f = GridFunction.constant(1, 4, 1.0)
     with pytest.raises(DomainError, match="maxlevel must be nonnegative, got -3"):
         dyadic_maximal(f, sigma=sigma, maxlevel=-3)
+
+
+@pytest.mark.parametrize("sigma", [GridFunction.constant(2, 2, 1.0),
+                                   GridFunction.constant(1, 6, 1.0)])
+def test_maximal_rejects_sigma_on_another_grid(sigma):
+    f = GridFunction.constant(2, 3, 1.0)
+    with pytest.raises(DimensionError, match="grid mismatch"):
+        dyadic_maximal(f, sigma=sigma)
 
 
 def test_maximal_dominates_identity():
