@@ -2,7 +2,6 @@
 certification on periodic dyadic grids."""
 
 from .grid import (
-    Annulus,
     DimensionError,
     DomainError,
     DyadicCube,

@@ -16,6 +16,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .certify import (
     certify_buckley,
     certify_theorem_a,
@@ -78,6 +80,12 @@ def read_carleson(path) -> CarlesonSequence:
         if not 0 <= level <= MAX_LEVEL[n]:
             raise FormatError(f"line {ln}: level {level} out of range 0..{MAX_LEVEL[n]} "
                               f"for n={n}")
+        if not all(0 <= i < 1 << level for i in index):
+            raise FormatError(f"line {ln}: index {index} out of range at level {level}")
+        if not math.isfinite(alpha):
+            raise FormatError(f"line {ln}: non-finite coefficient {toks[-1]}")
+        if alpha < 0:
+            raise FormatError(f"line {ln}: negative coefficient {toks[-1]}")
         Q = DyadicCube(level, index)
         if Q in lines:
             raise FormatError(f"line {ln}: repeats the cube of line {lines[Q]}")
@@ -454,7 +462,12 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflow or invalid value on the way to an output is an input error
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
+    except FloatingPointError as err:
+        print(f"error: {args.command}: floating-point {err}", file=sys.stderr)
+        return 2
     except (FormatError, DomainError, DimensionError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -11,10 +11,8 @@ once their side length reaches 1.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -81,30 +79,6 @@ class DyadicCube:
     def volume(self) -> float:
         return 2.0 ** (-self.level * self.dim)
 
-    def ancestor(self, k: int) -> "DyadicCube":
-        """The unique cube of level (level - k) containing this cube."""
-        if k < 0:
-            raise DomainError("ancestor order must be nonnegative")
-        if k > self.level:
-            raise DomainError(f"cube of level {self.level} has no ancestor {k} levels up")
-        return DyadicCube(self.level - k, tuple(i >> k for i in self.index))
-
-    def children(self) -> Iterator["DyadicCube"]:
-        return self.descendants(1)
-
-    def descendants(self, k: int) -> Iterator["DyadicCube"]:
-        """All cubes exactly k levels below this one, in index order."""
-        span = 1 << k
-        for offs in itertools.product(range(span), repeat=self.dim):
-            index = tuple(i * span + a for i, a in zip(self.index, offs))
-            yield DyadicCube(self.level + k, index)
-
-    def contains(self, other: "DyadicCube") -> bool:
-        if other.dim != self.dim or other.level < self.level:
-            return False
-        k = other.level - self.level
-        return tuple(i >> k for i in other.index) == self.index
-
     def cell_slices(self, L: int) -> tuple[slice, ...]:
         """Slices selecting this cube's cells in a level-L value array."""
         if L < self.level:
@@ -112,33 +86,10 @@ class DyadicCube:
         s = 1 << (L - self.level)
         return tuple(slice(i * s, (i + 1) * s) for i in self.index)
 
-    def cell_count(self, L: int) -> int:
-        return (1 << (L - self.level)) ** self.dim
-
-    def flat_cells(self, L: int) -> np.ndarray:
-        """Flat (row-major) indices of this cube's cells at resolution L."""
-        s = 1 << (L - self.level)
-        axes = (np.arange(i * s, (i + 1) * s, dtype=np.int64) for i in self.index)
-        return functools.reduce(lambda rows, cols: np.add.outer(rows << L, cols).ravel(), axes)
-
-    def center(self) -> tuple[float, ...]:
-        return tuple((i + 0.5) * self.side for i in self.index)
-
 
 def root_cube(n: int) -> DyadicCube:
     _check_dim(n)
     return DyadicCube(0, (0,) * n)
-
-
-def cubes_at_level(n: int, j: int) -> Iterator[DyadicCube]:
-    _check_dim(n)
-    for index in itertools.product(range(1 << j), repeat=n):
-        yield DyadicCube(j, index)
-
-
-def all_cubes(n: int, maxlevel: int) -> Iterator[DyadicCube]:
-    for j in range(maxlevel + 1):
-        yield from cubes_at_level(n, j)
 
 
 def _cells_of(cube: DyadicCube, n: int, L: int) -> tuple[slice, ...]:
@@ -437,32 +388,9 @@ def dilate_products(fs, levels, p0: float) -> dict[int, np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
-class Annulus:
-    """Ring S_j(Q) = 2^j Q \\ 2^(j-1) Q around a base cube (S_0(Q) = Q)."""
-
-    base: DyadicCube
-    ring: int
-
-    def __post_init__(self):
-        if self.ring < 0:
-            raise DomainError("ring index must be nonnegative")
-
-    def is_empty(self) -> bool:
-        # the inner dilate already covers the torus
-        return self.ring >= 1 and (self.ring - 1) >= self.base.level
-
-    def mask(self, L: int) -> np.ndarray:
-        if self.ring == 0:
-            return dilate(self.base, 0, L)
-        outer = dilate(self.base, self.ring, L)
-        inner = dilate(self.base, self.ring - 1, L)
-        return outer & ~inner
-
-
 def rearrangement(f: GridFunction, t: float) -> float:
     """Decreasing rearrangement f*(t) = inf{a > 0 : |{|f| > a}| < t}."""
-    if t <= 0:
+    if not t > 0:
         raise DomainError(f"rearrangement needs t > 0, got {t}")
     v = f.cell_volume
     k = math.ceil(t / v - 1e-12)
@@ -475,7 +403,7 @@ def rearrangement(f: GridFunction, t: float) -> float:
 
 def weighted_norm(f: GridFunction, p: float, w: GridFunction | None = None) -> float:
     """Discrete L^p(w) (quasi)norm; w = None means Lebesgue measure."""
-    if p <= 0:
+    if not p > 0:
         raise DomainError(f"norm exponent must be positive, got {p}")
     vals = np.abs(f.values) ** p
     if w is not None:
@@ -488,7 +416,7 @@ def weighted_norm(f: GridFunction, p: float, w: GridFunction | None = None) -> f
 
 def weak_norm(f: GridFunction, q: float) -> float:
     """Weak L^q quasinorm sup_t t^(1/q) f*(t), exact on the discrete measure."""
-    if q <= 0:
+    if not q > 0:
         raise DomainError(f"weak norm exponent must be positive, got {q}")
     a = np.sort(np.abs(f.values), axis=None)[::-1]
     t = np.arange(1, a.size + 1) * f.cell_volume

@@ -57,19 +57,22 @@ def random_sparse_family(rng, n: int, L: int) -> SparseFamily:
     Each descent selects its cube and recurses into at most half of the
     children, so the union of selected strict descendants of any selected
     cube covers at most half of it and the greedy witness always succeeds.
+    Cubes are (level, index) pairs flagged in one bool mask per level; child
+    c of (j, idx) is (j + 1, 2 * idx + unravel_index(c, (2,) * n)), row-major.
     """
-    chosen: set[DyadicCube] = set()
+    masks: dict[int, np.ndarray] = {}
 
-    def descend(Q: DyadicCube):
+    def descend(j: int, idx: tuple):
         if rng.random() < 0.85:
-            chosen.add(Q)
-        if Q.level >= L or rng.random() < 0.25:
+            if j not in masks:
+                masks[j] = np.zeros((1 << j,) * n, dtype=bool)
+            masks[j][idx] = True
+        if j >= L or rng.random() < 0.25:
             return
-        kids = list(Q.children())
         take = int(rng.integers(1, (1 << (n - 1)) + 1))
-        picks = rng.choice(len(kids), size=take, replace=False)
-        for i in picks:
-            descend(kids[int(i)])
+        picks = rng.choice(1 << n, size=take, replace=False)
+        for c in picks:
+            descend(j + 1, tuple(2 * i + b for i, b in zip(idx, np.unravel_index(c, (2,) * n))))
 
     lvl = int(rng.integers(1, max(2, L - 2)))
     side = 1 << lvl
@@ -77,7 +80,5 @@ def random_sparse_family(rng, n: int, L: int) -> SparseFamily:
     # three descents from distinct start cubes at a common level keep the branch budgets disjoint
     picks = rng.choice(side**n, size=count, replace=False)
     for flat in picks:
-        descend(DyadicCube(lvl, tuple(int(i) for i in np.unravel_index(flat, (side,) * n))))
-    if not chosen:
-        chosen.add(root_cube(n))
-    return greedy_witness(chosen, n, L)
+        descend(lvl, np.unravel_index(flat, (side,) * n))
+    return greedy_witness(masks or {0: np.ones((1,) * n, dtype=bool)}, n, L)

@@ -153,19 +153,9 @@ class SparseFamily:
     are views built on first use.
     """
 
-    def __init__(self, dim: int, level: int, witness: dict[DyadicCube, np.ndarray]):
-        ws = [np.sort(np.asarray(w, dtype=np.int64)) for _, w in sorted(witness.items())]
-        self.dim, self.level = dim, level
-        self.masks = {j: a > 0 for j, a in cube_levels(((Q, 1.0) for Q in witness), dim).items()}
-        self.cells = np.concatenate([np.zeros(0, dtype=np.int64)] + ws)
-        self.sizes = np.array([w.size for w in ws], dtype=np.int64)
-
-    @classmethod
-    def _of(cls, dim: int, level: int, masks: dict[int, np.ndarray], cells: np.ndarray,
-            sizes: np.ndarray) -> "SparseFamily":
-        fam = cls.__new__(cls)
-        fam.dim, fam.level, fam.masks, fam.cells, fam.sizes = dim, level, masks, cells, sizes
-        return fam
+    def __init__(self, dim: int, level: int, masks: dict[int, np.ndarray], cells: np.ndarray,
+                 sizes: np.ndarray):
+        self.dim, self.level, self.masks, self.cells, self.sizes = dim, level, masks, cells, sizes
 
     def __len__(self):
         return self.sizes.size
@@ -228,13 +218,11 @@ def greedy_witness(levels, dim: int, level: int) -> SparseFamily:
     """Assign E_Q = Q minus all family cubes strictly inside Q, deepest first.
 
     ``levels`` maps a level j to a (2^j,)*dim array whose nonzero entries
-    mark the family's level-j cubes; an iterable of cubes is converted with
-    ``cube_levels``.  Every cell goes to the deepest family cube containing
-    it.  Raises SparsityError naming the first cube, deepest level first and
-    row-major within it, whose leftover cells fall below half its measure.
+    mark the family's level-j cubes.  Every cell goes to the deepest family
+    cube containing it.  Raises SparsityError naming the first cube, deepest
+    level first and row-major within it, whose leftover cells fall below half
+    its measure.
     """
-    if not isinstance(levels, dict):
-        levels = cube_levels(((Q, 1.0) for Q in levels), dim)
     fam = {j: np.asarray(a) != 0 for j, a in sorted(levels.items())}
     fam = {j: m for j, m in fam.items() if m.any()}
     if fam and max(fam) > level:
@@ -249,7 +237,7 @@ def greedy_witness(levels, dim: int, level: int) -> SparseFamily:
     sizes = np.bincount(lab, minlength=starts[-1])
     # ids fit 16 bits up to 65,536 cubes, where numpy's stable sort is a radix sort
     order = np.argsort(lab.astype(np.min_scalar_type(starts[-1])), kind="stable")
-    family = SparseFamily._of(dim, level, fam, cells[order], sizes)
+    family = SparseFamily(dim, level, fam, cells[order], sizes)
     lev, idx = mask_ids(family.masks, dim)
     cube_cells = (1 << (level - lev)) ** dim
     short = np.flatnonzero(2 * sizes < cube_cells)

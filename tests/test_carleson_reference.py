@@ -39,6 +39,8 @@ from sparselab.sparse import (
 )
 from sparselab.weights import conjugate
 
+from cubes import ancestor, contains
+
 
 # ---------------------------------------------------------------------------
 # References: the per-cube code the level arrays replaced
@@ -55,7 +57,7 @@ class RefCarlesonSequence:
                 raise DomainError(f"non-finite coefficient {a} at {Q}")
             if a < 0:
                 raise DomainError(f"negative coefficient {a} at {Q}")
-            if not root.contains(Q):
+            if not contains(root, Q):
                 raise DomainError(f"support cube {Q} lies outside the root {root}")
         self.coeffs = {Q: float(a) for Q, a in sorted(items.items()) if a != 0.0}
 
@@ -153,7 +155,7 @@ def reference_beta_sequence(a, k):
     for R, alpha in a.items():
         if R.level - k < a.root.level:
             continue
-        Q = R.ancestor(k)
+        Q = ancestor(R, k)
         out[Q] = out.get(Q, 0.0) + factor * alpha
     return RefCarlesonSequence(a.root, out)
 
@@ -168,7 +170,7 @@ def reference_slice_scales(a, k):
         if rel < k:
             continue
         ell = rel % k
-        P = Q.ancestor(Q.level - (rl + ell))
+        P = ancestor(Q, Q.level - (rl + ell))
         buckets.setdefault((ell, P), {})[Q] = alpha
     pieces = [
         (ell, P, RefCarlesonSequence(P, coeffs))

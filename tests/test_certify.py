@@ -20,8 +20,9 @@ from sparselab.certify import (
 from sparselab.grid import DomainError, GridFunction, root_cube
 from sparselab.kernels import HilbertOperator, LinearMultiplierOperator, symbol_identity
 from sparselab.samples import random_carleson, random_function, random_sparse_family, rng_from
-from sparselab.sparse import greedy_witness
 from sparselab.weights import WeightTuple
+
+from cubes import family
 
 R1 = root_cube(1)
 
@@ -52,7 +53,7 @@ def test_beta_exponent_rejects():
 
 def test_theorem_b_trivial_ratio_one():
     t = ones_tuple(m=2, p=(2.0, 2.0))
-    fam = greedy_witness([R1], 1, 6)
+    fam = family([R1], 1, 6)
     fs = [GridFunction.constant(1, 6, 1.0)] * 2
     rec = certify_theorem_b(fam, t, fs)
     assert rec.lhs == pytest.approx(1.0)
@@ -86,7 +87,7 @@ def test_theorem_b_power_sweep_bounded():
 
 def test_theorem_b_extremal_probe():
     t = power_weight_tuple(0.5, (2.0, 2.0), 1.0, L=6)
-    fam = greedy_witness([R1], 1, 6)
+    fam = family([R1], 1, 6)
     fs = extremal_probe_tuple(t)
     rec = certify_theorem_b(fam, t, fs)
     assert math.isfinite(rec.ratio)
@@ -112,6 +113,19 @@ def test_theorem_b_sweep_scans_each_tuple_once(monkeypatch):
     assert len(scans) == 3
 
 
+def test_theorem_b_sweep_builds_no_cube_per_trial(built_cubes):
+    counts = []
+    for trials in (2, 6):
+        built_cubes.clear()
+        res = sweep({"experiment": "theorem-b", "n": 2, "L": 5, "m": 2, "p0": 1.0,
+                     "p": [2.0, 2.0], "trials": trials, "seed": 1,
+                     "weight_family": {"type": "power", "alpha_grid": [0.3]}})
+        assert len(res.records) == trials
+        counts.append(len(built_cubes))
+    # the sampled families are level masks: only the point's own cubes are built
+    assert counts[0] == counts[1]
+
+
 def test_theorem_c_sweep_builds_no_cube_per_family_member(built_cubes):
     res = sweep({"experiment": "theorem-c", "n": 1, "L": 12, "m": 1, "p0": 1.0, "p": [2.0],
                  "trials": 2, "seed": 1,
@@ -123,7 +137,7 @@ def test_theorem_c_sweep_builds_no_cube_per_family_member(built_cubes):
 
 def test_theorem_b_rejects_negative():
     t = ones_tuple(m=1)
-    fam = greedy_witness([R1], 1, 6)
+    fam = family([R1], 1, 6)
     f = GridFunction(1, 6, np.linspace(-1, 1, 64))
     with pytest.raises(DomainError):
         certify_theorem_b(fam, t, [f])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,17 +90,16 @@ def test_constants_non_finite_weight(capsys, tmp_path, token):
 
 @pytest.mark.parametrize("to_file", [False, True])
 def test_constants_overflowing_weight(capsys, tmp_path, to_file):
-    # finite cells whose mean overflows: the constant is inf, which JSON cannot carry
+    # finite cells whose mean overflows: the overflow itself exits 2, with no warning
     path = tmp_path / "w.gfn"
     path.write_text("GFN1 1 2\n1e308 1e308 1 1\n")
     out_path = tmp_path / "c.json"
     extra = ["--out", str(out_path)] if to_file else []
-    with np.errstate(over="ignore"):
-        code, out, err = run(capsys, "constants", "--weight", str(path), "--p", "2", *extra)
+    code, out, err = run(capsys, "constants", "--weight", str(path), "--p", "2", *extra)
     assert code == 2
     assert out == ""
     assert not out_path.exists()
-    assert "non-finite value in output field 'value'" in err
+    assert err == "error: constants: floating-point overflow encountered in add\n"
 
 
 # --- decompose -------------------------------------------------------------------
@@ -155,6 +155,18 @@ def test_carleson_reader_rejects_repeated_cube(tmp_path):
     path = tmp_path / "dup.seq"
     path.write_text("1 0 0.5\n2 3 0.1\n# a comment\n1 0 0.7\n")
     with pytest.raises(FormatError, match="line 4: repeats the cube of line 1"):
+        read_carleson(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 1 0.5\n1 5 0.5\n", "line 2: index (5,) out of range at level 1"),
+    ("1 0 nan\n", "line 1: non-finite coefficient nan"),
+    ("# a comment\n1 0 -1\n", "line 2: negative coefficient -1"),
+])
+def test_carleson_reader_names_the_line_of_a_bad_value(tmp_path, text, message):
+    path = tmp_path / "bad.seq"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(message)):
         read_carleson(path)
 
 

@@ -1,7 +1,8 @@
 """The CLI exit-code contract as a property.
 
-Any argv exits 0, 2 or 3, prints no traceback and writes strict JSON, and
-an output goes non-finite only from an input at the edge of the float range.
+Any argv exits 0, 2 or 3, prints no traceback or numpy floating-point
+warning and writes strict JSON, and an output goes non-finite or overflows
+only from an input at the edge of the float range.
 The argv comes from ``build_parser()``'s own actions and names generated
 input files: grid functions, coefficient sequences and sweep configs.  Half
 the cases are clean, with every option given an ordinary value and
@@ -19,7 +20,7 @@ import tempfile
 import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sparselab.cli import build_parser, main
 
@@ -33,6 +34,8 @@ GOOD = {"weight": GFN, "weights": GFN, "function": GFN, "f": GFN, "alpha": ["S.s
 EDGE = ["0", "-1", "nan", "inf", "1e308", "", "\u00e9", "abc", "1.5", "missing.gfn", "S.seq", "."]
 # tokens of the inputs that may overflow on the way to an output
 EXTREME = ("1e308", "1e+308", "1e-320", "inf", "nan")
+# the messages of numpy's floating-point warnings
+NUMPY_FP = r"(overflow|invalid value|divide by zero|underflow) encountered"
 
 
 def _commands() -> dict[str, list[argparse.Action]]:
@@ -179,8 +182,16 @@ def _strict_json(text: str) -> None:
         pos += len(text[pos:]) - len(text[pos:].lstrip())
 
 
+ORDINARY = {"A.gfn": "GFN1 1 3\n1 2 1 1 0.5 1 1 4\n", "B.gfn": "GFN1 1 3\n" + "1 " * 8 + "\n",
+            "S.seq": "1 0 1\n", "C.json": "{}"}
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(cases())
+# finite inputs whose sums and products overflow in numpy on the way to an exit 2
+@example((["constants", "--weight", "A.gfn", "--p", "2"],
+          {**ORDINARY, "A.gfn": "GFN1 1 2\n1e308 1e308 1 1\n"}))
+@example((["select", "--alpha", "S.seq", "--f", "A.gfn"], {**ORDINARY, "S.seq": "1 0 1e308\n"}))
 def test_every_argv_keeps_the_exit_code_contract(case):
     argv, inputs = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,10 +202,12 @@ def test_every_argv_keeps_the_exit_code_contract(case):
         out, err = io.StringIO(), io.StringIO()
         os.chdir(tmp)
         try:
-            # a warning is a note on stderr, as in a shell, not a break of the contract
+            # a warning is a note on stderr, as in a shell, not a break of the contract,
+            # except numpy's floating-point warnings: such an input exits 2 without one
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings(record=True):
                 warnings.simplefilter("always")
+                warnings.filterwarnings("error", NUMPY_FP, RuntimeWarning)
                 try:
                     code = main(argv)
                 except SystemExit as exc:  # argparse rejects the argv
@@ -205,7 +218,7 @@ def test_every_argv_keeps_the_exit_code_contract(case):
             os.chdir(cwd)
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if "non-finite value in output field" in err.getvalue():
+    if "non-finite value in output field" in err.getvalue() or "floating-point" in err.getvalue():
         used = [text for name, text in inputs.items() if any(name in a for a in argv)]
         assert any(x in text for x in EXTREME for text in argv + used), (argv, err.getvalue())
     _strict_json(out.getvalue())

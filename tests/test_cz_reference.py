@@ -10,6 +10,8 @@ from sparselab.grid import MAX_LEVEL, DyadicCube, GridFunction, cube_levels, mea
 from sparselab.samples import random_function, rng_from
 from sparselab.sparse import cz_decompose
 
+from cubes import ancestor, children
+
 
 # --- references: the per-cube code, kept as it was ----------------------------------------
 
@@ -36,7 +38,7 @@ def reference_cz(fs, lam, p0, m, P):
             for Q in frontier:
                 if Q.level == L:
                     continue
-                for C in Q.children():
+                for C in children(Q):
                     if pyr[C.level][C.index] > thr_pow:
                         cubes.append(C)
                     else:
@@ -69,7 +71,7 @@ def reference_verify(dec, stopping, fs, tol=1e-9):
             if abs(block.mean()) > tol:
                 return False
             avg = float(power[R.cell_slices(L)].mean()) ** (1.0 / dec.p0)
-            parent = float(power[R.ancestor(1).cell_slices(L)].mean()) ** (1.0 / dec.p0)
+            parent = float(power[ancestor(R, 1).cell_slices(L)].mean()) ** (1.0 / dec.p0)
             if not (avg > thr * (1 - 1e-12) and parent <= thr * (1 + 1e-12)):
                 return False
             meas += R.volume

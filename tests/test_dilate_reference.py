@@ -3,11 +3,13 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from sparselab.grid import DyadicCube, cubes_at_level, dilate, dilate_products
+from sparselab.grid import DyadicCube, dilate, dilate_products
 from sparselab.oscillation import ring_average_products
 from sparselab.samples import random_carleson, random_function, random_sparse_family, rng_from
 from sparselab.sparse import eval_sparse_T
 from sparselab.weights import power_weight
+
+from cubes import cubes_at_level
 
 
 def reference_ring_average_products(fs, Q, p0):

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from sparselab.grid import (
-    Annulus,
     DimensionError,
     DomainError,
     DyadicCube,
     FormatError,
     GridFunction,
-    all_cubes,
     average,
     dilate,
     format_gfn,
@@ -22,6 +20,8 @@ from sparselab.grid import (
 )
 from sparselab.oscillation import local_osc, median
 from sparselab.weights import WeightTuple, holder_identity_slack
+
+from cubes import cubes_at_level, ring_mask
 
 
 def gf1(vals):
@@ -53,7 +53,7 @@ def oracle_dilate_cells(Q, k, L):
     # enumerate cell centers and test per-axis torus distance to the cube center
     n = Q.dim
     side = min(1.0, 2.0**k * Q.side)
-    center = Q.center()
+    center = [(i + 0.5) * Q.side for i in Q.index]
     N = 1 << L
     cells = set()
     ranges = [range(N)] * n
@@ -82,41 +82,6 @@ def test_cube_volume_and_side():
     assert Q.volume == 2**-3
     R = DyadicCube(2, (1, 3))
     assert R.volume == 2**-4
-
-
-def test_children_partition():
-    Q = DyadicCube(1, (1, 0))
-    kids = list(Q.children())
-    assert len(kids) == 4
-    cells = np.zeros((8, 8), dtype=int)
-    for kid in kids:
-        cells[kid.cell_slices(3)] += 1
-    block = cells[Q.cell_slices(3)]
-    assert (block == 1).all()
-    assert cells.sum() == block.size
-
-
-def test_ancestor():
-    Q = DyadicCube(4, (13,))
-    assert Q.ancestor(0) == Q
-    assert Q.ancestor(2) == DyadicCube(2, (3,))
-    assert Q.ancestor(4) == root_cube(1)
-    with pytest.raises(DomainError):
-        Q.ancestor(5)
-
-
-def test_contains():
-    Q = DyadicCube(1, (0,))
-    assert Q.contains(DyadicCube(3, (3,)))
-    assert not Q.contains(DyadicCube(3, (4,)))
-    assert Q.contains(Q)
-
-
-def test_flat_cells_2d():
-    Q = DyadicCube(1, (1, 1))
-    flat = Q.flat_cells(2)
-    # bottom-right 2x2 block of a 4x4 grid, row-major
-    assert sorted(flat) == [10, 11, 14, 15]
 
 
 # --- average -----------------------------------------------------------------
@@ -212,18 +177,12 @@ def test_annulus_rings_disjoint():
     L = 7
     seen = np.zeros(1 << L, dtype=int)
     for j in range(5):
-        ring = Annulus(Q, j)
-        if ring.is_empty():
-            continue
-        seen += ring.mask(L).astype(int)
+        seen += ring_mask(Q, j, L)
     assert seen.max() <= 1
-
-
-def test_annulus_empty_after_saturation():
+    # past saturation a ring is empty: 2^2 Q of a level-2 cube is the torus
     Q = DyadicCube(2, (1,))
-    assert Annulus(Q, 3).is_empty()
-    assert not Annulus(Q, 2).is_empty()
-    assert Annulus(Q, 3).mask(5).sum() == 0
+    assert ring_mask(Q, 2, 5).any()
+    assert not ring_mask(Q, 3, 5).any()
 
 
 # --- rearrangement -----------------------------------------------------------
@@ -331,13 +290,7 @@ def test_partition_exactness():
     f = GridFunction(2, 4, rng.normal(size=256))
     total = f.integral()
     for j in range(5):
-        s = 0.0
-        for Q in all_cubes(2, j):
-            if Q.level == j:
-                s += float(f.on(Q).sum()) * f.cell_volume
-        if j == 0:
-            s = total
-        parts = [float(f.on(Q).sum()) * f.cell_volume for Q in list(all_cubes(2, j)) if Q.level == j]
+        parts = [float(f.on(Q).sum()) * f.cell_volume for Q in cubes_at_level(2, j)]
         assert sum(parts) == pytest.approx(total, abs=1e-12)
 
 

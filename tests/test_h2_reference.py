@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparselab import kernels
 from sparselab.certify import hilbert_h2_fit
-from sparselab.grid import Annulus, DomainError, DyadicCube, dilate
+from sparselab.grid import DomainError, DyadicCube, dilate
 from sparselab.kernels import (
     H2Report,
     KernelSample,
@@ -20,9 +20,7 @@ from sparselab.kernels import (
     symbol_smooth_bump,
 )
 
-
-def annulus_mask(Q, j, L):
-    return Annulus(Q, j).mask(L)
+from cubes import ring_mask
 
 
 def reference_check_h2(K, p0, Q, jmax, seed=0):
@@ -47,7 +45,7 @@ def reference_check_h2(K, p0, Q, jmax, seed=0):
 
     ring_cells = []
     for j in range(1, jmax + 1):
-        mask = annulus_mask(Q, j, L)
+        mask = ring_mask(Q, j, L)
         ring_cells.append(np.nonzero(mask.ravel())[0])
 
     def ring_norm(diff_abs: np.ndarray) -> float:

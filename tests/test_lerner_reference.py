@@ -11,8 +11,10 @@ from sparselab.certify import certify_theorem_c
 from sparselab.grid import DyadicCube, GridFunction, cube_levels, dilate_products
 from sparselab.oscillation import lerner_decompose, local_osc, median
 from sparselab.samples import rng_from
-from sparselab.sparse import SparseFamily, SparsityError, greedy_witness, verify_sparse
+from sparselab.sparse import SparsityError, verify_sparse
 from sparselab.weights import WeightTuple, power_weight
+
+from cubes import cells, family, witness_family
 
 
 # --- references: the per-cube code, kept verbatim in behaviour ----------------------
@@ -110,7 +112,7 @@ def reference_greedy_witness(cubes, dim, level):
     owner = np.zeros((1 << level) ** dim, dtype=bool)
     witness = {}
     for Q in cubes:
-        flat = Q.flat_cells(level)
+        flat = cells(Q, level)
         free = flat[~owner[flat]]
         if 2 * free.size < flat.size:
             raise SparsityError(Q, deficit=int(math.ceil(flat.size / 2)) - free.size)
@@ -144,15 +146,15 @@ def reference_verify_sparse(S):
     seen = set()
     for Q in S.cubes:
         E = S.witness[Q]
-        cells = set(int(c) for c in Q.flat_cells(S.level))
+        own = set(int(c) for c in cells(Q, S.level))
         idx = set(int(c) for c in E)
         if len(idx) != E.size:
             return False
-        if not idx <= cells:
+        if not idx <= own:
             return False
         if idx & seen:
             return False
-        if Q.cell_count(S.level) > 2 * len(idx):
+        if len(own) > 2 * len(idx):
             return False
         seen |= idx
     return True
@@ -230,10 +232,10 @@ def test_greedy_witness_matches_reference_loop(case):
         ref = reference_greedy_witness(cubes, n, L)
     except SparsityError as ref_err:
         with pytest.raises(SparsityError) as err:
-            greedy_witness(cubes, n, L)
+            family(cubes, n, L)
         assert (err.value.cube, err.value.deficit) == (ref_err.cube, ref_err.deficit)
         return
-    fam = greedy_witness(cubes, n, L)
+    fam = family(cubes, n, L)
     assert fam.cubes == tuple(sorted(ref))
     for Q, w in ref.items():
         assert np.array_equal(fam.witness[Q], w)
@@ -250,7 +252,7 @@ def _corrupt(fam, how, rng):
     if how == "duplicate":
         wit[Q] = np.append(w, w[int(rng.integers(w.size))])
     elif how == "outside":
-        outside = np.setdiff1d(np.arange((1 << L) ** n), Q.flat_cells(L))
+        outside = np.setdiff1d(np.arange((1 << L) ** n), cells(Q, L))
         if outside.size == 0:
             return None
         wit[Q] = np.append(w, outside[int(rng.integers(outside.size))])
@@ -262,8 +264,8 @@ def _corrupt(fam, how, rng):
         P = next(P for P in Qs if P != Q)
         wit[Q] = np.append(w, wit[P][0])
     elif how == "short":
-        wit[Q] = w[: (Q.cell_count(L) - 1) // 2]
-    return SparseFamily(n, L, wit)
+        wit[Q] = w[: (cells(Q, L).size - 1) // 2]
+    return witness_family(n, L, wit)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -272,7 +274,7 @@ def _corrupt(fam, how, rng):
 def test_verify_sparse_matches_reference(case, seed, how):
     n, L, cubes = case
     try:
-        fam = greedy_witness(cubes, n, L)
+        fam = family(cubes, n, L)
     except SparsityError:
         return
     assert verify_sparse(fam) and reference_verify_sparse(fam)
@@ -290,7 +292,7 @@ def test_verify_sparse_matches_reference(case, seed, how):
 def test_records_match_reference_runs(case, seed, with_omegas):
     n, L, cubes = case
     try:
-        fam = greedy_witness(cubes, n, L)
+        fam = family(cubes, n, L)
     except SparsityError:
         return
     rng = rng_from(seed)
@@ -309,7 +311,7 @@ def test_records_match_reference_runs(case, seed, with_omegas):
         if w.size and rng.random() < 0.3:
             w = np.append(w, w[: int(rng.integers(1, w.size + 1))])
         wit[Q] = w[: int(rng.integers(0, w.size + 1))] if rng.random() < 0.2 else w
-    rebuilt = SparseFamily(n, L, wit)
+    rebuilt = witness_family(n, L, wit)
     assert repr(rebuilt.to_records(levels)) == repr(reference_records(wit, omegas))
 
 

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from sparselab.grid import DyadicCube, block_reduce, cube_levels, mean_pyramid, upsample
 from sparselab.samples import random_carleson, random_function, rng_from
-from sparselab.sparse import SparsityError, greedy_witness, select_sparse, slice_scales
+from sparselab.sparse import SparsityError, select_sparse, slice_scales
+
+from cubes import descendants, family
 
 
 def reference_selection(a, k, p0, fs, cstar):
@@ -68,7 +70,7 @@ def reference_selection(a, k, p0, fs, cstar):
         if nxt <= L:
             a_arr = alpha.get(nxt)
             ap_own = g if k == 0 else 0.0
-            for C in P.descendants(step):
+            for C in descendants(P, step):
                 if not sab[nxt][C.index]:
                     continue
                 if k >= 1:
@@ -114,7 +116,7 @@ def test_levelwise_selection_matches_reference_walk(case):
         # a small given cstar may select too densely; the reference fails at the same cube
         assert cstar is not None
         with pytest.raises(SparsityError) as ref_err:
-            greedy_witness(reference_selection(a, k, p0, fs, cstar), a.dim, fs[0].level)
+            family(reference_selection(a, k, p0, fs, cstar), a.dim, fs[0].level)
         assert ref_err.value.cube == err.cube
         return
     assert res.selected == reference_selection(a, k, p0, fs, res.cstar)

@@ -9,10 +9,11 @@ from sparselab.grid import (
     DomainError,
     DyadicCube,
     GridFunction,
-    all_cubes,
     average,
+    cube_levels,
     dilate,
     mean_pyramid,
+    rearrangement,
     root_cube,
     weak_norm,
     weighted_norm,
@@ -26,7 +27,6 @@ from sparselab.samples import (
 )
 from sparselab.sparse import (
     CarlesonSequence,
-    SparseFamily,
     SparsityError,
     beta_sequence,
     carleson_embedding_check,
@@ -44,6 +44,8 @@ from sparselab.sparse import (
     verify_sparse,
 )
 
+from cubes import all_cubes, ancestor, children, contains, family, ring_mask, witness_family
+
 R1 = root_cube(1)
 
 
@@ -53,7 +55,7 @@ def seq(coeffs, root=R1):
 
 def chain_family(L=4):
     cubes = [DyadicCube(0, (0,)), DyadicCube(1, (0,)), DyadicCube(2, (0,))]
-    return greedy_witness(cubes, 1, L)
+    return family(cubes, 1, L)
 
 
 # --- packing / verify_carleson -------------------------------------------------
@@ -62,7 +64,7 @@ def chain_family(L=4):
 def oracle_packing(a, maxlevel):
     best, worst = -1.0, None
     for Q in all_cubes(a.dim, maxlevel):
-        s = sum(alpha * T.volume for T, alpha in a.items() if Q.contains(T))
+        s = sum(alpha * T.volume for T, alpha in a.items() if contains(Q, T))
         r = s / Q.volume
         if r > best + 1e-15:
             best, worst = r, Q
@@ -119,7 +121,7 @@ def test_packing_matches_oracle_random():
 
 
 def test_verify_sparse_single():
-    fam = greedy_witness([R1], 1, 3)
+    fam = family([R1], 1, 3)
     assert verify_sparse(fam)
     assert fam.witness[R1].size == 8
 
@@ -136,7 +138,7 @@ def test_verify_sparse_rejects_small_witness():
     fam = chain_family()
     bad = dict(fam.witness)
     bad[DyadicCube(0, (0,))] = np.array([12], dtype=np.int64)
-    assert not verify_sparse(SparseFamily(1, 4, bad))
+    assert not verify_sparse(witness_family(1, 4, bad))
 
 
 def test_verify_sparse_rejects_overlap():
@@ -145,14 +147,14 @@ def test_verify_sparse_rejects_overlap():
         DyadicCube(1, (1,)): np.arange(3, 8, dtype=np.int64),
     }
     w[DyadicCube(1, (0,))] = np.arange(0, 4)
-    fam = SparseFamily(1, 3, w)
+    fam = witness_family(1, 3, w)
     assert not verify_sparse(fam)
 
 
 def test_greedy_witness_failure():
     cubes = [R1, DyadicCube(1, (0,)), DyadicCube(1, (1,))]
     with pytest.raises(SparsityError) as err:
-        greedy_witness(cubes, 1, 4)
+        family(cubes, 1, 4)
     assert err.value.cube == R1
 
 
@@ -166,6 +168,14 @@ def test_random_families_sparse():
         assert verify_sparse(fam)
 
 
+def test_random_sparse_family_builds_no_cube(built_cubes):
+    rng = rng_from(10)
+    for n in (1, 2):
+        for L in range(1, MAX_LEVEL[n] + 1):
+            assert len(random_sparse_family(rng, n, L)) > 0
+    assert built_cubes == []
+
+
 def reference_random_sparse_family(rng, n, L):
     """The sampler with its former `n == 1` branch for the children taken."""
     chosen = set()
@@ -175,7 +185,7 @@ def reference_random_sparse_family(rng, n, L):
             chosen.add(Q)
         if Q.level >= L or rng.random() < 0.25:
             return
-        kids = list(Q.children())
+        kids = children(Q)
         take = 1 if n == 1 else int(rng.integers(1, 3))
         for i in rng.choice(len(kids), size=take, replace=False):
             descend(kids[int(i)])
@@ -186,7 +196,7 @@ def reference_random_sparse_family(rng, n, L):
         descend(DyadicCube(lvl, tuple(int(i) for i in np.unravel_index(flat, (side,) * n))))
     if not chosen:
         chosen.add(root_cube(n))
-    return greedy_witness(chosen, n, L)
+    return greedy_witness(cube_levels(((Q, 1.0) for Q in chosen), n), n, L)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -200,8 +210,8 @@ def test_random_sparse_family_matches_branching_reference(n):
             assert all(np.array_equal(got.masks[j], ref.masks[j]) for j in ref.masks)
             assert np.array_equal(got.cells, ref.cells)
             assert np.array_equal(got.sizes, ref.sizes)
-            # the same number of draws: both generators continue alike
-            assert rng.random() == ref_rng.random()
+            # the same draws: both generators end in the same state
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # --- sparse operators ------------------------------------------------------------
@@ -213,7 +223,7 @@ def oracle_eval_A(items, rootlvl, k, p0, fs):
     for Q, alpha in items:
         if Q.level - k < rootlvl:
             continue
-        A = Q.ancestor(k)
+        A = ancestor(Q, k)
         coef = alpha
         for f in fs:
             coef *= average(f, A, p0)
@@ -222,14 +232,14 @@ def oracle_eval_A(items, rootlvl, k, p0, fs):
 
 
 def test_eval_sparse_A_unit_family():
-    fam = greedy_witness([R1], 1, 4)
+    fam = family([R1], 1, 4)
     f = GridFunction.constant(1, 4, 1.0)
     out = eval_sparse_A(fam, 0, 1.0, [f])
     assert np.allclose(out.values, 1.0)
 
 
 def test_eval_sparse_A_ancestor():
-    fam = greedy_witness([DyadicCube(1, (0,))], 1, 4)
+    fam = family([DyadicCube(1, (0,))], 1, 4)
     f = GridFunction.indicator(1, 4, DyadicCube(1, (1,)))
     out = eval_sparse_A(fam, 1, 1.0, [f])
     assert np.allclose(out.values[:8], 0.5)
@@ -237,7 +247,7 @@ def test_eval_sparse_A_ancestor():
 
 
 def test_eval_sparse_A_bilinear():
-    fam = greedy_witness([R1], 1, 4)
+    fam = family([R1], 1, 4)
     f = GridFunction.indicator(1, 4, DyadicCube(1, (0,)))
     out = eval_sparse_A(fam, 0, 2.0, [f, f])
     assert np.allclose(out.values, 0.5)
@@ -283,7 +293,7 @@ def test_eval_sparse_T_matches_A_at_k0():
 
 
 def test_eval_sparse_T_wrap():
-    fam = greedy_witness([DyadicCube(2, (0,))], 1, 5)
+    fam = family([DyadicCube(2, (0,))], 1, 5)
     f = GridFunction.indicator(1, 5, DyadicCube(2, (3,)))
     out = eval_sparse_T(fam, 2, 1.0, [f])
     # dilate saturates to the torus, coefficient is the global average
@@ -293,7 +303,7 @@ def test_eval_sparse_T_wrap():
 
 
 def test_eval_sparse_T_dilate_cells():
-    fam = greedy_witness([DyadicCube(2, (0,))], 1, 5)
+    fam = family([DyadicCube(2, (0,))], 1, 5)
     f = GridFunction.indicator(1, 5, DyadicCube(3, (7,)))  # [7/8, 1)
     out = eval_sparse_T(fam, 1, 1.0, [f])
     # 2Q = [7/8, 1) + [0, 3/8), captures the whole support: average 1/4
@@ -710,17 +720,12 @@ def test_select_and_dominate_2d():
 
 
 def test_annulus_2d_disjoint():
-    from sparselab.grid import Annulus
-
     Q = DyadicCube(3, (2, 5))
     L = 5
     seen = np.zeros((1 << L, 1 << L), dtype=int)
-    for j in range(4):
-        ring = Annulus(Q, j)
-        if ring.is_empty():
-            continue
-        seen += ring.mask(L).astype(int)
-    assert seen.max() <= 1
+    for j in range(5):
+        seen += ring_mask(Q, j, L)
+    assert (seen == 1).all()
 
 
 def test_dilate_form_dominated_by_selected_families():
@@ -744,7 +749,7 @@ def test_dilate_form_dominated_by_selected_families():
 
 
 def test_nan_p0_is_rejected():
-    # NaN fails every comparison, so each check is written as "not p0 >= 1"
+    # NaN fails every comparison, so each check is written as "not p0 >= 1" or "not p > 0"
     from sparselab.certify import beta_exponent
 
     rng = rng_from(4)
@@ -755,6 +760,7 @@ def test_nan_p0_is_rejected():
                  lambda: select_sparse(a, 0, nan, fs), lambda: dominate(a, 1, nan, fs),
                  lambda: cz_decompose(fs, 1.0, nan, 1, root_cube(1)),
                  lambda: dyadic_maximal(fs[0], nan), lambda: average(fs[0], root_cube(1), nan),
-                 lambda: beta_exponent((2.0, 3.0), nan)):
+                 lambda: beta_exponent((2.0, 3.0), nan), lambda: weighted_norm(fs[0], nan),
+                 lambda: weak_norm(fs[0], nan), lambda: rearrangement(fs[0], nan)):
         with pytest.raises(DomainError):
             call()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparselab.grid import DomainError, DyadicCube, GridFunction, all_cubes, root_cube
+from sparselab.grid import DomainError, DyadicCube, GridFunction, root_cube
 from sparselab.weights import (
     ConstantReport,
     WeightTuple,
@@ -16,6 +16,8 @@ from sparselab.weights import (
     power_weight,
     rh_constant,
 )
+
+from cubes import all_cubes
 
 
 def two_valued(L=4, a=1.0, b=4.0):
