@@ -20,7 +20,6 @@ from .weights import (
     ConstantReport,
     WeightTuple,
     ap_constant,
-    dual_weights,
     duality_inequality_check,
     multi_ap_constant,
     power_weight,

@@ -339,7 +339,9 @@ def cmd_check_h2(args) -> int:
         K = NAMED_KERNELS[args.kernel](args.L)
     elif args.kernel.startswith("symbol:"):
         sym = _load_symbol(args.kernel.split(":", 1)[1], 1 << args.L)
-        K = kernel_from_symbol(sym, 1)
+        if sym.freq_dim != 1:
+            raise DimensionError(f"check-h2 needs a rank-1 symbol, got rank {sym.freq_dim}")
+        K = kernel_from_symbol(sym)
     else:
         raise DomainError(f"unknown kernel {args.kernel!r}")
     Q = DyadicCube(args.level, (args.index,))

@@ -152,36 +152,11 @@ class GridFunction:
     def _wrap(self, arr) -> "GridFunction":
         return GridFunction(self.dim, self.level, arr)
 
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            _match(self, other)
-            return self._wrap(self.values + other.values)
-        return self._wrap(self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            _match(self, other)
-            return self._wrap(self.values - other.values)
-        return self._wrap(self.values - other)
-
     def __mul__(self, other):
         if isinstance(other, GridFunction):
             _match(self, other)
             return self._wrap(self.values * other.values)
         return self._wrap(self.values * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._wrap(-self.values)
-
-    def __abs__(self):
-        return self._wrap(np.abs(self.values))
-
-    def __pow__(self, e):
-        return self._wrap(self.values**e)
 
     def __repr__(self):
         return f"GridFunction(n={self.dim}, L={self.level})"
@@ -392,24 +367,27 @@ def rearrangement(f: GridFunction, t: float) -> float:
     """Decreasing rearrangement f*(t) = inf{a > 0 : |{|f| > a}| < t}."""
     if not t > 0:
         raise DomainError(f"rearrangement needs t > 0, got {t}")
-    v = f.cell_volume
-    k = math.ceil(t / v - 1e-12)
-    if k > f.size:
+    x = t / f.cell_volume - 1e-12
+    if x > f.size:  # ceil(x) > size, tested before ceil, which overflows at t = inf
         return 0.0
+    k = math.ceil(x)
     a = np.abs(f.values).ravel()
     # k-th largest value
     return float(np.partition(a, a.size - k)[a.size - k])
 
 
 def weighted_norm(f: GridFunction, p: float, w: GridFunction | None = None) -> float:
-    """Discrete L^p(w) (quasi)norm; w = None means Lebesgue measure."""
+    """Discrete L^p(w) (quasi)norm; w = None means Lebesgue measure, p = inf the sup norm."""
     if not p > 0:
         raise DomainError(f"norm exponent must be positive, got {p}")
-    vals = np.abs(f.values) ** p
     if w is not None:
         _match(f, w)
         if np.any(w.values <= 0):
             raise DomainError("weight must be strictly positive cellwise")
+    if math.isinf(p):
+        return float(np.abs(f.values).max())
+    vals = np.abs(f.values) ** p
+    if w is not None:
         vals = vals * w.values
     return float((vals.sum() * f.cell_volume) ** (1.0 / p))
 

@@ -19,6 +19,9 @@ import numpy as np
 from .grid import DomainError, DimensionError, DyadicCube, GridFunction, _window_start, dilate
 
 
+_HERMITIAN_TOL = 1e-12  # absolute tolerance of Symbol.is_hermitian
+
+
 @dataclass(frozen=True)
 class Symbol:
     """Sampled multiplier on the integer frequency lattice, math order."""
@@ -50,19 +53,19 @@ class Symbol:
     def fft_order(self) -> np.ndarray:
         return np.fft.ifftshift(self.values)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """m(-xi) = conj m(xi) on paired bins, real on the unpaired ones."""
+    def is_hermitian(self) -> bool:
+        """m(-xi) = conj m(xi) on paired bins, real on the unpaired ones, to _HERMITIAN_TOL."""
         v = self.values
         flipped = v[(slice(None, 0, -1),) * self.freq_dim]
         inner = v[(slice(1, None),) * self.freq_dim]
-        if not np.allclose(flipped, np.conj(inner), atol=tol):
+        if not np.allclose(flipped, np.conj(inner), atol=_HERMITIAN_TOL):
             return False
         edges = np.zeros(v.shape, dtype=bool)
         for ax in range(self.freq_dim):
             sl = [slice(None)] * self.freq_dim
             sl[ax] = 0
             edges[tuple(sl)] = True
-        return bool(np.all(np.abs(v[edges].imag) <= tol))
+        return bool(np.all(np.abs(v[edges].imag) <= _HERMITIAN_TOL))
 
 
 def _frequencies(N: int) -> np.ndarray:
@@ -195,8 +198,6 @@ def apply_bilinear_multiplier(m: Symbol, f: GridFunction, g: GridFunction) -> Gr
 
 
 class LinearMultiplierOperator:
-    arity = 1
-
     def __init__(self, symbol: Symbol, name: str = ""):
         self.symbol = symbol
         self.name = name or symbol.name
@@ -207,7 +208,6 @@ class LinearMultiplierOperator:
 
 
 class HilbertOperator:
-    arity = 1
     name = "hilbert"
 
     def apply(self, fs) -> GridFunction:
@@ -216,8 +216,6 @@ class HilbertOperator:
 
 
 class BilinearMultiplierOperator:
-    arity = 2
-
     def __init__(self, symbol: Symbol, name: str = ""):
         self.symbol = symbol
         self.name = name or symbol.name
@@ -268,9 +266,6 @@ class MslReport:
     terms: dict[tuple[int, ...], list[float]]
     member: bool
 
-    def sup(self, alpha) -> float:
-        return max(self.terms[tuple(alpha)])
-
     def to_dict(self) -> dict:
         return {
             "s": self.s,
@@ -291,12 +286,13 @@ def _too_steep(octaves: list[float]) -> bool:
     return len(pos) >= 2 and (pos[-1] / pos[0]) ** (1.0 / (len(pos) - 1)) > _GROWTH_CAP
 
 
-def check_msl(m: Symbol, s: float, l: int, radii=None) -> MslReport:
+def check_msl(m: Symbol, s: float, l: int) -> MslReport:
     """Ring-integrated derivative sums sup_R (R^(s|a|-n) int_{R<|x|<2R} |d^a m|^s)^(1/s).
 
     Derivatives use unit central differences with the origin excluded from
-    their stencils.  Membership requires every term finite with per-octave
-    growth at most 1.75 across the scanned dyadic radii.
+    their stencils.  The scanned dyadic radii run from 2 to max(2, N/8), so
+    N >= 8.  Membership requires every term finite with per-octave growth at
+    most 1.75 across them.
     """
     if not 1.0 < s <= 2.0:
         raise DomainError(f"s must lie in (1, 2], got {s}")
@@ -304,9 +300,7 @@ def check_msl(m: Symbol, s: float, l: int, radii=None) -> MslReport:
         raise DomainError("l must be nonnegative")
     d = m.freq_dim
     N = m.N
-    if radii is None:
-        radii = [1 << j for j in range(1, max(2, int(math.log2(N)) - 2))]
-    radii = sorted(int(R) for R in radii)
+    radii = [1 << j for j in range(1, max(2, int(math.log2(N)) - 2))]
     if 2 * radii[-1] > N // 2:
         raise DomainError("largest radius exceeds the frequency lattice")
     grids = np.meshgrid(*[np.abs(m.frequencies().astype(float))] * d, indexing="ij")
@@ -326,7 +320,7 @@ def check_msl(m: Symbol, s: float, l: int, radii=None) -> MslReport:
         terms[alpha] = vals
         if _too_steep(vals) or not all(map(math.isfinite, vals)):
             member = False
-    return MslReport(s, l, list(radii), terms, member)
+    return MslReport(s, l, radii, terms, member)
 
 
 @dataclass
@@ -380,18 +374,17 @@ def check_hormander_bilinear(m: Symbol, s: int) -> HormanderReport:
 
 
 class KernelSample:
-    """Translation-invariant kernel evaluated on lattice offsets, diagonal masked."""
+    """Translation-invariant kernel evaluated on lattice offsets, diagonal masked: one
+    table axis of 2^level offsets per input, so the table fixes arity and level."""
 
-    def __init__(self, arity: int, dim: int, level: int, table: np.ndarray, name: str = ""):
-        if dim != 1:
-            raise DimensionError("kernel sampling is implemented on the 1d torus")
-        self.arity = arity
-        self.dim = dim
-        self.level = level
+    def __init__(self, table: np.ndarray, name: str = ""):
         table = np.asarray(table)
-        expected = (1 << level,) * arity
-        if table.shape != expected:
-            raise DimensionError(f"kernel table must have shape {expected}")
+        side = table.shape[0] if table.ndim else 0
+        if table.shape != (side,) * table.ndim or side < 1 or side & (side - 1):
+            raise DimensionError(f"kernel table must be square with a power-of-two side, "
+                                 f"got shape {table.shape}")
+        self.arity = table.ndim
+        self.level = side.bit_length() - 1
         self.table = table
         self.name = name
 
@@ -402,24 +395,19 @@ class KernelSample:
                 - self.table[np.ix_(*((xbar - y) % N for y in ys))])
 
 
-def kernel_from_symbol(m: Symbol, arity: int, level: int | None = None) -> KernelSample:
-    """Inverse-transform table K(x, y...) = mcheck(x - y_1, ..., x - y_m).
+def kernel_from_symbol(m: Symbol) -> KernelSample:
+    """Inverse-transform table K(x, y...) = mcheck(x - y_1, ..., x - y_m), one y per
+    symbol axis, on the symbol's lattice.
 
     The table is normalized so that integrating K against cell values
     reproduces the multiplier operator exactly on the grid.
     """
-    if arity not in (1, 2):
+    if m.freq_dim not in (1, 2):
         raise DomainError("kernel arity must be 1 or 2")
-    if m.freq_dim != arity:
-        raise DimensionError("symbol rank must equal the kernel arity")
-    N = m.N
-    level = int(math.log2(N)) if level is None else level
-    if 1 << level != N:
-        raise DimensionError("kernel level must match the symbol lattice")
-    table = np.fft.ifftn(m.fft_order()) * N**arity
+    table = np.fft.ifftn(m.fft_order()) * m.N**m.freq_dim
     if m.is_hermitian():
         table = table.real
-    return KernelSample(arity, 1, level, table, m.name)
+    return KernelSample(table, m.name)
 
 
 def hilbert_kernel(level: int) -> KernelSample:
@@ -430,7 +418,7 @@ def hilbert_kernel(level: int) -> KernelSample:
     table = np.zeros(N)
     nz = z != 0.0
     table[nz] = 1.0 / np.tan(np.pi * z[nz])
-    return KernelSample(1, 1, level, table, "hilbert")
+    return KernelSample(table, "hilbert")
 
 
 NAMED_KERNELS = {

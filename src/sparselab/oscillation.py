@@ -183,16 +183,6 @@ class OscillationProfile:
     def degenerate(self) -> bool:
         return self.rhs == 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "cube": {"level": self.base.level, "index": list(self.base.index)},
-            "ring_products": self.ring_products,
-            "delta0": self.delta0,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": None if self.degenerate and self.lhs > 0 else self.ratio,
-        }
-
 
 def ring_average_products(fs, Q: DyadicCube, p0: float) -> list[float]:
     """prod_i <f_i>_{2^l Q, p0} for l = 0..Q.level (the last dilate saturates)."""

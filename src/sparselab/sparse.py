@@ -160,9 +160,6 @@ class SparseFamily:
     def __len__(self):
         return self.sizes.size
 
-    def __iter__(self):
-        return iter(self.cubes)
-
     @functools.cached_property
     def cubes(self) -> tuple[DyadicCube, ...]:
         return mask_cubes(self.masks, self.dim)
@@ -508,9 +505,6 @@ class DominationResult:
     covered: bool
     lhs: np.ndarray
     rhs: np.ndarray
-
-    def families(self) -> list[SparseFamily]:
-        return [s.family for s in self.selections]
 
     def report(self) -> dict:
         return {

@@ -172,11 +172,6 @@ class WeightTuple:
                      for w, a_i in zip(self.weights, self.a_i(r)))
 
 
-def dual_weights(t: WeightTuple) -> tuple[GridFunction, ...]:
-    """sigma_i = w_i^(1 - (p_i/p_0)') cellwise."""
-    return t.dual_weights()
-
-
 def multi_ap_constant(t: WeightTuple, r: float = 1.0, maxlevel: int | None = None) -> ConstantReport:
     """Multiple-weight constant sup_Q <nu>_Q prod_i <w_i^(1-a_i')>_Q^((p/r)/a_i').
 
@@ -207,16 +202,6 @@ class DualityReport:
     sigma_ap: ConstantReport
     weight_ap: ConstantReport
     weight_rh: ConstantReport
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "sigma_ap": self.sigma_ap.to_dict(),
-            "weight_ap": self.weight_ap.to_dict(),
-            "weight_rh": self.weight_rh.to_dict(),
-        }
 
 
 def duality_inequality_check(

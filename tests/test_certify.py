@@ -354,7 +354,7 @@ def test_theorem_c_bilinear_operator():
 
     L = 6
     sym = symbol_smooth_bump(1 << L, freq_dim=2)
-    K = kernel_from_symbol(sym, 2)
+    K = kernel_from_symbol(sym)
     h2 = check_h2(K, 2.0, DyadicCube(4, (3,)), 4)
     assert not h2.degenerate and h2.delta0 > 0
     t = power_weight_tuple(0.3, (3.0, 6.0), 1.5, L=L)

@@ -505,6 +505,15 @@ def test_check_h2_unknown_kernel(capsys):
     assert code == 2
 
 
+def test_check_h2_rank_2_symbol_exits_2(capsys, tmp_path):
+    # a kernel takes its arity from its symbol, and check-h2 fits linear kernels only
+    path = tmp_path / "m.gfn"
+    path.write_text("GFN1 2 2\n" + "1 " * 16 + "\n")
+    code, out, err = run(capsys, "check-h2", "--kernel", f"symbol:{path}", "--L", "2")
+    assert code == 2 and out == ""
+    assert "rank-1 symbol" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["constants", "--weight", "W", "--maxlevel", "-3"],
     ["constants", "--weight", "W", "--rh", "2", "--maxlevel", "-3"],

@@ -6,9 +6,10 @@ only from an input at the edge of the float range.
 The argv comes from ``build_parser()``'s own actions and names generated
 input files: grid functions, coefficient sequences and sweep configs.  Half
 the cases are clean, with every option given an ordinary value and
-well-formed files on one grid, so commands run to their outputs; in the
-others at most one value comes from an edge pool and a file may be broken
-in one of the usual ways.
+well-formed files on one grid, so commands run to their outputs; in half
+of those every file value is 1e308, so sums and products of two values
+overflow on the way.  In the others at most one value comes from an
+edge pool and a file may be broken in one of the usual ways.
 """
 
 import argparse
@@ -74,9 +75,10 @@ def argvs(draw, clean):
 
 
 @st.composite
-def gfn_texts(draw, grid):
-    """A grid function file: well formed with ordinary values on the (n, L) grid if
-    given, else on any grid, possibly with edge values or broken."""
+def gfn_texts(draw, grid, big=False):
+    """A grid function file: well formed on the (n, L) grid if given, with ordinary
+    values or, if big, every cell 1e308; else on any grid, possibly with edge values
+    or broken."""
     kind = "ok" if grid else draw(st.sampled_from(["ok"] * 6 + ["count", "level", "empty",
                                                                 "token", "ascii"]))
     if kind == "empty":
@@ -85,8 +87,9 @@ def gfn_texts(draw, grid):
     if kind == "level":
         return f"GFN1 {n} {13 if n == 1 else 9}\n1\n"
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    pool = draw(st.sampled_from([[0.25, 1.0, 4.0], [1.0, 2.0, 4.0], [0.0, 1.0]] + (
-        [] if grid else [[-1.0, 1.0], [1e308, 1.0], [1e-320, 1.0]])))
+    pool = [1e308] if big else draw(st.sampled_from(
+        [[0.25, 1.0, 4.0], [1.0, 2.0, 4.0], [0.0, 1.0]]
+        + ([] if grid else [[-1.0, 1.0], [1e308, 1.0], [1e-320, 1.0]])))
     vals = [repr(float(v)) for v in rng.choice(pool, (1 << L) ** n)]
     if kind == "count":
         vals = vals[1:] if draw(st.booleans()) else vals + ["1.0"]
@@ -97,9 +100,10 @@ def gfn_texts(draw, grid):
 
 
 @st.composite
-def seq_texts(draw, grid):
-    """A coefficient sequence file: well formed with ordinary values on the (n, L) grid
-    if given, else possibly with edge values or broken."""
+def seq_texts(draw, grid, big=False):
+    """A coefficient sequence file: well formed on the (n, L) grid if given, with
+    ordinary values or, if big, every coefficient 1e308; else possibly with edge
+    values or broken."""
     kind = "ok" if grid else draw(st.sampled_from(["ok"] * 5 + ["repeat", "level", "empty",
                                                                 "fields", "token"]))
     if kind == "empty":
@@ -108,7 +112,8 @@ def seq_texts(draw, grid):
     cubes = draw(st.lists(st.integers(0, L).flatmap(
         lambda j: st.tuples(st.just(j), *[st.integers(0, (1 << j) - 1)] * n)),
         min_size=1, max_size=4, unique=True))
-    values = ["0.5", "1", "2", "4", "0"] + ([] if grid else ["-1", "1e308", "nan"])
+    values = ["1e308"] if big else ["0.5", "1", "2", "4", "0"] + (
+        [] if grid else ["-1", "1e308", "nan"])
     rows = [[*map(str, Q), draw(st.sampled_from(values))] for Q in cubes]
     if kind == "repeat":
         rows.append(rows[0][:-1] + ["0.25"])
@@ -131,8 +136,9 @@ def cases(draw):
     """An argv and the texts of its input files, clean in half the cases."""
     clean = draw(st.booleans())
     grid = _grids(draw) if clean else None
-    files = {"A.gfn": draw(gfn_texts(grid)), "B.gfn": draw(gfn_texts(grid)),
-             "S.seq": draw(seq_texts(grid)), "C.json": draw(config_texts())}
+    big = clean and draw(st.booleans())
+    files = {"A.gfn": draw(gfn_texts(grid, big)), "B.gfn": draw(gfn_texts(grid, big)),
+             "S.seq": draw(seq_texts(grid, big)), "C.json": draw(config_texts())}
     return draw(argvs(clean)), files
 
 

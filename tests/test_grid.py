@@ -256,6 +256,26 @@ def test_weighted_norm_rejects_bad_weight():
         weighted_norm(f, 2.0, w)
 
 
+@pytest.mark.parametrize("norm, expected", [
+    (lambda f: weighted_norm(f, math.inf), 3.0),
+    (lambda f: weighted_norm(f, math.inf, GridFunction.constant(1, 2, 0.5)), 3.0),
+    (lambda f: weak_norm(f, math.inf), 3.0),
+    (lambda f: rearrangement(f, math.inf), 0.0),
+], ids=["weighted", "weighted-w", "weak", "rearrangement"])
+def test_infinite_exponent(norm, expected):
+    # the sup norm, whatever the positive weight; no mass lies beyond t = 1
+    assert norm(gf1([0.25, -3.0, 0.1, 0.2])) == expected
+
+
+@pytest.mark.parametrize("w, error", [
+    (GridFunction(1, 2, [1.0, 0.0, 1.0, 1.0]), DomainError),
+    (GridFunction.constant(1, 3, 1.0), DimensionError),
+], ids=["zero-cell", "other-grid"])
+def test_weighted_sup_norm_rejects_bad_weight(w, error):
+    with pytest.raises(error):
+        weighted_norm(GridFunction.constant(1, 2, 1.0), math.inf, w)
+
+
 def test_weak_norm_indicator():
     f = GridFunction.indicator(1, 2, DyadicCube(2, (1,)))
     assert weak_norm(f, 1.0) == pytest.approx(0.25)

@@ -97,16 +97,16 @@ def _kernel(kind, arity, L, seed):
     rng = np.random.default_rng(seed)
     shape = (N,) * arity
     if kind == "zero":
-        return KernelSample(arity, 1, L, np.zeros(shape))
+        return KernelSample(np.zeros(shape))
     if kind == "random":
         # integer values make ties between cells common
-        return KernelSample(arity, 1, L, rng.integers(-3, 4, shape).astype(float))
+        return KernelSample(rng.integers(-3, 4, shape).astype(float))
     if kind == "complex":
-        return KernelSample(arity, 1, L, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        return KernelSample(rng.normal(size=shape) + 1j * rng.normal(size=shape))
     if arity == 1:
-        return hilbert_kernel(L) if kind == "hilbert" else kernel_from_symbol(symbol_sign(N), 1)
+        return hilbert_kernel(L) if kind == "hilbert" else kernel_from_symbol(symbol_sign(N))
     sym = symbol_cone(N) if kind == "cone" else symbol_smooth_bump(N)
-    return kernel_from_symbol(sym, 2)
+    return kernel_from_symbol(sym)
 
 
 @st.composite

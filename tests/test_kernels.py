@@ -7,6 +7,7 @@ from sparselab.grid import DomainError, DimensionError, DyadicCube, GridFunction
 from sparselab.kernels import (
     BilinearMultiplierOperator,
     HilbertOperator,
+    KernelSample,
     Symbol,
     _derivative,
     apply_bilinear_multiplier,
@@ -237,7 +238,7 @@ def test_msl_constant_symbol():
 def test_msl_oscillating_symbol():
     rep = check_msl(symbol_oscillating(256, tau=1.0), 2.0, 2)
     assert rep.member
-    assert rep.sup((1,)) > 0
+    assert max(rep.terms[(1,)]) > 0
 
 
 def test_msl_growing_symbol():
@@ -249,6 +250,12 @@ def test_msl_growing_symbol():
 def test_msl_rejects_bad_s():
     with pytest.raises(DomainError):
         check_msl(symbol_identity(64), 2.5, 1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_msl_rejects_lattice_below_the_radii(N):
+    with pytest.raises(DomainError, match="largest radius exceeds the frequency lattice"):
+        check_msl(symbol_identity(N), 2.0, 1)
 
 
 def test_hormander_constant():
@@ -300,7 +307,7 @@ def test_hormander_growing():
 
 
 def test_kernel_identity_is_delta():
-    K = kernel_from_symbol(symbol_identity(64), 1)
+    K = kernel_from_symbol(symbol_identity(64))
     assert K.table[0] == pytest.approx(64.0)
     assert np.max(np.abs(K.table[1:])) < 1e-9
 
@@ -309,7 +316,7 @@ def test_kernel_sign_matches_cotangent_shape():
     # the even-grid kernel alternates 0 / 2cot; its two-cell average tracks cot
     L = 10
     N = 1 << L
-    K = kernel_from_symbol(symbol_sign(N), 1)
+    K = kernel_from_symbol(symbol_sign(N))
     tab = K.table
     assert np.allclose(tab, -tab[::-1].take(range(-1, N - 1)), atol=1e-9) or True
     ana = hilbert_kernel(L).table
@@ -322,10 +329,30 @@ def test_kernel_sign_matches_cotangent_shape():
 
 
 def test_kernel_hermitian_real():
-    K = kernel_from_symbol(symbol_sign(64), 1)
+    K = kernel_from_symbol(symbol_sign(64))
     assert K.table.dtype == np.float64
     # odd function of the offset
     assert np.allclose(K.table[1:], -K.table[1:][::-1], atol=1e-12)
+
+
+def test_kernel_shape_comes_from_the_table():
+    K = KernelSample(np.zeros((8, 8)))
+    assert (K.arity, K.level) == (2, 3)
+    K = kernel_from_symbol(symbol_cone(16))
+    assert (K.arity, K.level, K.table.shape) == (2, 4, (16, 16))
+    K = hilbert_kernel(5)
+    assert (K.arity, K.level) == (1, 5)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: KernelSample(np.zeros((4, 8))), DimensionError),
+    (lambda: KernelSample(np.zeros(6)), DimensionError),
+    (lambda: KernelSample(np.zeros(())), DimensionError),
+    (lambda: kernel_from_symbol(Symbol(3, np.ones((2, 2, 2)))), DomainError),
+], ids=["not-square", "side-6", "scalar", "rank-3"])
+def test_kernel_shape_rejected(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_hilbert_kernel_odd():
@@ -338,9 +365,7 @@ def test_hilbert_kernel_odd():
 
 
 def test_h2_zero_kernel_degenerate():
-    from sparselab.kernels import KernelSample
-
-    K = KernelSample(1, 1, 8, np.zeros(256))
+    K = KernelSample(np.zeros(256))
     rep = check_h2(K, 2.0, DyadicCube(5, (3,)), 4)
     assert rep.degenerate
     assert rep.delta_hat is None
@@ -378,7 +403,7 @@ def test_h2_stability_across_resolution():
 
 def test_h2_bilinear_smooth_symbol():
     sym = symbol_smooth_bump(128, freq_dim=2)
-    K = kernel_from_symbol(sym, 2)
+    K = kernel_from_symbol(sym)
     rep = check_h2(K, 2.0, DyadicCube(4, (3,)), 4)
     assert not rep.degenerate
     assert rep.delta_hat > 0

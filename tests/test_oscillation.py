@@ -174,7 +174,7 @@ def test_lerner_single_spike():
     dec = lerner_decompose(f, R1)
     assert dec.verify(f)
     # all family cubes sit on the chain through the spike cell
-    for Q in dec.family:
+    for Q in dec.family.cubes:
         lo, hi = Q.cell_slices(8)[0].start, Q.cell_slices(8)[0].stop
         assert lo <= 37 < hi
     assert len(dec.family) >= 1
@@ -203,7 +203,7 @@ def test_lerner_subcube_base():
     Q0 = DyadicCube(2, (1,))
     dec = lerner_decompose(f, Q0)
     assert dec.verify(f)
-    for Q in dec.family:
+    for Q in dec.family.cubes:
         assert contains(Q0, Q)
 
 
@@ -220,8 +220,6 @@ def test_lerner_records():
 
 
 class _IdentityOp:
-    arity = 1
-
     def apply(self, fs):
         return fs[0]
 

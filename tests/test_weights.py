@@ -9,7 +9,6 @@ from sparselab.weights import (
     WeightTuple,
     ap_constant,
     conjugate,
-    dual_weights,
     duality_inequality_check,
     holder_identity_slack,
     multi_ap_constant,
@@ -213,21 +212,21 @@ def test_multi_ap_rejects_large_r():
 def test_dual_weights_trivial():
     w = GridFunction.constant(1, 3, 1.0)
     t = WeightTuple((w, w), (2.0, 2.0), p0=1.0)
-    for s in dual_weights(t):
+    for s in t.dual_weights():
         assert np.allclose(s.values, 1.0)
 
 
 def test_dual_weights_constant_four():
     w = GridFunction.constant(1, 3, 4.0)
     t = WeightTuple((w,), (2.0,), p0=1.0)
-    (s,) = dual_weights(t)
+    (s,) = t.dual_weights()
     assert np.allclose(s.values, 0.25)
 
 
 def test_dual_weights_two_valued():
     w = two_valued()
     t = WeightTuple((w,), (2.0,), p0=1.0)
-    (s,) = dual_weights(t)
+    (s,) = t.dual_weights()
     # cellwise power oracle: sigma = w^(1-2)
     assert np.allclose(s.values, w.values**-1.0)
 
