@@ -25,7 +25,7 @@ print(f"H(H f) = -(f - mean f): max error {err:.2e}")
 
 # Symbol classes: a bounded oscillating symbol belongs, a growing one does not.
 print("\nring-integrated symbol reports (membership = bounded across octaves):")
-for sym in (symbol_oscillating(256, tau=1.0), symbol_from_function(lambda x: x, 256, name="xi")):
+for sym in (symbol_oscillating(256), symbol_from_function(lambda x: x, 256, name="xi")):
     rep = check_msl(sym, 2.0, 2)
     print(f"  {sym.name or 'symbol'}: member = {rep.member}")
 rep = check_hormander_bilinear(symbol_cone(64), 2)

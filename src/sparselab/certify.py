@@ -22,6 +22,7 @@ from .grid import (
     DomainError,
     DyadicCube,
     GridFunction,
+    Inequality,
     check_resolution,
     dilate_products,
     root_cube,
@@ -96,9 +97,7 @@ class CertificationRecord:
 
     @property
     def ratio(self) -> float:
-        if self.rhs > 0:
-            return self.lhs / self.rhs
-        return 0.0 if self.lhs == 0 else math.inf
+        return Inequality(self.lhs, self.rhs).ratio
 
     def key(self) -> str:
         if self.sweep_key is not None:
@@ -140,8 +139,7 @@ def _weighted_bound(t: WeightTuple, fs) -> tuple[float, float, float]:
     return const, beta, rhs
 
 
-def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs,
-                      seed: int | None = None) -> CertificationRecord:
+def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs) -> CertificationRecord:
     """Sparse-form bound: ||A_S f||_{L^p(nu)} against [w]^beta prod ||f_i||_{L^{p_i}(w_i)}."""
     for f in fs:
         if np.any(f.values < 0):
@@ -156,7 +154,6 @@ def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs,
          "family_size": len(S)},
         lhs, rhs,
         constants={"multi_ap": const, "beta": beta},
-        seed=seed,
         degenerate=(rhs == 0.0),
     )
 
@@ -178,15 +175,14 @@ def certify_theorem_a(a: CarlesonSequence, k: int, p0: float, fs, p: float,
         constants={
             "cell_constant": res.cell_constant,
             "pieces": len(res.pieces),
-            "raw_norm_ratio": (lhs / denom) if denom > 0 else (0.0 if lhs == 0 else math.inf),
+            "raw_norm_ratio": Inequality(lhs, denom).ratio,
         },
         seed=seed,
         degenerate=degenerate,
     )
 
 
-def certify_theorem_c(op, t: WeightTuple, fs, h2,
-                      seed: int | None = None) -> CertificationRecord:
+def certify_theorem_c(op, t: WeightTuple, fs, h2) -> CertificationRecord:
     """End-to-end operator bound through the oscillation decomposition.
 
     Applies the operator, runs the sparse decomposition of the output, logs
@@ -222,7 +218,6 @@ def certify_theorem_c(op, t: WeightTuple, fs, h2,
             "median": dec.base_median,
             "osc_ratio_sup": osc_ratio_sup,
         },
-        seed=seed,
         degenerate=(rhs == 0.0 and lhs == 0.0),
     )
 
@@ -371,9 +366,11 @@ def validate_config(config: dict) -> dict:
         "plot": plot,
     }
     check_resolution(out["n"], out["L"])
-    if not out["p"]:
-        raise DomainError("config 'p' needs at least one exponent")
-    p, p0, m = out["p"][0], out["p0"], out["m"]
+    p0, m = out["p0"], out["m"]
+    lengths = sorted({1, m}) if exp in ("theorem-b", "theorem-c") else [1]
+    if len(out["p"]) not in lengths:
+        raise DomainError(f"{exp} needs config 'p' of a length in {lengths}, got {len(out['p'])}")
+    p = out["p"][0]
     if exp == "buckley" and p <= 1:
         raise DomainError(f"buckley needs p > 1, got {p}")
     if exp == "theorem-a" and (not p > 0 or not p0 >= 1):
@@ -467,7 +464,6 @@ def _run_point(cfg: dict, point: dict, point_index: int,
 
 @dataclass
 class SweepResult:
-    config: dict
     records: list[CertificationRecord]
     summary: list[dict]
 
@@ -527,4 +523,4 @@ def sweep(config: dict, done_keys: dict | None = None) -> SweepResult:
         row["ratio_max"] = max(ratios) if ratios else 0.0
         row["ratio_median"] = ratios[len(ratios) // 2] if ratios else 0.0
         summary.append(row)
-    return SweepResult(cfg, records, summary)
+    return SweepResult(records, summary)

@@ -159,6 +159,8 @@ def _load_symbol(spec: str, N: int) -> Symbol:
     if spec in NAMED_SYMBOLS:
         return NAMED_SYMBOLS[spec](N)
     f = read_gfn(spec)
+    if 1 << f.level != N:
+        raise DimensionError(f"symbol file {spec} has side {1 << f.level}, not {N}")
     return Symbol(f.dim, f.values, spec)
 
 
@@ -235,8 +237,17 @@ def cmd_dominate(args) -> int:
     return 0
 
 
+def _sweep_mode(args) -> bool:
+    """Whether a certify command runs its --config; --out and --resume belong to one mode."""
+    if args.config and args.out is not None:
+        raise DomainError(f"{args.command}: --out names a single report, not a --config sweep")
+    if args.resume and not args.config:
+        raise DomainError(f"{args.command}: --resume needs --config")
+    return bool(args.config)
+
+
 def cmd_certify_a(args) -> int:
-    if args.config:
+    if _sweep_mode(args):
         return _run_sweep_config(args.config, "theorem-a", args)
     if not args.alpha or not args.f:
         raise DomainError("certify-a needs --config or both --alpha and --f")
@@ -249,7 +260,7 @@ def cmd_certify_a(args) -> int:
 
 
 def cmd_certify_buckley(args) -> int:
-    if args.config:
+    if _sweep_mode(args):
         return _run_sweep_config(args.config, "buckley", args)
     if not args.weight or not args.function:
         raise DomainError("certify-buckley needs --config or both --weight and --function")
@@ -319,7 +330,7 @@ def cmd_check_symbol(args) -> int:
     if args.bilinear:
         from .kernels import symbol_cone, symbol_smooth_bump
 
-        named = {"cone": symbol_cone, "bump": lambda N: symbol_smooth_bump(N, 2)}
+        named = {"cone": symbol_cone, "bump": symbol_smooth_bump}
         if args.symbol in named:
             sym = named[args.symbol](args.N)
         else:
@@ -361,10 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, sweeps=False):
+    def common(p, out=True, resume=False):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        if sweeps:
+        if out:
+            p.add_argument("--out", default=None)
+        if resume:
             p.add_argument("--resume", action="store_true")
 
     p = sub.add_parser("constants", help="A_p / RH_q / multiple-weight constants")
@@ -411,17 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p0", type=float, default=1.0)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--weight", default=None)
-    common(p, sweeps=True)
+    common(p, resume=True)
     p.set_defaults(fn=cmd_certify_a)
 
     p = sub.add_parser("certify-b", help="sparse-form weighted bound campaign")
     p.add_argument("--config", required=True)
-    common(p, sweeps=True)
+    common(p, out=False, resume=True)
     p.set_defaults(fn=lambda a: _run_sweep_config(a.config, "theorem-b", a))
 
     p = sub.add_parser("certify-c", help="end-to-end operator certification campaign")
     p.add_argument("--config", required=True)
-    common(p, sweeps=True)
+    common(p, out=False, resume=True)
     p.set_defaults(fn=lambda a: _run_sweep_config(a.config, "theorem-c", a))
 
     p = sub.add_parser("certify-buckley", help="maximal-function bound certification")
@@ -430,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--maxlevel", type=int, default=None)
-    common(p, sweeps=True)
+    common(p, resume=True)
     p.set_defaults(fn=cmd_certify_buckley)
 
     p = sub.add_parser("check-symbol", help="symbol class membership report")
@@ -454,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p.add_argument("--config", required=True)
-    common(p, sweeps=True)
+    common(p, out=False, resume=True)
     p.set_defaults(fn=cmd_sweep)
 
     return ap

@@ -44,6 +44,29 @@ def check_resolution(n: int, L: int) -> None:
         raise DomainError(f"resolution level {L} out of range 0..{MAX_LEVEL[n]} for n={n}")
 
 
+@dataclass(frozen=True)
+class Inequality:
+    """A measured left side against its bound; ``holds`` allows rounding of 1e-9 relative."""
+
+    lhs: float
+    rhs: float
+
+    @property
+    def ratio(self) -> float:
+        """lhs / rhs: 0 when both vanish, inf when only rhs does."""
+        if self.rhs > 0:
+            return self.lhs / self.rhs
+        return 0.0 if self.lhs == 0 else math.inf
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs * (1.0 + 1e-9)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.rhs == 0.0
+
+
 def top_level(maxlevel: int | None, L: int) -> int:
     """The deepest level a supremum scans: maxlevel capped at L (None means L)."""
     if maxlevel is not None and maxlevel < 0:
@@ -363,14 +386,18 @@ def dilate_products(fs, levels, p0: float) -> dict[int, np.ndarray]:
     return out
 
 
+def _rank(lam: float, N: int) -> int:
+    """k = ceil(lam N), at least 1: the rearrangement at lam |Q| is the k-th largest cell."""
+    return max(1, math.ceil(lam * N - 1e-12))
+
+
 def rearrangement(f: GridFunction, t: float) -> float:
     """Decreasing rearrangement f*(t) = inf{a > 0 : |{|f| > a}| < t}."""
     if not t > 0:
         raise DomainError(f"rearrangement needs t > 0, got {t}")
-    x = t / f.cell_volume - 1e-12
-    if x > f.size:  # ceil(x) > size, tested before ceil, which overflows at t = inf
+    if t / f.cell_volume - 1e-12 > f.size:  # k > size, tested first: ceil overflows at t = inf
         return 0.0
-    k = math.ceil(x)
+    k = _rank(t, f.size)
     a = np.abs(f.values).ravel()
     # k-th largest value
     return float(np.partition(a, a.size - k)[a.size - k])

@@ -94,13 +94,13 @@ def symbol_sign(N: int) -> Symbol:
     return Symbol(1, vals, "sign")
 
 
-def symbol_oscillating(N: int, tau: float = 1.0) -> Symbol:
-    """|xi|^(i tau), a bounded oscillating symbol (value 1 at xi = 0)."""
+def symbol_oscillating(N: int) -> Symbol:
+    """|xi|^i = exp(i log |xi|), a bounded oscillating symbol (value 1 at xi = 0)."""
     freqs = _frequencies(N).astype(float)
     out = np.ones(N, dtype=complex)
     nz = freqs != 0
-    out[nz] = np.exp(1j * tau * np.log(np.abs(freqs[nz])))
-    return Symbol(1, out, f"oscillating(tau={tau})")
+    out[nz] = np.exp(1j * np.log(np.abs(freqs[nz])))
+    return Symbol(1, out, "oscillating(tau=1.0)")
 
 
 def symbol_cone(N: int) -> Symbol:
@@ -119,15 +119,15 @@ def symbol_cone(N: int) -> Symbol:
     return Symbol(2, out, "cone")
 
 
-def symbol_smooth_bump(N: int, freq_dim: int = 2, width: float = 0.25) -> Symbol:
-    """Smooth compactly supported bump exp(-1/(1-r^2)) on r < 1, r = |xi|/(width N/2)."""
+def symbol_smooth_bump(N: int, width: float = 0.25) -> Symbol:
+    """Rank-2 smooth compactly supported bump exp(-1/(1-r^2)) on r < 1, r = |xi|/(width N/2)."""
     freqs = _frequencies(N).astype(float)
     scale = width * (N / 2)
-    r2 = sum(g**2 for g in np.meshgrid(*[freqs] * freq_dim, indexing="ij")) / scale**2
+    r2 = sum(g**2 for g in np.meshgrid(freqs, freqs, indexing="ij")) / scale**2
     out = np.zeros_like(r2, dtype=complex)
     inside = r2 < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    return Symbol(freq_dim, out / np.abs(out).max(), "bump")
+    return Symbol(2, out / np.abs(out).max(), "bump")
 
 
 NAMED_SYMBOLS = {
@@ -198,9 +198,9 @@ def apply_bilinear_multiplier(m: Symbol, f: GridFunction, g: GridFunction) -> Gr
 
 
 class LinearMultiplierOperator:
-    def __init__(self, symbol: Symbol, name: str = ""):
+    def __init__(self, symbol: Symbol):
         self.symbol = symbol
-        self.name = name or symbol.name
+        self.name = symbol.name
 
     def apply(self, fs) -> GridFunction:
         (f,) = fs
@@ -216,9 +216,9 @@ class HilbertOperator:
 
 
 class BilinearMultiplierOperator:
-    def __init__(self, symbol: Symbol, name: str = ""):
+    def __init__(self, symbol: Symbol):
         self.symbol = symbol
-        self.name = name or symbol.name
+        self.name = symbol.name
 
     def apply(self, fs) -> GridFunction:
         f, g = fs
@@ -377,7 +377,7 @@ class KernelSample:
     """Translation-invariant kernel evaluated on lattice offsets, diagonal masked: one
     table axis of 2^level offsets per input, so the table fixes arity and level."""
 
-    def __init__(self, table: np.ndarray, name: str = ""):
+    def __init__(self, table: np.ndarray):
         table = np.asarray(table)
         side = table.shape[0] if table.ndim else 0
         if table.shape != (side,) * table.ndim or side < 1 or side & (side - 1):
@@ -386,7 +386,6 @@ class KernelSample:
         self.arity = table.ndim
         self.level = side.bit_length() - 1
         self.table = table
-        self.name = name
 
     def diff(self, x: int, xbar: int, ys: tuple[np.ndarray, ...]) -> np.ndarray:
         """K(x, y...) - K(xbar, y...) on arrays of y cell indices."""
@@ -407,7 +406,7 @@ def kernel_from_symbol(m: Symbol) -> KernelSample:
     table = np.fft.ifftn(m.fft_order()) * m.N**m.freq_dim
     if m.is_hermitian():
         table = table.real
-    return KernelSample(table, m.name)
+    return KernelSample(table)
 
 
 def hilbert_kernel(level: int) -> KernelSample:
@@ -418,7 +417,7 @@ def hilbert_kernel(level: int) -> KernelSample:
     table = np.zeros(N)
     nz = z != 0.0
     table[nz] = 1.0 / np.tan(np.pi * z[nz])
-    return KernelSample(table, "hilbert")
+    return KernelSample(table)
 
 
 NAMED_KERNELS = {

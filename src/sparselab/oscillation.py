@@ -17,7 +17,6 @@ gives their stopping cubes on every deeper level at once.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,8 @@ from .grid import (
     DimensionError,
     DyadicCube,
     GridFunction,
+    Inequality,
+    _rank,
     dilate_products,
     fold_down,
     fold_up,
@@ -42,11 +43,6 @@ def _median_from_sorted(b: np.ndarray) -> np.ndarray:
     N-1-(N-1)//2 <= N/2 above, while every smaller value has more than N/2 above.
     """
     return b[:, (b.shape[1] - 1) // 2]
-
-
-def _rank(lam: float, N: int) -> int:
-    """k = ceil(lam N), at least 1: the rearrangement at lam |Q| is the k-th largest cell."""
-    return max(1, math.ceil(lam * N - 1e-12))
 
 
 def _osc_from_sorted(b: np.ndarray, lam: float) -> np.ndarray:
@@ -163,44 +159,18 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
     return LernerDecomposition(Q0, m0, lam, greedy_witness(osc, n, L), osc)
 
 
-@dataclass
-class OscillationProfile:
-    """Measured oscillation of an operator output against its ring series."""
-
-    base: DyadicCube
-    ring_products: list[float]
-    delta0: float
-    lhs: float
-    rhs: float
-
-    @property
-    def ratio(self) -> float:
-        if self.rhs > 0:
-            return self.lhs / self.rhs
-        return 0.0 if self.lhs == 0 else math.inf
-
-    @property
-    def degenerate(self) -> bool:
-        return self.rhs == 0.0
-
-
-def ring_average_products(fs, Q: DyadicCube, p0: float) -> list[float]:
-    """prod_i <f_i>_{2^l Q, p0} for l = 0..Q.level (the last dilate saturates)."""
-    if Q.dim != fs[0].dim:
-        raise DimensionError("cube dimension does not match function dimension")
-    return dilate_products(fs, [Q.level], p0)[Q.level][(slice(None), *Q.index)].tolist()
-
-
-def osc_profile(op, fs, Q: DyadicCube, lam: float, p0: float, delta0: float) -> OscillationProfile:
+def osc_profile(op, fs, Q: DyadicCube, lam: float, p0: float, delta0: float) -> Inequality:
     """Compare omega_lam(T f; Q) with sum_l 2^(-l delta0) prod_i <f_i>_{2^l Q, p0}.
 
-    The series is truncated at the first saturated dilate; the ratio is the
-    measured stand-in for the operator's oscillation constant.
+    The series runs over l = 0..Q.level, the last dilate saturating; the
+    ratio is the measured stand-in for the operator's oscillation constant.
     """
     if delta0 <= 0:
         raise DomainError(f"decay rate delta0 must be positive, got {delta0}")
+    if Q.dim != fs[0].dim:
+        raise DimensionError("cube dimension does not match function dimension")
     u = op.apply(fs)
     lhs = local_osc(u, Q, lam)
-    rings = ring_average_products(fs, Q, p0)
+    rings = dilate_products(fs, [Q.level], p0)[Q.level][(slice(None), *Q.index)].tolist()
     rhs = sum(2.0 ** (-ell * delta0) * v for ell, v in enumerate(rings))
-    return OscillationProfile(Q, rings, delta0, lhs, rhs)
+    return Inequality(lhs, rhs)

@@ -20,6 +20,7 @@ from .grid import (
     DimensionError,
     DyadicCube,
     GridFunction,
+    Inequality,
     _match,
     argmax_cube,
     block_reduce,
@@ -542,14 +543,7 @@ def dominate(a: CarlesonSequence, k: int, p0: float, fs,
 # Carleson embedding
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> EmbeddingReport:
+def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Inequality:
     """Check (sum_Q alpha_Q (prod <f_i>_Q)^q |Q|)^(1/q) <= prod p_i' ||f_i||_{p_i}."""
     from .weights import conjugate
 
@@ -573,7 +567,7 @@ def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Embedding
     rhs = 1.0
     for f, p in zip(fs, ps):
         rhs *= conjugate(p) * float((f.values**p).mean() ** (1.0 / p))
-    return EmbeddingReport(lhs, rhs, lhs <= rhs * (1.0 + 1e-9))
+    return Inequality(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

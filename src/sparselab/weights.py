@@ -19,6 +19,7 @@ from .grid import (
     DimensionError,
     DyadicCube,
     GridFunction,
+    Inequality,
     argmax_cube,
     fold_up,
     mean_pyramid,
@@ -194,19 +195,7 @@ def multi_ap_constant(t: WeightTuple, r: float = 1.0, maxlevel: int | None = Non
     return t._constants[key]
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    lhs: float
-    rhs: float
-    holds: bool
-    sigma_ap: ConstantReport
-    weight_ap: ConstantReport
-    weight_rh: ConstantReport
-
-
-def duality_inequality_check(
-    w: GridFunction, p: float, p0: float, maxlevel: int | None = None
-) -> DualityReport:
+def duality_inequality_check(w: GridFunction, p: float, p0: float) -> Inequality:
     """Check [sigma]_{A_{p'/p0}} <= ([w]_{RH_{(p0'/p)'}} [w]_{A_p})^(1/(p-1)).
 
     Here sigma = w^(1-p').  Valid for 1 < p < p0'; both sides scan the same
@@ -220,12 +209,11 @@ def duality_inequality_check(
     _positive(w)
     pp = conjugate(p)
     sigma = GridFunction(w.dim, w.level, w.values ** (1.0 - pp))
-    sigma_ap = ap_constant(sigma, pp / p0, maxlevel)
-    weight_ap = ap_constant(w, p, maxlevel)
-    weight_rh = rh_constant(w, conjugate(p0c / p), maxlevel)
-    rhs = (weight_rh.value * weight_ap.value) ** (1.0 / (p - 1.0))
-    holds = sigma_ap.value <= rhs * (1.0 + 1e-9)
-    return DualityReport(sigma_ap.value, rhs, holds, sigma_ap, weight_ap, weight_rh)
+    lhs = ap_constant(sigma, pp / p0).value
+    weight_ap = ap_constant(w, p).value
+    weight_rh = rh_constant(w, conjugate(p0c / p)).value
+    rhs = (weight_rh * weight_ap) ** (1.0 / (p - 1.0))
+    return Inequality(lhs, rhs)
 
 
 def _power_cell_averages_1d(alpha: float, center: float, L: int) -> np.ndarray:
@@ -285,14 +273,13 @@ def power_weight(alpha: float, center=None, n: int = 1, L: int = 8) -> GridFunct
     return GridFunction(2, L, np.maximum(vals, WEIGHT_FLOOR))
 
 
-def holder_identity_slack(t: WeightTuple, Q: DyadicCube, r: float | None = None) -> tuple[float, float]:
-    """Per-cube Holder bound: |Q| <= nu(Q)^(1/(ma)) prod sigma_i(Q)^(1/(ma_i')).
+def holder_identity_slack(t: WeightTuple, Q: DyadicCube) -> tuple[float, float]:
+    """Per-cube Holder bound: |Q| <= nu(Q)^(1/(ma)) prod sigma_i(Q)^(1/(ma_i')), a = p/p0.
 
     Returns (lhs, rhs) as plain numbers with lhs = |Q|.
     """
-    r = t.p0 if r is None else r
     vol = Q.volume
-    rhs = (float(t.nu().on(Q).mean()) * vol) ** (1.0 / (t.m * (t.p / r)))
-    for s, ai in zip(t.dual_weights(r), t.a_i(r)):
+    rhs = (float(t.nu().on(Q).mean()) * vol) ** (1.0 / (t.m * (t.p / t.p0)))
+    for s, ai in zip(t.dual_weights(), t.a_i()):
         rhs *= (float(s.on(Q).mean()) * vol) ** (1.0 / (t.m * conjugate(ai)))
     return vol, rhs

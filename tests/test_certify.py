@@ -183,7 +183,7 @@ def test_theorem_a_ratio_growth_bounded():
 
 def test_theorem_c_identity_operator():
     t = ones_tuple(m=1, p=(2.0,), p0=1.0, L=6)
-    op = LinearMultiplierOperator(symbol_identity(64), "identity")
+    op = LinearMultiplierOperator(symbol_identity(64))
     rng = rng_from(5)
     f = random_function(rng, 1, 6)
     rec = certify_theorem_c(op, t, [f], 1.0)
@@ -353,7 +353,7 @@ def test_theorem_c_bilinear_operator():
     from sparselab.grid import DyadicCube
 
     L = 6
-    sym = symbol_smooth_bump(1 << L, freq_dim=2)
+    sym = symbol_smooth_bump(1 << L)
     K = kernel_from_symbol(sym)
     h2 = check_h2(K, 2.0, DyadicCube(4, (3,)), 4)
     assert not h2.degenerate and h2.delta0 > 0

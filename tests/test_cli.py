@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from sparselab import cli
-from sparselab.certify import CertificationRecord, SweepResult
-from sparselab.cli import emit_plot, main, read_carleson, write_carleson
+from sparselab.certify import CertificationRecord, SweepResult, certify_buckley, certify_theorem_a
+from sparselab.cli import emit_plot, main, read_carleson, read_weight, write_carleson
 from sparselab.grid import DomainError, FormatError, GridFunction, read_gfn, root_cube, write_gfn
 from sparselab.samples import random_carleson, rng_from
 from sparselab.sparse import CarlesonSequence
+from sparselab.weights import power_weight
 
 
 @pytest.fixture()
@@ -248,6 +249,53 @@ def test_certify_buckley_direct(capsys, weight_file, function_file, tmp_path):
     assert rep["lhs"] <= rep["rhs"] * (1 + 1e-9)
 
 
+def test_certify_a_weight_is_read(capsys, alpha_file, function_file, tmp_path):
+    w = tmp_path / "w6.gfn"
+    write_gfn(w, power_weight(-0.5, n=1, L=6))
+    argv = ["certify-a", "--alpha", alpha_file, "--f", function_file, "--k", "2", "--seed", "3"]
+    code, out, err = run(capsys, *argv, "--weight", str(w))
+    assert code == 0, err
+    rec = certify_theorem_a(read_carleson(alpha_file), 2, 1.0, [read_gfn(function_file)], 2.0,
+                            read_weight(w), seed=3)
+    assert json.loads(out) == rec.to_dict()
+    assert json.loads(out)["lhs"] != json.loads(run(capsys, *argv)[1])["lhs"]
+
+
+def test_certify_buckley_maxlevel_is_read(capsys, function_file, tmp_path):
+    # one heavy cell: its small cubes, below level 2, carry the largest A_2 averages
+    w = tmp_path / "w6.gfn"
+    write_gfn(w, GridFunction(1, 6, np.where(np.arange(64) == 37, 100.0, 1.0)))
+    argv = ["certify-buckley", "--weight", str(w), "--function", function_file, "--seed", "3"]
+    code, out, err = run(capsys, *argv, "--maxlevel", "2")
+    assert code == 0, err
+    rec = certify_buckley(read_weight(w), 2.0, read_gfn(function_file), maxlevel=2, seed=3)
+    assert json.loads(out) == rec.to_dict()
+    full = json.loads(run(capsys, *argv)[1])
+    assert json.loads(out)["constants"]["ap"] != full["constants"]["ap"]
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("config", ["--out", "OUT"]),
+    ("files", ["--resume"]),
+])
+@pytest.mark.parametrize("command", ["certify-a", "certify-buckley"])
+def test_certify_option_of_the_other_mode_exits_2(capsys, tmp_path, alpha_file, command, mode,
+                                                  extra):
+    # --out names a single report (a sweep writes to its config's out); --resume needs a sweep
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 6, "trials": 1, "out": str(tmp_path / "cfgout")}))
+    f = tmp_path / "f.gfn"
+    write_gfn(f, GridFunction.constant(1, 6, 1.0))
+    files = (["--alpha", alpha_file, "--f", str(f)] if command == "certify-a"
+             else ["--weight", str(f), "--function", str(f)])
+    argv = (["--config", str(cfg)] if mode == "config" else files) + extra
+    code, out, err = run(capsys, command, *(str(tmp_path / "mine") if a == "OUT" else a
+                                            for a in argv))
+    assert code == 2 and out == ""
+    assert f"error: {command}: {extra[0]}" in err
+    assert {p.name for p in tmp_path.iterdir()} == {"cfg.json", "f.gfn", "a.seq"}
+
+
 def test_certify_b_config(capsys, tmp_path):
     cfg = {
         "n": 1, "L": 5, "m": 2, "p0": 1.0, "p": [2.0, 2.0], "trials": 3, "seed": 4,
@@ -309,8 +357,8 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
     rec = CertificationRecord("buckley", {"p": 2.0, "L": 5, "n": 1}, 1.0, 2.0,
                               constants={"ap": math.inf}, seed=9)
     with pytest.raises(DomainError, match="'constants.ap'"):
-        SweepResult({}, [rec], []).ndjson()
-    monkeypatch.setattr(cli, "sweep", lambda cfg, done_keys=None: SweepResult(cfg, [rec], []))
+        SweepResult([rec], []).ndjson()
+    monkeypatch.setattr(cli, "sweep", lambda cfg, done_keys=None: SweepResult([rec], []))
     cfg = {"experiment": "buckley", "L": 5, "p": [2.0], "trials": 1, "seed": 9,
            "weight_family": {"type": "power", "alpha_grid": [0.3]}}
     if to_file:
@@ -351,6 +399,10 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
     pytest.param("GFN1 2 2\n" + "1 " * 16 + "\n",
                  ["decompose", "--function", "IN", "--level", "2", "--index", "1"],
                  id="decompose-one-index-on-n2"),
+    # exponents the experiment would never read
+    ({"experiment": "theorem-b", "L": 3, "m": 2, "p": [2, 3, 4], "trials": 1}, None),
+    ({"experiment": "buckley", "L": 3, "p": [2, 7], "trials": 1}, None),
+    ({"experiment": "theorem-a", "L": 3, "p": [2, 0.5], "trials": 1}, None),
 ])
 def test_bad_sweep_inputs_exit_2(capsys, tmp_path, function_file, config, argv):
     # a string config is the text of the input file named IN
@@ -500,6 +552,21 @@ def test_check_h2_p0_just_above_one(capsys):
     assert np.allclose(b, json.loads(ref)["b_values"], rtol=1e-4)
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-symbol", "--symbol", "SYM", "--N", "64"],
+    ["check-symbol", "--symbol", "SYM"],
+    ["check-h2", "--kernel", "symbol:SYM", "--L", "3"],
+    ["check-h2", "--kernel", "symbol:SYM", "--L", "8", "--level", "5", "--jmax", "3"],
+])
+def test_symbol_file_must_match_the_lattice(capsys, tmp_path, argv):
+    # a level-7 file holds 128 frequencies; --N (default 256) or 2^--L must say the same
+    path = tmp_path / "sym.gfn"
+    write_gfn(path, GridFunction(1, 7, 1.0 / (1.0 + np.abs(np.arange(-64, 64)))))
+    code, out, err = run(capsys, *(a.replace("SYM", str(path)) for a in argv))
+    assert code == 2 and out == ""
+    assert f"error: symbol file {path} has side 128" in err
+
+
 def test_check_h2_unknown_kernel(capsys):
     code, _, err = run(capsys, "check-h2", "--kernel", "mystery")
     assert code == 2
@@ -619,6 +686,10 @@ def test_check_symbol_riesz1d_alias(capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--config", "cfg.json", "--jobs", "2"],
     ["constants", "--weight", "w.gfn", "--resume"],
+    # a sweep writes to its config's out
+    ["sweep", "--config", "cfg.json", "--out", "mine"],
+    ["certify-b", "--config", "cfg.json", "--out", "mine"],
+    ["certify-c", "--config", "cfg.json", "--out", "mine"],
 ])
 def test_removed_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -197,13 +197,16 @@ def test_rearrangement_indicator():
 
 def test_rearrangement_constant():
     f = GridFunction.constant(1, 3, 2.5)
-    for t in (0.1, 0.5, 1.0):
+    for t in (1e-20, 1e-15, 0.1, 0.5, 1.0):
         assert rearrangement(f, t) == 2.5
 
 
 def test_rearrangement_step():
     f = gf1([4.0, 2.0, 1.0, 0.0])
     assert rearrangement(f, 0.3) == oracle_rearrangement(f, 0.3) == 2.0
+    # below the 1e-12 rounding allowance the k-th largest cell is still the first
+    for t in (1e-20, 1e-15):
+        assert rearrangement(f, t) == oracle_rearrangement(f, t) == 4.0
 
 
 def test_rearrangement_matches_oracle_random():

@@ -212,7 +212,7 @@ def test_bilinear_matches_double_sum_oracle():
 def test_bilinear_bilinearity():
     # Hermitian symbol, so the exact real part is returned and linearity holds
     rng = np.random.default_rng(10)
-    sym = symbol_smooth_bump(32, freq_dim=2, width=0.5)
+    sym = symbol_smooth_bump(32, width=0.5)
     f1 = GridFunction(1, 5, rng.normal(size=32))
     f2 = GridFunction(1, 5, rng.normal(size=32))
     g = GridFunction(1, 5, rng.normal(size=32))
@@ -236,7 +236,7 @@ def test_msl_constant_symbol():
 
 
 def test_msl_oscillating_symbol():
-    rep = check_msl(symbol_oscillating(256, tau=1.0), 2.0, 2)
+    rep = check_msl(symbol_oscillating(256), 2.0, 2)
     assert rep.member
     assert max(rep.terms[(1,)]) > 0
 
@@ -402,7 +402,7 @@ def test_h2_stability_across_resolution():
 
 
 def test_h2_bilinear_smooth_symbol():
-    sym = symbol_smooth_bump(128, freq_dim=2)
+    sym = symbol_smooth_bump(128)
     K = kernel_from_symbol(sym)
     rep = check_h2(K, 2.0, DyadicCube(4, (3,)), 4)
     assert not rep.degenerate

@@ -8,6 +8,7 @@ from sparselab.grid import (
     DomainError,
     DyadicCube,
     GridFunction,
+    dilate_products,
     rearrangement,
     root_cube,
 )
@@ -17,7 +18,6 @@ from sparselab.oscillation import (
     local_osc,
     median,
     osc_profile,
-    ring_average_products,
 )
 from sparselab.samples import random_signed_function, rng_from
 from sparselab.sparse import verify_sparse
@@ -234,17 +234,20 @@ def test_osc_profile_zero_input():
 def test_osc_profile_ring_truncation():
     f = GridFunction.constant(1, 6, 1.0)
     Q = DyadicCube(3, (2,))
-    rings = ring_average_products([f], Q, 2.0)
+    rings = dilate_products([f], [Q.level], 2.0)[Q.level][(slice(None), *Q.index)]
     assert len(rings) == Q.level + 1
     assert all(r == pytest.approx(1.0) for r in rings)
+    # one term per ring l = 0..Q.level, each 2^-l times a unit product
+    prof = osc_profile(_IdentityOp(), [f], Q, 0.125, 2.0, 1.0)
+    assert prof.rhs == pytest.approx(sum(2.0 ** -ell for ell in range(Q.level + 1)))
 
 
-def test_ring_average_products_rejects_mismatched_cube():
+def test_osc_profile_rejects_mismatched_cube():
     f = GridFunction.constant(2, 3, 1.0)
     with pytest.raises(DimensionError):
-        ring_average_products([f], DyadicCube(2, (1,)), 1.0)
+        osc_profile(_IdentityOp(), [f], DyadicCube(2, (1,)), 0.125, 1.0, 1.0)
     with pytest.raises(DimensionError):
-        ring_average_products([f], DyadicCube(4, (1, 1)), 1.0)
+        osc_profile(_IdentityOp(), [f], DyadicCube(4, (1, 1)), 0.125, 1.0, 1.0)
 
 
 def test_lerner_decompose_rejects_mismatched_cube():
