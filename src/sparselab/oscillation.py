@@ -167,8 +167,6 @@ def osc_profile(op, fs, Q: DyadicCube, lam: float, p0: float, delta0: float) -> 
     """
     if delta0 <= 0:
         raise DomainError(f"decay rate delta0 must be positive, got {delta0}")
-    if Q.dim != fs[0].dim:
-        raise DimensionError("cube dimension does not match function dimension")
     u = op.apply(fs)
     lhs = local_osc(u, Q, lam)
     rings = dilate_products(fs, [Q.level], p0)[Q.level][(slice(None), *Q.index)].tolist()

@@ -56,14 +56,13 @@ class ConstantReport:
 
     value: float
     witness: DyadicCube
-    family: str
     maxlevel: int
 
     def to_dict(self) -> dict:
         return {
             "value": self.value,
             "witness": {"level": self.witness.level, "index": list(self.witness.index)},
-            "family": self.family,
+            "family": "dyadic",
             "maxlevel": self.maxlevel,
         }
 
@@ -73,13 +72,23 @@ def _positive(w: GridFunction) -> None:
         raise DomainError("weight must be strictly positive cellwise")
 
 
+def _dual(w: GridFunction, e: float) -> np.ndarray:
+    """The cells of w^e, e < 0, or a DomainError where a cube mean of them could overflow:
+    a zero cell, floored to 1e-300, gets there once e < -1.025 (A_p with p < 1.975)."""
+    with np.errstate(over="ignore"):
+        vals = w.values ** e
+    if not vals.max() <= np.finfo(float).max / (1 << w.dim):
+        raise DomainError(f"dual weight w^{e:g} leaves the float range: smallest cell {w.values.min():g}")
+    return vals
+
+
 def _supremum(levels, maxlevel: int | None, L: int) -> ConstantReport:
     """The largest per-cube value over levels 0..maxlevel (None: L) and its witness."""
     maxlevel = top_level(maxlevel, L)
     levels = list(itertools.islice(levels, maxlevel + 1))
     value = max(float(v.max()) for v in levels)  # positive, so the band below is its near-ties
     witness = argmax_cube((j, v >= value * (1 - 1e-14)) for j, v in enumerate(levels))[1]
-    return ConstantReport(value, witness, "dyadic", maxlevel)
+    return ConstantReport(value, witness, maxlevel)
 
 
 def ap_constant(w: GridFunction, p: float, maxlevel: int | None = None) -> ConstantReport:
@@ -95,7 +104,7 @@ def ap_constant(w: GridFunction, p: float, maxlevel: int | None = None) -> Const
     if p == 1:
         levels = map(np.divide, mw, fold_up({L: w.values}, n, L, 0, "min").values())
     else:
-        dual = mean_pyramid(w.values ** (-1.0 / (p - 1.0)), n, L)
+        dual = mean_pyramid(_dual(w, -1.0 / (p - 1.0)), n, L)
         levels = (a * d ** (p - 1.0) for a, d in zip(mw, dual))
     return _supremum(levels, maxlevel, L)
 
@@ -169,7 +178,7 @@ class WeightTuple:
         return self._nu
 
     def dual_weights(self, r: float | None = None) -> tuple[GridFunction, ...]:
-        return tuple(GridFunction(self.dim, self.level, w.values ** (1.0 - conjugate(a_i)))
+        return tuple(GridFunction(self.dim, self.level, _dual(w, 1.0 - conjugate(a_i)))
                      for w, a_i in zip(self.weights, self.a_i(r)))
 
 
@@ -208,7 +217,7 @@ def duality_inequality_check(w: GridFunction, p: float, p0: float) -> Inequality
         raise DomainError(f"need 1 < p < p0' = {p0c}, got p = {p}")
     _positive(w)
     pp = conjugate(p)
-    sigma = GridFunction(w.dim, w.level, w.values ** (1.0 - pp))
+    sigma = GridFunction(w.dim, w.level, _dual(w, 1.0 - pp))
     lhs = ap_constant(sigma, pp / p0).value
     weight_ap = ap_constant(w, p).value
     weight_rh = rh_constant(w, conjugate(p0c / p)).value

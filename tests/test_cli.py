@@ -665,6 +665,26 @@ def test_weight_file_clamped_on_ingestion(capsys, tmp_path):
     assert math.isfinite(json.loads(out)["value"])
 
 
+@pytest.mark.parametrize("cells, args", [
+    ("0 1 1 0", ["--weight", "W", "--p", "1.5"]),
+    ("0 0 1 1", ["--weight", "W", "--p", "1.974"]),  # finite cells, but their mean overflows
+    ("0 1 1 0", ["--weights", "W", "--p", "3", "--r", "2.5", "--p0", "2.5"]),
+])
+def test_zero_weight_cell_whose_dual_leaves_the_float_range(capsys, tmp_path, cells, args):
+    # the floor 1e-300 keeps p >= 2 finite (above); below p ~ 1.975 the dual weight
+    # w^(1-p') of a floored cell cannot be averaged, which is a validation error
+    path = tmp_path / "w.gfn"
+    path.write_text(f"GFN1 1 2\n{cells}\n")
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run(capsys, "constants", *[str(path) if a == "W" else a for a in args])
+    assert code == 2
+    assert out == ""
+    assert "dual weight" in err and "leaves the float range" in err
+    assert "floating-point" not in err
+
+
 def test_check_symbol_from_file(capsys, tmp_path):
     # custom sampled symbol in grid-function format over the frequency lattice
     freqs = np.arange(-64, 64)

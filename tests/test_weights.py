@@ -8,6 +8,7 @@ from sparselab.weights import (
     ConstantReport,
     WeightTuple,
     ap_constant,
+    clamp_weight,
     conjugate,
     duality_inequality_check,
     holder_identity_slack,
@@ -231,6 +232,24 @@ def test_dual_weights_two_valued():
     assert np.allclose(s.values, w.values**-1.0)
 
 
+@pytest.mark.filterwarnings("ignore:weight cells below")
+def test_dual_of_a_floored_zero_cell_is_checked():
+    # 1e-300 ^ (1 - p') stays averageable for p >= 2 and leaves the float range below ~1.975
+    w = clamp_weight(GridFunction(1, 2, np.array([0.0, 1.0, 1.0, 0.0])))
+    assert math.isfinite(ap_constant(w, 2.0).value)
+    for p in (1.01, 1.5, 1.97):
+        with pytest.raises(DomainError, match="dual weight"):
+            ap_constant(w, p)
+    with pytest.raises(DomainError, match="dual weight"):
+        WeightTuple((w,), (3.0,), p0=2.5).dual_weights()
+    with pytest.raises(DomainError, match="dual weight"):
+        duality_inequality_check(w, 1.5, 2.5)
+    # two adjacent cells of about 1e308: each is finite, their mean is not
+    w2 = clamp_weight(GridFunction(1, 2, np.array([0.0, 0.0, 1.0, 1.0])))
+    with np.errstate(over="raise"), pytest.raises(DomainError, match="dual weight"):
+        ap_constant(w2, 1.974)
+
+
 def test_holder_identity_per_cube():
     rng = np.random.default_rng(33)
     for _ in range(10):
@@ -325,7 +344,8 @@ def test_power_weight_2d_positive():
 
 
 def test_constant_report_json():
-    rep = ConstantReport(1.5, DyadicCube(2, (1,)), "dyadic", 4)
+    rep = ConstantReport(1.5, DyadicCube(2, (1,)), 4)
     d = rep.to_dict()
     assert d["value"] == 1.5
     assert d["witness"] == {"level": 2, "index": [1]}
+    assert d["family"] == "dyadic"
