@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Subcommands mirror the library surface: weight constants, the oscillation
-decomposition, sparse selection and domination, the theorem certification
-sweeps, and the symbol/kernel checkers.  Outputs are JSON (single reports),
-NDJSON + CSV (sweeps) and self-contained SVG line charts.  Exit codes:
-0 success, 2 validation or file-format error, 3 a failed exact-inequality
+decomposition, sparse selection and domination, certification of input
+files, the symbol/kernel checkers and ``sweep``, the one runner of a config's
+certification campaign.  Outputs are JSON reports, NDJSON + CSV sweeps and
+SVG line charts.  Exit codes: 0 success, 2 a validation or file-format error
+or an option that the command's mode never reads, 3 a failed exact-inequality
 check (the offending witness is printed).
 """
 
@@ -168,23 +169,34 @@ def _load_symbol(spec: str, N: int) -> Symbol:
 # Subcommand handlers
 
 
+def _options(args, mode: str, unread=(), **defaults) -> None:
+    """Reject the options given that this mode never reads; fill in the defaults of the rest."""
+    for dest in unread:
+        if getattr(args, dest) is not None:
+            raise DomainError(f"{args.command}: --{dest} is not read {mode}")
+    for dest, value in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+
+
 def cmd_constants(args) -> int:
     if args.weights:
+        _options(args, "with --weights", ("weight", "rh"), p=[2.0], p0=1.0, r=1.0)
         ws = [read_weight(p) for p in args.weights]
-        if len(args.p) != len(ws):
-            raise DomainError("need one exponent per weight")
         t = WeightTuple(tuple(ws), tuple(args.p), p0=args.p0)
         rep = multi_ap_constant(t, r=args.r, maxlevel=args.maxlevel)
+    elif args.weight and args.rh is not None:
+        _options(args, "with --rh", ("p", "p0", "r"))
+        try:
+            q = math.inf if args.rh in ("inf", "oo") else float(args.rh)
+        except ValueError:
+            raise DomainError(f"--rh must be a number or inf, got {args.rh!r}") from None
+        rep = rh_constant(read_weight(args.weight), q, maxlevel=args.maxlevel)
     elif args.weight:
-        w = read_weight(args.weight)
-        if args.rh is not None:
-            try:
-                q = math.inf if args.rh in ("inf", "oo") else float(args.rh)
-            except ValueError:
-                raise DomainError(f"--rh must be a number or inf, got {args.rh!r}") from None
-            rep = rh_constant(w, q, maxlevel=args.maxlevel)
-        else:
-            rep = ap_constant(w, args.p[0], maxlevel=args.maxlevel)
+        _options(args, "with --weight", ("p0", "r"), p=[2.0])
+        if len(args.p) != 1:
+            raise DomainError(f"constants: --p takes one value with --weight, got {len(args.p)}")
+        rep = ap_constant(read_weight(args.weight), args.p[0], maxlevel=args.maxlevel)
     else:
         raise DomainError("constants needs --weight or --weights")
     _dump({**rep.to_dict(), "seed": args.seed}, args.out)
@@ -196,6 +208,7 @@ def cmd_decompose(args) -> int:
     if args.level is not None:
         Q0 = DyadicCube(args.level, tuple(args.index or [0] * f.dim))
     else:
+        _options(args, "without --level", ("index",))
         Q0 = root_cube(f.dim)
     dec = lerner_decompose(f, Q0)
     ok = dec.verify(f)
@@ -237,20 +250,7 @@ def cmd_dominate(args) -> int:
     return 0
 
 
-def _sweep_mode(args) -> bool:
-    """Whether a certify command runs its --config; --out and --resume belong to one mode."""
-    if args.config and args.out is not None:
-        raise DomainError(f"{args.command}: --out names a single report, not a --config sweep")
-    if args.resume and not args.config:
-        raise DomainError(f"{args.command}: --resume needs --config")
-    return bool(args.config)
-
-
 def cmd_certify_a(args) -> int:
-    if _sweep_mode(args):
-        return _run_sweep_config(args.config, "theorem-a", args)
-    if not args.alpha or not args.f:
-        raise DomainError("certify-a needs --config or both --alpha and --f")
     a = read_carleson(args.alpha)
     fs = [read_gfn(p) for p in args.f]
     w = read_weight(args.weight) if args.weight else None
@@ -260,10 +260,6 @@ def cmd_certify_a(args) -> int:
 
 
 def cmd_certify_buckley(args) -> int:
-    if _sweep_mode(args):
-        return _run_sweep_config(args.config, "buckley", args)
-    if not args.weight or not args.function:
-        raise DomainError("certify-buckley needs --config or both --weight and --function")
     w = read_weight(args.weight)
     f = read_gfn(args.function)
     rec = certify_buckley(w, args.p, f, maxlevel=args.maxlevel, seed=args.seed)
@@ -287,14 +283,11 @@ def _read_records(path) -> dict:
     return done
 
 
-def _run_sweep_config(path, experiment: str | None, args) -> int:
-    config = json.loads(read_text(path))
+def cmd_sweep(args) -> int:
+    config = json.loads(read_text(args.config))
     if not isinstance(config, dict):
-        raise DomainError(f"{path}: a sweep config must be a JSON object")
-    if experiment is not None:
-        config["experiment"] = experiment
-    if getattr(args, "seed", None) is not None:
-        config.setdefault("seed", args.seed)
+        raise DomainError(f"{args.config}: a sweep config must be a JSON object")
+    config.setdefault("seed", args.seed)
     cfg = validate_config(config)
     done = {}
     out = cfg["out"]
@@ -322,12 +315,9 @@ def _run_sweep_config(path, experiment: str | None, args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    return _run_sweep_config(args.config, None, args)
-
-
 def cmd_check_symbol(args) -> int:
     if args.bilinear:
+        _options(args, "with --bilinear", ("s",))
         from .kernels import symbol_cone, symbol_smooth_bump
 
         named = {"cone": symbol_cone, "bump": symbol_smooth_bump}
@@ -339,7 +329,7 @@ def cmd_check_symbol(args) -> int:
         _dump({**rep.to_dict(), "seed": args.seed}, args.out)
         return 0
     sym = _load_symbol(args.symbol, args.N)
-    rep = check_msl(sym, args.s, int(args.l))
+    rep = check_msl(sym, 2.0 if args.s is None else args.s, int(args.l))
     _dump({**rep.to_dict(), "seed": args.seed}, args.out)
     return 0
 
@@ -372,19 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True, resume=False):
+    def common(p, out=True):
         p.add_argument("--seed", type=int, default=0)
         if out:
             p.add_argument("--out", default=None)
-        if resume:
-            p.add_argument("--resume", action="store_true")
 
     p = sub.add_parser("constants", help="A_p / RH_q / multiple-weight constants")
     p.add_argument("--weight", default=None)
     p.add_argument("--weights", nargs="+", default=None)
-    p.add_argument("--p", type=float, nargs="+", default=[2.0])
-    p.add_argument("--p0", type=float, default=1.0)
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--p", type=float, nargs="+", default=None)
+    p.add_argument("--p0", type=float, default=None)
+    p.add_argument("--r", type=float, default=None)
     p.add_argument("--rh", default=None, help="reverse Holder exponent (number or inf)")
     p.add_argument("--maxlevel", type=int, default=None)
     common(p)
@@ -416,38 +404,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dominate)
 
     p = sub.add_parser("certify-a", help="complexity-collapse certification")
-    p.add_argument("--config", default=None)
-    p.add_argument("--alpha")
-    p.add_argument("--f", action="append")
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--f", action="append", required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--p0", type=float, default=1.0)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--weight", default=None)
-    common(p, resume=True)
+    common(p)
     p.set_defaults(fn=cmd_certify_a)
 
-    p = sub.add_parser("certify-b", help="sparse-form weighted bound campaign")
-    p.add_argument("--config", required=True)
-    common(p, out=False, resume=True)
-    p.set_defaults(fn=lambda a: _run_sweep_config(a.config, "theorem-b", a))
-
-    p = sub.add_parser("certify-c", help="end-to-end operator certification campaign")
-    p.add_argument("--config", required=True)
-    common(p, out=False, resume=True)
-    p.set_defaults(fn=lambda a: _run_sweep_config(a.config, "theorem-c", a))
-
     p = sub.add_parser("certify-buckley", help="maximal-function bound certification")
-    p.add_argument("--config", default=None)
-    p.add_argument("--weight")
-    p.add_argument("--function")
+    p.add_argument("--weight", required=True)
+    p.add_argument("--function", required=True)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--maxlevel", type=int, default=None)
-    common(p, resume=True)
+    common(p)
     p.set_defaults(fn=cmd_certify_buckley)
 
     p = sub.add_parser("check-symbol", help="symbol class membership report")
     p.add_argument("--symbol", required=True)
-    p.add_argument("--s", type=float, default=2.0)
+    p.add_argument("--s", type=float, default=None)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--N", type=int, default=256)
     p.add_argument("--bilinear", action="store_true")
@@ -466,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p.add_argument("--config", required=True)
-    common(p, out=False, resume=True)
+    common(p, out=False)
+    p.add_argument("--resume", action="store_true")
     p.set_defaults(fn=cmd_sweep)
 
     return ap

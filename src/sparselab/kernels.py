@@ -170,10 +170,11 @@ def hilbert_transform(f: GridFunction) -> GridFunction:
 
 
 def apply_bilinear_multiplier(m: Symbol, f: GridFunction, g: GridFunction) -> GridFunction:
-    """Direct double-sum bilinear multiplier on the 1d torus lattice.
+    """Bilinear multiplier on the 1d torus lattice.
 
     T(f,g)(x) = sum_{xi,eta} m(xi,eta) fhat(xi) ghat(eta) e^(2 pi i (xi+eta) x),
-    with unit-normalized coefficients so the constant symbol gives f g.
+    with unit-normalized coefficients so the constant symbol gives f g: the
+    diagonal x = y of the 2d inverse transform of m(xi,eta) fhat(xi) ghat(eta).
     """
     if m.freq_dim != 2:
         raise DimensionError("bilinear multiplier needs a rank-2 symbol")
@@ -181,17 +182,10 @@ def apply_bilinear_multiplier(m: Symbol, f: GridFunction, g: GridFunction) -> Gr
         raise DimensionError("bilinear multiplier is implemented on the 1d torus")
     if f.level != g.level:
         raise DimensionError("input functions must share a resolution")
-    N = 1 << f.level
-    if m.N != N:
+    if m.N != 1 << f.level:
         raise DimensionError("symbol lattice does not match function resolution")
-    fh = np.fft.fft(f.values) / N
-    gh = np.fft.fft(g.values) / N
-    mf = np.fft.ifftshift(m.values)
-    A = mf * fh[:, None] * gh[None, :]
-    x = np.arange(N) / N
-    freqs = np.fft.fftfreq(N, d=1.0 / N)
-    U = np.exp(2j * np.pi * np.outer(x, freqs))
-    out = np.einsum("xk,kl,xl->x", U, A, U, optimize=True)
+    A = np.fft.ifftshift(m.values) * np.fft.fft(f.values)[:, None] * np.fft.fft(g.values)
+    out = np.fft.ifft2(A).diagonal()
     if m.is_hermitian():
         return GridFunction(1, f.level, out.real)
     return GridFunction(1, f.level, np.abs(out))

@@ -375,7 +375,7 @@ class SelectionResult:
 
     def report(self) -> dict:
         return {
-            "selected": len(self.selected),
+            "selected": len(self.family),
             "cstar": self.cstar,
             "w_hat": self.w_hat,
             "pointwise_constant": self.pointwise_constant,

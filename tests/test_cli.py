@@ -274,30 +274,9 @@ def test_certify_buckley_maxlevel_is_read(capsys, function_file, tmp_path):
     assert json.loads(out)["constants"]["ap"] != full["constants"]["ap"]
 
 
-@pytest.mark.parametrize("mode, extra", [
-    ("config", ["--out", "OUT"]),
-    ("files", ["--resume"]),
-])
-@pytest.mark.parametrize("command", ["certify-a", "certify-buckley"])
-def test_certify_option_of_the_other_mode_exits_2(capsys, tmp_path, alpha_file, command, mode,
-                                                  extra):
-    # --out names a single report (a sweep writes to its config's out); --resume needs a sweep
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"L": 6, "trials": 1, "out": str(tmp_path / "cfgout")}))
-    f = tmp_path / "f.gfn"
-    write_gfn(f, GridFunction.constant(1, 6, 1.0))
-    files = (["--alpha", alpha_file, "--f", str(f)] if command == "certify-a"
-             else ["--weight", str(f), "--function", str(f)])
-    argv = (["--config", str(cfg)] if mode == "config" else files) + extra
-    code, out, err = run(capsys, command, *(str(tmp_path / "mine") if a == "OUT" else a
-                                            for a in argv))
-    assert code == 2 and out == ""
-    assert f"error: {command}: {extra[0]}" in err
-    assert {p.name for p in tmp_path.iterdir()} == {"cfg.json", "f.gfn", "a.seq"}
-
-
 def test_certify_b_config(capsys, tmp_path):
     cfg = {
+        "experiment": "theorem-b",
         "n": 1, "L": 5, "m": 2, "p0": 1.0, "p": [2.0, 2.0], "trials": 3, "seed": 4,
         "weight_family": {"type": "power", "alpha_grid": [0.0, 0.4]},
         "out": str(tmp_path / "tb"),
@@ -305,7 +284,7 @@ def test_certify_b_config(capsys, tmp_path):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    code, _, err = run(capsys, "certify-b", "--config", str(cfg_path))
+    code, _, err = run(capsys, "sweep", "--config", str(cfg_path))
     assert code == 0
     records = [json.loads(l) for l in (tmp_path / "tb.ndjson").read_text().splitlines()]
     assert records and all(r["experiment"] == "theorem-b" for r in records)
@@ -581,6 +560,18 @@ def test_check_h2_rank_2_symbol_exits_2(capsys, tmp_path):
     assert "rank-1 symbol" in err
 
 
+# options that the command's mode never reads, each with the option its message names
+UNREAD = [
+    (["check-symbol", "--bilinear", "--symbol", "cone", "--N", "16", "--s", "5"], "--s"),
+    (["constants", "--weights", "W", "--p", "2", "--rh", "abc"], "--rh"),
+    (["constants", "--weight", "W", "--p", "2", "--r", "99", "--p0", "99"], "--p0"),
+    (["constants", "--weight", "W", "--rh", "inf", "--p", "0.5"], "--p"),
+    (["constants", "--weight", "W", "--p", "2", "3"], "--p"),
+    (["decompose", "--function", "W", "--index", "9"], "--index"),
+    (["constants", "--weight", "W", "--weights", "W"], "--weight"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["constants", "--weight", "W", "--maxlevel", "-3"],
     ["constants", "--weight", "W", "--rh", "2", "--maxlevel", "-3"],
@@ -592,12 +583,14 @@ def test_check_h2_rank_2_symbol_exits_2(capsys, tmp_path):
     ["constants"],
     ["constants", "--weight", "."],
     ["constants", "--weight", "W", "--out", "."],
+    *(argv for argv, _ in UNREAD),
 ])
 def test_out_of_range_arguments_exit_2(capsys, weight_file, argv):
     code, out, err = run(capsys, *(weight_file if a == "W" else a for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert all(f"{name} " in err for case, name in UNREAD if case == argv)
 
 
 # --- plotting ----------------------------------------------------------------------
@@ -639,13 +632,14 @@ def test_gfn_roundtrip_via_cli_files(tmp_path):
 
 def test_certify_c_config(capsys, tmp_path):
     cfg = {
+        "experiment": "theorem-c",
         "n": 1, "L": 6, "m": 1, "p0": 1.0, "p": [2.0], "trials": 2, "seed": 2,
         "weight_family": {"type": "constant", "alpha_grid": [0.0]},
         "out": str(tmp_path / "tc"),
     }
     cfg_path = tmp_path / "tc.json"
     cfg_path.write_text(json.dumps(cfg))
-    code, _, _ = run(capsys, "certify-c", "--config", str(cfg_path))
+    code, _, _ = run(capsys, "sweep", "--config", str(cfg_path))
     assert code == 0
     records = [json.loads(l) for l in (tmp_path / "tc.ndjson").read_text().splitlines()]
     assert records and all(r["experiment"] == "theorem-c" for r in records)
@@ -710,11 +704,22 @@ def test_check_symbol_riesz1d_alias(capsys):
     ["sweep", "--config", "cfg.json", "--out", "mine"],
     ["certify-b", "--config", "cfg.json", "--out", "mine"],
     ["certify-c", "--config", "cfg.json", "--out", "mine"],
+    # sweep alone runs a config; the certify commands certify input files
+    ["certify-b", "--config", "cfg.json"],
+    ["certify-c", "--config", "cfg.json", "--resume"],
+    ["certify-a", "--alpha", "a.seq", "--f", "f.gfn", "--config", "cfg.json"],
+    ["certify-buckley", "--weight", "w.gfn", "--function", "f.gfn", "--config", "cfg.json"],
+    ["certify-a", "--alpha", "a.seq", "--f", "f.gfn", "--resume"],
+    ["certify-buckley", "--weight", "w.gfn", "--function", "f.gfn", "--resume"],
+    ["certify-a", "--config", "cfg.json"],
+    ["certify-buckley", "--config", "cfg.json"],
 ])
 def test_removed_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: " in err or "unrecognized arguments: " in err or "required" in err
 
 
 def test_sweep_rejects_jobs_key(capsys, tmp_path):

@@ -5,12 +5,12 @@ warning and writes strict JSON, and an output goes non-finite or overflows
 only from an input at the edge of the float range.
 The argv names generated input files: grid functions, coefficient
 sequences and sweep configs.  Half the cases are clean: well-formed files
-on one grid and options that the command accepts on it, in one of its
-modes (a sweep config or input files, never both), so commands run to
-their outputs; in half of those every file value is 1e308, so sums and
-products of two values overflow on the way.  The others take their
-options from ``build_parser()``'s own actions, at most one value from an
-edge pool, and a file may be broken in one of the usual ways.
+on one grid and options that the command accepts on it, only those that
+its mode reads, so commands run to their outputs; in half of those every
+file value is 1e308, so sums and products of two values overflow on the
+way.  The others take their options from ``build_parser()``'s own
+actions, at most one value from an edge pool, and a file may be broken in
+one of the usual ways.
 """
 
 import argparse
@@ -148,9 +148,6 @@ def cases(draw):
 EXPONENTS = ["2", "3", "4"]
 LOW = ["1", "1.5"]
 SEEDS = ["0", "1", "2"]
-# the experiment a certify command runs; sweep runs the config's
-EXPERIMENTS = {"certify-a": "theorem-a", "certify-b": "theorem-b", "certify-c": "theorem-c",
-               "certify-buckley": "buckley", "sweep": None}
 
 
 @st.composite
@@ -167,8 +164,7 @@ def clean_cases(draw, big):
         return [x for _ in range(draw(st.integers(1, 2))) for x in ("--f", pick(GFN))]
 
     step = 0
-    mode = pick(["config", "files"]) if command in ("certify-a", "certify-buckley") else None
-    if command in EXPERIMENTS and mode != "files":
+    if command == "sweep":
         opts = ["--config", "C.json"] + (["--resume"] if draw(st.booleans()) else [])
     elif command == "constants":
         shape = pick(["weights", "rh", "ap"])
@@ -193,11 +189,10 @@ def clean_cases(draw, big):
         opts += ["--cstar", pick(["1", "100"])] if draw(st.booleans()) else []
     elif command == "certify-a":
         opts = ["--alpha", "S.seq", *gfns(), "--k", pick(GOOD[int]), "--p0", pick(LOW),
-                "--p", pick(["0.5", "1"] + EXPONENTS), "--out", "out.json"]
+                "--p", pick(["0.5", "1"] + EXPONENTS)]
         opts += ["--weight", pick(GFN)] if draw(st.booleans()) else []
     elif command == "certify-buckley":
-        opts = ["--weight", pick(GFN), "--function", pick(GFN), "--p", pick(EXPONENTS),
-                "--out", "out.json"]
+        opts = ["--weight", pick(GFN), "--function", pick(GFN), "--p", pick(EXPONENTS)]
         opts += ["--maxlevel", pick(GOOD[int])] if draw(st.booleans()) else []
     elif command == "check-symbol" and draw(st.booleans()):
         opts = ["--bilinear", "--symbol", pick(["cone", "bump"]), "--N", pick(GOOD["N"]),
@@ -217,11 +212,11 @@ def clean_cases(draw, big):
                 "--index", str(draw(st.integers(0, (1 << level) - 1))),
                 "--jmax", str(draw(st.integers(1, level))), "--p0", pick(["1", "1.5", "2"])]
     opts += ["--seed", pick(SEEDS)]
-    if "--out" in (a.option_strings[0] for a in COMMANDS[command]) and mode is None:
+    if "--out" in (a.option_strings[0] for a in COMMANDS[command]):
         opts += ["--out", "out.json"] if draw(st.booleans()) else []
     files = {"A.gfn": draw(gfn_texts(grid, big)), "B.gfn": draw(gfn_texts(grid, big)),
              "S.seq": draw(seq_texts(grid, big, step)),
-             "C.json": draw(clean_config_texts(EXPERIMENTS.get(command)))}
+             "C.json": draw(clean_config_texts())}
     return [command, *opts], files
 
 
@@ -245,9 +240,9 @@ FIELDS = {
 
 
 @st.composite
-def clean_config_texts(draw, experiment):
-    """A sweep config that the experiment (any, if None) accepts."""
-    exp = experiment or draw(st.sampled_from(FIELDS["experiment"][:4]))
+def clean_config_texts(draw):
+    """A sweep config that its experiment accepts."""
+    exp = draw(st.sampled_from(FIELDS["experiment"][:4]))
     # theorem-c runs the Hilbert operator at n = m = 1, and its H2 fit needs L >= 6
     one = exp == "theorem-c"
     n, m = (1, 1) if one else (draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2])))
@@ -359,8 +354,6 @@ CLEAN_ARGVS = {
     "select": ["--alpha", "S.seq", "--f", "A.gfn", "--k", "1"],
     "dominate": ["--alpha", "S.seq", "--f", "A.gfn", "--f", "B.gfn", "--k", "2"],
     "certify-a": ["--alpha", "S.seq", "--f", "A.gfn", "--k", "1", "--weight", "B.gfn"],
-    "certify-b": ["--config", "C.json"],
-    "certify-c": ["--config", "C.json", "--resume"],
     "certify-buckley": ["--weight", "A.gfn", "--function", "B.gfn", "--maxlevel", "2"],
     "check-symbol": ["--symbol", "A.gfn", "--N", "8"],
     "check-h2": ["--kernel", "symbol:A.gfn", "--L", "3", "--level", "1", "--jmax", "1"],

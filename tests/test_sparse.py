@@ -409,6 +409,19 @@ def test_select_domination_covers():
     assert np.all(lhs <= res.pointwise_constant * rhs + 1e-12)
 
 
+def test_reports_count_selected_cubes_without_building_them(built_cubes):
+    rng = rng_from(12)
+    a = random_carleson(rng, 1, 6, k_grid=2)
+    fs = [random_function(rng, 1, 6)]
+    sel, dom = select_sparse(a, 2, 1.0, fs), dominate(a, 2, 1.0, fs)
+    built_cubes.clear()
+    rep, dom_rep = sel.report(), dom.report()
+    assert built_cubes == []
+    assert rep["selected"] == len(sel.selected) > 0
+    assert [s["selected"] for s in dom_rep["selections"]] == [
+        len(s.selected) for s in dom.selections]
+
+
 # --- carleson embedding ------------------------------------------------------------
 
 
