@@ -284,6 +284,11 @@ SWEEP_KEYS = {
     "trials", "seed", "out", "plot",
 }
 WEIGHT_FAMILY_KEYS = {"type", "alpha_grid"}
+# the canonical defaults of the fields that some experiment never reads
+_DEFAULTS = {"m": 1, "p0": 1.0, "k": [0],
+             "weight_family": {"type": "constant", "alpha_grid": [0.0]}}
+_UNREAD = {"theorem-a": ("weight_family",), "theorem-b": ("k",), "theorem-c": ("k",),
+           "buckley": ("m", "p0", "k")}
 # where a sweep writes; they do not change what it computes
 _PLACEMENT_KEYS = ("out", "plot")
 
@@ -325,8 +330,8 @@ def validate_config(config: dict) -> dict:
     """Check every field of a sweep config and return it with canonical types.
 
     Integers become int and exponents, p0 and alphas become float, so equal
-    configs hash equal.  Levels are checked against MAX_LEVEL and exponents
-    against the experiment's rules before any work starts.
+    configs hash equal.  Levels, exponents, the fields that the experiment
+    never reads and the plot's columns are checked before any work starts.
     """
     if not isinstance(config, dict):
         raise DomainError("a sweep config must be a JSON object")
@@ -336,7 +341,7 @@ def validate_config(config: dict) -> dict:
     exp = config["experiment"]
     if exp not in ("theorem-a", "theorem-b", "theorem-c", "buckley"):
         raise DomainError(f"unknown experiment {exp!r}")
-    wf = _keys(config.get("weight_family", {"type": "constant", "alpha_grid": [0.0]}),
+    wf = _keys(config.get("weight_family", _DEFAULTS["weight_family"]),
                "weight_family", WEIGHT_FAMILY_KEYS)
     if wf.get("type", "power") not in ("power", "constant"):
         raise DomainError(f"unknown weight family type {wf.get('type')!r}")
@@ -347,15 +352,19 @@ def validate_config(config: dict) -> dict:
             raise DomainError("plot needs an 'out' path")
         if not all(isinstance(v, str) for v in plot.values()):
             raise DomainError(f"plot fields must be strings, got {plot!r}")
+        columns = ["k" if exp == "theorem-a" else "alpha", "records", "ratio_max", "ratio_median"]
+        plot = {"x": columns[0], "y": "ratio_max", **plot}
+        if not {plot["x"], plot["y"]} <= set(columns):
+            raise DomainError(f"plot x and y must be summary columns {columns}, got {plot!r}")
     if not isinstance(config.get("out", ""), (str, type(None))):
         raise DomainError(f"config 'out' must be a path, got {config['out']!r}")
-    k = config.get("k", [0])
+    k = config.get("k", _DEFAULTS["k"])
     out = {
         "experiment": exp,
         "n": _integer(config.get("n", 1), "n", 1),
         "L": _integer(config.get("L", 8), "L", 0),
-        "m": _integer(config.get("m", 1), "m", 1),
-        "p0": _number(config.get("p0", 1.0), "p0"),
+        "m": _integer(config.get("m", _DEFAULTS["m"]), "m", 1),
+        "p0": _number(config.get("p0", _DEFAULTS["p0"]), "p0"),
         "p": _numbers(config.get("p", [2.0]), "p"),
         "k": [_integer(j, "k", 0) for j in (k if isinstance(k, list) else [k])],
         "weight_family": {"type": wf.get("type", "power"),
@@ -366,6 +375,13 @@ def validate_config(config: dict) -> dict:
         "plot": plot,
     }
     check_resolution(out["n"], out["L"])
+    unread = [name for name in _UNREAD[exp] if out[name] != _DEFAULTS[name]]
+    # a constant family reads no alpha: its alphas would only label points
+    family = out["weight_family"]
+    if exp != "theorem-a" and family["type"] == "constant" and family["alpha_grid"] != [0.0]:
+        unread.append("weight_family.alpha_grid")
+    if unread:
+        raise DomainError(f"{exp} never reads config {unread}: omit them or give their defaults")
     p0, m = out["p0"], out["m"]
     lengths = sorted({1, m}) if exp in ("theorem-b", "theorem-c") else [1]
     if len(out["p"]) not in lengths:
@@ -400,15 +416,9 @@ def _record_keys(cfg: dict, points: int) -> list[list[str]]:
 
 
 def _grid_points(cfg: dict) -> list[dict]:
-    exp = cfg["experiment"]
-    pts = []
-    if exp == "theorem-a":
-        for k in cfg["k"]:
-            pts.append({"k": int(k)})
-    else:
-        for alpha in cfg["weight_family"]["alpha_grid"]:
-            pts.append({"alpha": float(alpha)})
-    return pts
+    if cfg["experiment"] == "theorem-a":
+        return [{"k": k} for k in cfg["k"]]
+    return [{"alpha": alpha} for alpha in cfg["weight_family"]["alpha_grid"]]
 
 
 def _run_point(cfg: dict, point: dict, point_index: int,
@@ -475,11 +485,9 @@ class SweepResult:
         buf = io.StringIO()
         if not self.summary:
             return ""
-        cols = list(self.summary[0])
-        writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(self.summary[0]), lineterminator="\n")
         writer.writeheader()
-        for row in self.summary:
-            writer.writerow(row)
+        writer.writerows(self.summary)
         return buf.getvalue()
 
 

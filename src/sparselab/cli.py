@@ -284,11 +284,7 @@ def _read_records(path) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    config = json.loads(read_text(args.config))
-    if not isinstance(config, dict):
-        raise DomainError(f"{args.config}: a sweep config must be a JSON object")
-    config.setdefault("seed", args.seed)
-    cfg = validate_config(config)
+    cfg = validate_config(json.loads(read_text(args.config)))
     done = {}
     out = cfg["out"]
     if out and os.path.exists(out + ".ndjson") and args.resume:
@@ -304,9 +300,9 @@ def cmd_sweep(args) -> int:
     else:
         sys.stdout.write(records)
         targets = []
-    plot = cfg.get("plot")
+    plot = cfg["plot"]
     if plot:
-        svg = emit_plot(res.summary, plot.get("x", "alpha"), plot.get("y", "ratio_max"))
+        svg = emit_plot(res.summary, plot["x"], plot["y"])
         with open(plot["out"], "w", encoding="ascii") as fh:
             fh.write(svg)
         targets.append(plot["out"])
@@ -362,10 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
-        if out:
-            p.add_argument("--out", default=None)
+        p.add_argument("--out", default=None)
 
     p = sub.add_parser("constants", help="A_p / RH_q / multiple-weight constants")
     p.add_argument("--weight", default=None)
@@ -442,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p.add_argument("--config", required=True)
-    common(p, out=False)
     p.add_argument("--resume", action="store_true")
     p.set_defaults(fn=cmd_sweep)
 

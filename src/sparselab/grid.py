@@ -366,6 +366,8 @@ def dilate_products(fs, levels, p0: float) -> dict[int, np.ndarray]:
     (prefix-sum differences would), and a level's values do not depend on
     which other levels were requested.
     """
+    if not p0 >= 1:
+        raise DomainError(f"p0 must be >= 1, got {p0}")
     n, L = fs[0].dim, fs[0].level
     levels = sorted(set(levels))
     if levels and levels[-1] > L:

@@ -53,8 +53,6 @@ def _osc_from_sorted(b: np.ndarray, lam: float) -> np.ndarray:
     """
     N = b.shape[1]
     k = _rank(lam, N)
-    if k > N:
-        return np.zeros(b.shape[0])
     W = N - k + 1
     return (b[:, W - 1 :] - b[:, :k]).min(axis=1) / 2.0
 

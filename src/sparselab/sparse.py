@@ -390,6 +390,8 @@ def measure_weak_norm(a: CarlesonSequence, k: int, p0: float, m: int,
     Runs seeded random tuples normalized in L^p0 and keeps the running max;
     the estimate never decreases as trials grow.
     """
+    if not p0 >= 1:
+        raise DomainError(f"p0 must be >= 1, got {p0}")
     if trials < 1:
         raise DomainError("need at least one trial")
     n = a.dim

@@ -243,7 +243,7 @@ def _power_cell_averages_1d(alpha: float, center: float, L: int) -> np.ndarray:
     edges = (np.arange(N + 1) / N - center) % 1.0
     u0, u1 = edges[:-1], edges[1:]
     u1 = np.where(u1 == 0.0, 1.0, u1)
-    wrapped = u1 < u0
+    wrapped = u1 <= u0
     plain = F(u1) - F(u0)
     split = (F(1.0) - F(u0)) + F(np.where(wrapped, u1, 0.0))
     return np.where(wrapped, split, plain) * N

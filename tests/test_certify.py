@@ -333,6 +333,26 @@ def test_validate_config_canonical_types():
     assert placed.records[0].key() == sweep({**exact, "trials": 1}).records[0].key()
 
 
+@pytest.mark.parametrize("config", [
+    {"experiment": "theorem-a", "k": 2, "m": 2, "p0": 1.5, "plot": {"out": "p.svg"}},
+    {"experiment": "theorem-b", "m": 2, "p": [2, 3], "plot": {"out": "p.svg", "y": "records"},
+     "weight_family": {"alpha_grid": [0.3]}},
+    {"experiment": "theorem-c", "L": 6, "k": [0], "weight_family": {"type": "constant"}},
+    {"experiment": "buckley", "m": 1, "p0": 1, "plot": {"x": "ratio_median", "out": "p.svg"}},
+])
+def test_validated_config_validates_to_itself(config):
+    cfg = validate_config(config)
+    assert validate_config(cfg) == cfg
+    if "plot" in config:
+        assert cfg["plot"] == {"x": "k" if config["experiment"] == "theorem-a" else "alpha",
+                               "y": "ratio_max", **config["plot"]}
+
+
+def test_validate_config_names_every_unread_field():
+    with pytest.raises(DomainError, match=r"buckley never reads config \['m', 'p0', 'k'\]"):
+        validate_config({"experiment": "buckley", "m": 2, "p0": 1.5, "k": [1]})
+
+
 def test_validate_config_plot_keys():
     base = {"experiment": "buckley", "weight_family": {"type": "power", "alpha_grid": [0.0]}}
     with pytest.raises(DomainError):

@@ -1,13 +1,15 @@
 import json
 import math
+import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
 
 from sparselab import cli
 from sparselab.certify import CertificationRecord, SweepResult, certify_buckley, certify_theorem_a
-from sparselab.cli import emit_plot, main, read_carleson, read_weight, write_carleson
+from sparselab.cli import build_parser, emit_plot, main, read_carleson, read_weight, write_carleson
 from sparselab.grid import DomainError, FormatError, GridFunction, read_gfn, root_cube, write_gfn
 from sparselab.samples import random_carleson, rng_from
 from sparselab.sparse import CarlesonSequence
@@ -382,17 +384,37 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
     ({"experiment": "theorem-b", "L": 3, "m": 2, "p": [2, 3, 4], "trials": 1}, None),
     ({"experiment": "buckley", "L": 3, "p": [2, 7], "trials": 1}, None),
     ({"experiment": "theorem-a", "L": 3, "p": [2, 0.5], "trials": 1}, None),
+    # the config's seed is a sweep's only seed
+    pytest.param({"experiment": "buckley", "L": 3, "trials": 1},
+                 ["sweep", "--config", "IN", "--seed", "3"], id="sweep-seed-option"),
+    # fields the experiment would never read, unless at their defaults
+    ({"experiment": "theorem-b", "L": 3, "trials": 1, "k": [1, 2]}, None),
+    ({"experiment": "buckley", "L": 3, "trials": 1, "p0": 1.5}, None),
+    ({"experiment": "theorem-a", "L": 3, "trials": 1,
+      "weight_family": {"type": "power", "alpha_grid": [0.0]}}, None),
+    ({"experiment": "buckley", "L": 3, "trials": 1,
+      "weight_family": {"type": "constant", "alpha_grid": [0.3, 0.6]}}, None),
+    # a plot column that the summary lacks fails before the sweep prints its records
+    ({"experiment": "buckley", "L": 3, "trials": 1, "plot": {"out": "p.svg", "y": "nope"}},
+     None),
 ])
-def test_bad_sweep_inputs_exit_2(capsys, tmp_path, function_file, config, argv):
+def test_bad_sweep_inputs_exit_2(capsys, tmp_path, monkeypatch, function_file, config, argv):
     # a string config is the text of the input file named IN
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     if argv is None:
         argv = ["sweep", "--config", "IN"]
-    code, out, err = run(capsys, *({"IN": str(path), "F": function_file}.get(a, a) for a in argv))
+    try:
+        code, out, err = run(capsys, *({"IN": str(path), "F": function_file}.get(a, a)
+                                       for a in argv))
+    except SystemExit as exc:  # argparse prints its usage, then "<prog>: error: ..."
+        code, (out, err) = exc.code, capsys.readouterr()
+        err = err[err.index("error: "):]
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "f.gfn"]
 
 
 @pytest.mark.parametrize("command", ["constants", "dominate", "sweep"])
@@ -749,3 +771,24 @@ def test_theorem_c_needs_level_6(capsys, tmp_path, L):
     else:
         assert code == 2 and out == ""
         assert "'L'" in err
+
+
+def test_sweep_plot_x_defaults_to_the_point_column(capsys, tmp_path):
+    cfg = {"experiment": "theorem-a", "L": 3, "k": [0, 1], "trials": 1,
+           "out": str(tmp_path / "ta"), "plot": {"out": str(tmp_path / "ta.svg")}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 0, err
+    svg = (tmp_path / "ta.svg").read_text()
+    assert ">k</text>" in svg and ">ratio_max</text>" in svg
+
+
+def test_readme_command_lines_parse():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert argvs and all(argv[0] == "sparselab" for argv in argvs)
+    parser = build_parser()
+    for argv in argvs:
+        parser.parse_args(argv[1:])  # an option the parser lacks exits 2 here

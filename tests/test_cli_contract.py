@@ -211,8 +211,9 @@ def clean_cases(draw, big):
         opts = ["--kernel", kernel, "--L", str(Lk), "--level", str(level),
                 "--index", str(draw(st.integers(0, (1 << level) - 1))),
                 "--jmax", str(draw(st.integers(1, level))), "--p0", pick(["1", "1.5", "2"])]
-    opts += ["--seed", pick(SEEDS)]
-    if "--out" in (a.option_strings[0] for a in COMMANDS[command]):
+    flags = [a.option_strings[0] for a in COMMANDS[command]]
+    opts += ["--seed", pick(SEEDS)] if "--seed" in flags else []
+    if "--out" in flags:
         opts += ["--out", "out.json"] if draw(st.booleans()) else []
     files = {"A.gfn": draw(gfn_texts(grid, big)), "B.gfn": draw(gfn_texts(grid, big)),
              "S.seq": draw(seq_texts(grid, big, step)),
@@ -241,7 +242,7 @@ FIELDS = {
 
 @st.composite
 def clean_config_texts(draw):
-    """A sweep config that its experiment accepts."""
+    """A sweep config that its experiment accepts, with only the fields that it reads."""
     exp = draw(st.sampled_from(FIELDS["experiment"][:4]))
     # theorem-c runs the Hilbert operator at n = m = 1, and its H2 fit needs L >= 6
     one = exp == "theorem-c"
@@ -250,14 +251,19 @@ def clean_config_texts(draw):
     if exp in ("theorem-b", "theorem-c") and draw(st.booleans()):
         p += [draw(st.sampled_from([2.0, 3.0])) for _ in range(m - 1)]
     config = {"experiment": exp, "n": n, "L": 6 if one else draw(st.sampled_from([2, 3])),
-              "m": m, "p0": draw(st.sampled_from([1.0, 1.5])), "p": p,
-              "trials": draw(st.sampled_from([1, 2])), "seed": draw(st.sampled_from([0, 1])),
-              "weight_family": draw(st.sampled_from(FIELDS["weight_family"][:2])),
-              "out": draw(st.sampled_from(["sweep", None]))}
+              "p": p, "trials": draw(st.sampled_from([1, 2])),
+              "seed": draw(st.sampled_from([0, 1])), "out": draw(st.sampled_from(["sweep", None]))}
+    if exp != "buckley":
+        config.update(m=m, p0=draw(st.sampled_from([1.0, 1.5])))
     if exp == "theorem-a":
         config["k"] = draw(st.sampled_from(FIELDS["k"][:3]))
+    else:
+        config["weight_family"] = draw(st.sampled_from(FIELDS["weight_family"][:2]))
     if draw(st.booleans()):
-        config["plot"] = {"out": "plot.svg", "x": "k" if exp == "theorem-a" else "alpha"}
+        # the plot's x defaults to the grid's column
+        config["plot"] = {"out": "plot.svg"}
+        if draw(st.booleans()):
+            config["plot"]["x"] = "k" if exp == "theorem-a" else "alpha"
     return json.dumps(config)
 
 

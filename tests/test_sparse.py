@@ -12,12 +12,15 @@ from sparselab.grid import (
     average,
     cube_levels,
     dilate,
+    dilate_products,
     mean_pyramid,
     rearrangement,
     root_cube,
     weak_norm,
     weighted_norm,
 )
+from sparselab.kernels import HilbertOperator
+from sparselab.oscillation import osc_profile
 from sparselab.samples import (
     random_carleson,
     random_function,
@@ -777,3 +780,18 @@ def test_nan_p0_is_rejected():
                  lambda: weak_norm(fs[0], nan), lambda: rearrangement(fs[0], nan)):
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.parametrize("p0", [0.0, 0.5, float("nan")])
+@pytest.mark.parametrize("name", ["measure_weak_norm", "dilate_products", "osc_profile"])
+def test_p0_below_1_is_rejected(name, p0):
+    # p0 = 0 divided by zero, and 0.5 and NaN returned values, before the check
+    rng = rng_from(4)
+    a = random_carleson(rng, 1, 5)
+    fs = [random_function(rng, 1, 5)]
+    call = {"measure_weak_norm": lambda: measure_weak_norm(a, 0, p0, 1),
+            "dilate_products": lambda: dilate_products(fs, [2], p0),
+            "osc_profile": lambda: osc_profile(HilbertOperator(), fs, DyadicCube(2, (1,)),
+                                               0.25, p0, 1.0)}[name]
+    with pytest.raises(DomainError, match="p0 must be >= 1"):
+        call()

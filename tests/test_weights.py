@@ -326,6 +326,16 @@ def test_power_weight_exact_integral():
         assert w.integral() == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("center", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("a", [0.0, 0.5, -0.5])
+def test_power_weight_single_cell_is_the_mean(a, center):
+    # one cell: its value is the integral over the circle, whatever the centre
+    one = power_weight(a, center=center, n=1, L=0).values[0]
+    assert one == pytest.approx(power_weight(a, center=center, n=1, L=1).values.mean(),
+                                rel=1e-15)
+    assert one == pytest.approx(2 * 0.5 ** (a + 1) / (a + 1), rel=1e-15)
+
+
 def test_power_weight_ap_grows_with_resolution():
     vals = [ap_constant(power_weight(-0.5, n=1, L=L), 2.0).value for L in (6, 8, 10)]
     assert vals[0] < vals[1] < vals[2]
