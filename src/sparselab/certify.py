@@ -382,6 +382,9 @@ def validate_config(config: dict) -> dict:
         unread.append("weight_family.alpha_grid")
     if unread:
         raise DomainError(f"{exp} never reads config {unread}: omit them or give their defaults")
+    if not _grid_points(out):
+        grid = "k" if exp == "theorem-a" else "weight_family.alpha_grid"
+        raise DomainError(f"{exp} needs at least one point in config '{grid}'")
     p0, m = out["p0"], out["m"]
     lengths = sorted({1, m}) if exp in ("theorem-b", "theorem-c") else [1]
     if len(out["p"]) not in lengths:

@@ -67,6 +67,12 @@ class Inequality:
         return self.rhs == 0.0
 
 
+def at_most(lhs, rhs, scale) -> bool:
+    """lhs <= rhs at every entry up to 1e-12 * scale, the exact checks' one tolerance; scale
+    is the magnitude of the quantities compared, so scaling them by 2^s keeps the verdict."""
+    return bool(np.all(lhs <= rhs + 1e-12 * scale))
+
+
 def top_level(maxlevel: int | None, L: int) -> int:
     """The deepest level a supremum scans: maxlevel capped at L (None means L)."""
     if maxlevel is not None and maxlevel < 0:

@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DomainError, DimensionError, DyadicCube, GridFunction, _window_start, dilate
-
-
-_HERMITIAN_TOL = 1e-12  # absolute tolerance of Symbol.is_hermitian
+from .grid import (DomainError, DimensionError, DyadicCube, GridFunction, _window_start, at_most,
+                   dilate)
 
 
 @dataclass(frozen=True)
@@ -54,18 +52,13 @@ class Symbol:
         return np.fft.ifftshift(self.values)
 
     def is_hermitian(self) -> bool:
-        """m(-xi) = conj m(xi) on paired bins, real on the unpaired ones, to _HERMITIAN_TOL."""
-        v = self.values
-        flipped = v[(slice(None, 0, -1),) * self.freq_dim]
-        inner = v[(slice(1, None),) * self.freq_dim]
-        if not np.allclose(flipped, np.conj(inner), atol=_HERMITIAN_TOL):
-            return False
-        edges = np.zeros(v.shape, dtype=bool)
-        for ax in range(self.freq_dim):
-            sl = [slice(None)] * self.freq_dim
-            sl[ax] = 0
-            edges[tuple(sl)] = True
-        return bool(np.all(np.abs(v[edges].imag) <= _HERMITIAN_TOL))
+        """m(-xi) = conj m(xi) on paired bins, real on those with a -N/2 coordinate, by
+        ``grid.at_most`` at the scale of the largest real or imaginary part."""
+        v, d = self.values, self.freq_dim
+        gap = v[(slice(None, 0, -1),) * d] - np.conj(v[(slice(1, None),) * d])
+        unpaired = v[np.any(np.indices(v.shape) == 0, axis=0)]
+        scale = max(np.max(np.abs(v.real)), np.max(np.abs(v.imag)))
+        return all(at_most(np.abs(x), 0.0, scale) for x in (gap.real, gap.imag, unpaired.imag))
 
 
 def _frequencies(N: int) -> np.ndarray:

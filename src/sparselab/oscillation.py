@@ -28,6 +28,7 @@ from .grid import (
     GridFunction,
     Inequality,
     _rank,
+    at_most,
     dilate_products,
     fold_down,
     fold_up,
@@ -93,9 +94,11 @@ class LernerDecomposition:
         sl = self.base.cell_slices(f.level)
         return np.abs(f.values - self.base_median)[sl], self.bound_function()[sl]
 
-    def verify(self, f: GridFunction, tol: float = 1e-9) -> bool:
+    def verify(self, f: GridFunction) -> bool:
+        """The family is sparse and |f - median| <= 2 sum omega chi_Q at every cell of the
+        base cube, by ``grid.at_most`` at the scale of the largest |f - median|."""
         lhs, rhs = self._sides(f)
-        return not np.any(lhs > rhs + tol) and verify_sparse(self.family)
+        return at_most(lhs, rhs, np.max(lhs)) and verify_sparse(self.family)
 
     def max_violation(self, f: GridFunction) -> float:
         lhs, rhs = self._sides(f)

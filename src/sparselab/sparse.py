@@ -23,6 +23,7 @@ from .grid import (
     Inequality,
     _match,
     argmax_cube,
+    at_most,
     block_reduce,
     cube_levels,
     dilate_products,
@@ -120,10 +121,10 @@ def packing(a: CarlesonSequence) -> tuple[float, DyadicCube]:
     return argmax_cube((j, S[j] / 2.0 ** (-n * j)) for j in reversed(S))
 
 
-def verify_carleson(a: CarlesonSequence, tol: float = 1e-12) -> CarlesonReport:
-    """True iff the packing normalization sup <= 1 holds (within tol)."""
+def verify_carleson(a: CarlesonSequence) -> CarlesonReport:
+    """Whether the packing normalization sup <= 1 holds, by ``grid.at_most`` at scale 1."""
     ratio, worst = packing(a)
-    return CarlesonReport(ratio <= 1.0 + tol, worst, ratio)
+    return CarlesonReport(at_most(ratio, 1.0, 1.0), worst, ratio)
 
 
 def beta_sequence(a: CarlesonSequence, k: int) -> CarlesonSequence:
@@ -491,11 +492,10 @@ def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, see
 
 
 def _cell_ratio(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, bool]:
-    """sup of lhs/rhs over cells where rhs > 0, and whether lhs vanishes elsewhere."""
+    """sup of lhs/rhs where rhs > 0, and whether lhs vanishes elsewhere (``at_most``, max lhs)."""
     pos = rhs > 0
     ratio = float(np.max(lhs[pos] / rhs[pos])) if pos.any() else 0.0
-    covered = bool(np.all(lhs[~pos] <= 1e-12 * max(1.0, float(np.max(lhs, initial=0.0)))))
-    return ratio, covered
+    return ratio, at_most(lhs[~pos], 0.0, np.max(lhs, initial=0.0))
 
 
 @dataclass
@@ -595,40 +595,35 @@ class CZDecomposition:
     def stopping(self) -> list[list[DyadicCube]]:
         return [list(mask_cubes(ms, self.base.dim)) for ms in self.masks]
 
-    def verify(self, fs, tol: float = 1e-9) -> bool:
-        """Recheck every structural invariant against the original tuple, one pass
-        per level of stopping cubes, with block means reduced from the full grid."""
-        if self.short_circuit:
-            return True
-        thr = self.lam ** (1.0 / self.m)
+    def verify(self, fs) -> bool:
+        """Recheck every invariant of each input outside ``short_circuit``, one pass per
+        level of stopping cubes, each by ``grid.at_most`` at the scale of what it compares:
+        max |f_i|^p0 for cell values, the height lam^(p0/m) for averages, else the bound."""
+        thr = self.lam ** (self.p0 / self.m)  # compare p0-th powers of averages
         n, L = _check_tuple(fs)
         for i, f in enumerate(fs):
+            if i in self.short_circuit:
+                continue
             power = np.abs(f.values) ** self.p0
             b, g = self.bad[i].values, self.good[i].values
-            if not np.allclose(power, g + b, rtol=0, atol=tol):
+            scale = np.max(power)
+            inside = fold_down(self.masks[i].items(), n, L, np.logical_or)
+            # the height bound holds inside the base cube, below non-stopping ancestors
+            bound = 2.0 ** (n * self.p0) * thr
+            if not (at_most(np.abs(power - (g + b)), 0.0, scale)
+                    and at_most(np.abs(b[np.logical_not(inside)]), 0.0, scale)
+                    and at_most(np.abs(g[self.base.cell_slices(L)]), bound, bound)):
                 return False
             for j, stop in self.masks[i].items():
-                if np.any(np.abs(block_reduce(b, n, L, j)[stop]) > tol):
+                avg = block_reduce(power, n, L, j)[stop]
+                parent = upsample(block_reduce(power, n, L, j - 1), 2)[stop]
+                if not (at_most(np.abs(block_reduce(b, n, L, j)[stop]), 0.0, scale)
+                        and at_most(thr, avg, thr) and at_most(parent, thr, thr)):
                     return False
-                avg = block_reduce(power, n, L, j)[stop] ** (1.0 / self.p0)
-                parent = upsample(block_reduce(power, n, L, j - 1), 2)[stop] ** (1.0 / self.p0)
-                if not (np.all(avg > thr * (1 - 1e-12)) and np.all(parent <= thr * (1 + 1e-12))):
-                    return False
-            inside = fold_down(self.masks[i].items(), n, L, np.logical_or)
-            if np.any(np.abs(b[np.logical_not(inside)]) > tol):
-                return False
-            # the height bound holds inside the base cube, where every cell
-            # sits below a non-stopping ancestor
-            bound = 2.0 ** (n * self.p0) * self.lam ** (self.p0 / self.m)
-            if np.any(np.abs(g[self.base.cell_slices(L)]) > bound * (1 + 1e-12)):
-                return False
             l1 = float(np.abs(g).sum()) * f.cell_volume
             lp = float(power.sum()) * f.cell_volume
-            if l1 > lp * (1 + 1e-12) + tol:
-                return False
-            norm_bound = self.lam ** (-self.p0 / self.m) * lp
             meas = sum(np.count_nonzero(s) * 2.0 ** (-n * j) for j, s in self.masks[i].items())
-            if meas > norm_bound * (1 + 1e-12) + tol:
+            if not (at_most(l1, lp, lp) and at_most(meas, lp / thr, lp / thr)):
                 return False
         return True
 

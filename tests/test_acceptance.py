@@ -157,7 +157,7 @@ def test_criterion_1f_cz_invariants():
         dec = cz_decompose(fs, lam, p0, m, R1)
         if dec.short_circuit:
             continue
-        assert dec.verify(fs, tol=TOL)
+        assert dec.verify(fs)
         done += 1
     print(f"\nACCEPTANCE 1f CZ invariants: PASS (500 trials, {time.time() - t0:.1f}s)")
 

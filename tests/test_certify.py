@@ -278,11 +278,14 @@ def test_validate_config_rejects_unknown():
 
 
 def test_sweep_empty_grid():
+    # a grid without points is a config error, raised before any trial runs
     cfg = {"experiment": "buckley", "weight_family": {"type": "power", "alpha_grid": []},
            "trials": 2, "seed": 1}
-    res = sweep(cfg)
-    assert res.records == [] and res.summary == []
-    assert res.ndjson() == ""
+    with pytest.raises(DomainError, match="buckley needs at least one point in config "
+                                          "'weight_family.alpha_grid'"):
+        sweep(cfg)
+    with pytest.raises(DomainError, match="theorem-a needs at least one point in config 'k'"):
+        sweep({"experiment": "theorem-a", "k": [], "trials": 2, "seed": 1})
 
 
 def test_sweep_two_points():

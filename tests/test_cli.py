@@ -397,6 +397,10 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
     # a plot column that the summary lacks fails before the sweep prints its records
     ({"experiment": "buckley", "L": 3, "trials": 1, "plot": {"out": "p.svg", "y": "nope"}},
      None),
+    # an empty grid fails before the sweep writes its (empty) outputs
+    ({"experiment": "theorem-a", "L": 3, "trials": 1, "k": [], "out": "o"}, None),
+    ({"experiment": "buckley", "L": 3, "trials": 1, "out": "o", "plot": {"out": "p.svg"},
+      "weight_family": {"type": "power", "alpha_grid": []}}, None),
 ])
 def test_bad_sweep_inputs_exit_2(capsys, tmp_path, monkeypatch, function_file, config, argv):
     # a string config is the text of the input file named IN

@@ -318,7 +318,8 @@ def test_kernel_sign_matches_cotangent_shape():
     N = 1 << L
     K = kernel_from_symbol(symbol_sign(N))
     tab = K.table
-    assert np.allclose(tab, -tab[::-1].take(range(-1, N - 1)), atol=1e-9) or True
+    # an odd function of the offset: K(-x) = -K(x), largest |K(x) + K(-x)| 1.1e-13 at N = 1024
+    np.testing.assert_allclose(tab, -tab[-np.arange(N)], rtol=0, atol=1e-12)
     ana = hilbert_kernel(L).table
     sm = 0.5 * (tab[1:-1] + tab[2:])
     ref = ana[1:-1]

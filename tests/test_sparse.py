@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -526,6 +527,16 @@ def test_cz_short_circuit():
     f = GridFunction.constant(1, 4, 5.0)
     dec = cz_decompose([f], 1.0, 1.0, 1, R1)
     assert dec.short_circuit == [0]
+
+
+def test_cz_partial_short_circuit_checks_the_other_input():
+    # input 0's mean 100 is above the height 1, so only input 1 is decomposed
+    fs = [GridFunction.constant(1, 5, 100.0), random_function(rng_from(0), 1, 5)]
+    dec = cz_decompose(fs, 1.0, 1.0, 2, R1)
+    assert dec.short_circuit == [0]
+    assert dec.verify(fs)
+    shifted = GridFunction(1, 5, dec.bad[1].values + 5.0)
+    assert not dataclasses.replace(dec, bad=[dec.bad[0], shifted]).verify(fs)
 
 
 def test_cz_invariants_randomized():
