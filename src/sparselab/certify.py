@@ -92,12 +92,15 @@ class CertificationRecord:
     rhs: float
     constants: dict = field(default_factory=dict)
     seed: int | None = None
-    degenerate: bool = False
     sweep_key: str | None = None  # set by sweep: names the record's config, point and trial
 
     @property
     def ratio(self) -> float:
         return Inequality(self.lhs, self.rhs).ratio
+
+    @property
+    def degenerate(self) -> bool:
+        return Inequality(self.lhs, self.rhs).degenerate
 
     def key(self) -> str:
         if self.sweep_key is not None:
@@ -113,7 +116,7 @@ class CertificationRecord:
             "params": self.params,
             "lhs": self.lhs,
             "rhs": self.rhs,
-            "ratio": None if self.degenerate and self.rhs == 0 else self.ratio,
+            "ratio": None if self.degenerate else self.ratio,
             "constants": self.constants,
             "seed": self.seed,
             "degenerate": self.degenerate,
@@ -124,7 +127,7 @@ class CertificationRecord:
         """The record that ``to_dict`` wrote, keeping its stored key."""
         try:
             return cls(d["experiment"], d["params"], float(d["lhs"]), float(d["rhs"]),
-                       d["constants"], d["seed"], d["degenerate"], sweep_key=d["key"])
+                       d["constants"], d["seed"], sweep_key=d["key"])
         except (KeyError, TypeError, ValueError):
             raise DomainError(f"not a certification record: {d!r:.80}") from None
 
@@ -154,7 +157,6 @@ def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs) -> CertificationRecor
          "family_size": len(S)},
         lhs, rhs,
         constants={"multi_ap": const, "beta": beta},
-        degenerate=(rhs == 0.0),
     )
 
 
@@ -167,7 +169,6 @@ def certify_theorem_a(a: CarlesonSequence, k: int, p0: float, fs, p: float,
     lhs = weighted_norm(GridFunction(n, L, res.lhs), p, w)
     denom = weighted_norm(GridFunction(n, L, res.rhs), p, w)
     rhs = (k + 1) * denom
-    degenerate = rhs == 0.0 and lhs == 0.0
     return CertificationRecord(
         "theorem-a",
         {"k": k, "p0": p0, "p": p, "L": L, "n": n, "m": len(fs)},
@@ -178,7 +179,6 @@ def certify_theorem_a(a: CarlesonSequence, k: int, p0: float, fs, p: float,
             "raw_norm_ratio": Inequality(lhs, denom).ratio,
         },
         seed=seed,
-        degenerate=degenerate,
     )
 
 
@@ -218,12 +218,11 @@ def certify_theorem_c(op, t: WeightTuple, fs, h2) -> CertificationRecord:
             "median": dec.base_median,
             "osc_ratio_sup": osc_ratio_sup,
         },
-        degenerate=(rhs == 0.0 and lhs == 0.0),
     )
 
 
 def certify_buckley(w: GridFunction, p: float, f: GridFunction,
-                    maxlevel: int | None = None, seed: int | None = None) -> CertificationRecord:
+                    maxlevel: int | None = None) -> CertificationRecord:
     """Maximal-function bound ||M f||_{L^p(w)} against [w]_{A_p}^(1/(p-1)) ||f||_{L^p(w)}."""
     if p <= 1:
         raise DomainError(f"need p > 1, got {p}")
@@ -235,8 +234,6 @@ def certify_buckley(w: GridFunction, p: float, f: GridFunction,
         {"p": p, "L": f.level, "n": f.dim},
         lhs, rhs,
         constants={"ap": const.value},
-        seed=seed,
-        degenerate=(rhs == 0.0 and lhs == 0.0),
     )
 
 
@@ -529,7 +526,8 @@ def sweep(config: dict, done_keys: dict | None = None) -> SweepResult:
     summary = []
     for i, pt in enumerate(points):
         recs = results[i]
-        ratios = sorted(r.ratio for r in recs if math.isfinite(r.ratio))
+        # a degenerate record compares nothing: it counts as a record but gives no ratio
+        ratios = sorted(r.ratio for r in recs if not r.degenerate and math.isfinite(r.ratio))
         row = {"experiment": cfg["experiment"], **pt, "records": len(recs)}
         row["ratio_max"] = max(ratios) if ratios else 0.0
         row["ratio_median"] = ratios[len(ratios) // 2] if ratios else 0.0

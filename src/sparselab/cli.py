@@ -179,7 +179,7 @@ def _options(args, mode: str, unread=(), **defaults) -> None:
             setattr(args, dest, value)
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args) -> tuple[dict, int]:
     if args.weights:
         _options(args, "with --weights", ("weight", "rh"), p=[2.0], p0=1.0, r=1.0)
         ws = [read_weight(p) for p in args.weights]
@@ -199,11 +199,10 @@ def cmd_constants(args) -> int:
         rep = ap_constant(read_weight(args.weight), args.p[0], maxlevel=args.maxlevel)
     else:
         raise DomainError("constants needs --weight or --weights")
-    _dump({**rep.to_dict(), "seed": args.seed}, args.out)
-    return 0
+    return rep.to_dict(), 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[dict, int]:
     f = read_gfn(args.function)
     if args.level is not None:
         Q0 = DyadicCube(args.level, tuple(args.index or [0] * f.dim))
@@ -218,17 +217,14 @@ def cmd_decompose(args) -> int:
         "lambda": dec.lam,
         "family": dec.to_records(),
         "verified": ok,
-        "seed": args.seed,
     }
-    _dump(report, args.out)
     if not ok:
         worst = argmax_cube(dec.osc.items())[1] if dec.osc else Q0
         print(f"decomposition check failed near {worst}", file=sys.stderr)
-        return 3
-    return 0
+    return report, 0 if ok else 3
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> tuple[dict, int]:
     a = read_carleson(args.alpha)
     fs = [read_gfn(p) for p in args.f]
     res = select_sparse(a, args.k, args.p0, fs, cstar=args.cstar, seed=args.seed)
@@ -236,35 +232,29 @@ def cmd_select(args) -> int:
         "family": res.family.to_records(),
         **res.report(),
         "verified": verify_sparse(res.family),
-        "seed": args.seed,
     }
-    _dump(report, args.out)
-    return 0 if report["verified"] else 3
+    return report, 0 if report["verified"] else 3
 
 
-def cmd_dominate(args) -> int:
+def cmd_dominate(args) -> tuple[dict, int]:
     a = read_carleson(args.alpha)
     fs = [read_gfn(p) for p in args.f]
     res = dominate(a, args.k, args.p0, fs, cstar=args.cstar, seed=args.seed)
-    _dump({**res.report(), "seed": args.seed}, args.out)
-    return 0
+    return res.report(), 0
 
 
-def cmd_certify_a(args) -> int:
+def cmd_certify_a(args) -> tuple[dict, int]:
     a = read_carleson(args.alpha)
     fs = [read_gfn(p) for p in args.f]
     w = read_weight(args.weight) if args.weight else None
     rec = certify_theorem_a(a, args.k, args.p0, fs, args.p, w, seed=args.seed)
-    _dump(rec.to_dict(), args.out)
-    return 0
+    return rec.to_dict(), 0
 
 
-def cmd_certify_buckley(args) -> int:
+def cmd_certify_buckley(args) -> tuple[dict, int]:
     w = read_weight(args.weight)
     f = read_gfn(args.function)
-    rec = certify_buckley(w, args.p, f, maxlevel=args.maxlevel, seed=args.seed)
-    _dump(rec.to_dict(), args.out)
-    return 0
+    return certify_buckley(w, args.p, f, maxlevel=args.maxlevel).to_dict(), 0
 
 
 def _read_records(path) -> dict:
@@ -283,7 +273,7 @@ def _read_records(path) -> dict:
     return done
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[None, int]:
     cfg = validate_config(json.loads(read_text(args.config)))
     done = {}
     out = cfg["out"]
@@ -308,10 +298,10 @@ def cmd_sweep(args) -> int:
         targets.append(plot["out"])
     if targets:
         print("wrote " + ", ".join(targets), file=sys.stderr)
-    return 0
+    return None, 0
 
 
-def cmd_check_symbol(args) -> int:
+def cmd_check_symbol(args) -> tuple[dict, int]:
     if args.bilinear:
         _options(args, "with --bilinear", ("s",))
         from .kernels import symbol_cone, symbol_smooth_bump
@@ -321,16 +311,12 @@ def cmd_check_symbol(args) -> int:
             sym = named[args.symbol](args.N)
         else:
             raise DomainError(f"unknown bilinear symbol {args.symbol!r}")
-        rep = check_hormander_bilinear(sym, int(args.l))
-        _dump({**rep.to_dict(), "seed": args.seed}, args.out)
-        return 0
+        return check_hormander_bilinear(sym, int(args.l)).to_dict(), 0
     sym = _load_symbol(args.symbol, args.N)
-    rep = check_msl(sym, 2.0 if args.s is None else args.s, int(args.l))
-    _dump({**rep.to_dict(), "seed": args.seed}, args.out)
-    return 0
+    return check_msl(sym, 2.0 if args.s is None else args.s, int(args.l)).to_dict(), 0
 
 
-def cmd_check_h2(args) -> int:
+def cmd_check_h2(args) -> tuple[dict, int]:
     check_resolution(1, args.L)
     if args.kernel in NAMED_KERNELS:
         K = NAMED_KERNELS[args.kernel](args.L)
@@ -342,9 +328,7 @@ def cmd_check_h2(args) -> int:
     else:
         raise DomainError(f"unknown kernel {args.kernel!r}")
     Q = DyadicCube(args.level, (args.index,))
-    rep = check_h2(K, args.p0, Q, args.jmax, seed=args.seed)
-    _dump({**rep.to_dict(), "seed": args.seed}, args.out)
-    return 0
+    return check_h2(K, args.p0, Q, args.jmax, seed=args.seed).to_dict(), 0
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +433,10 @@ def main(argv=None) -> int:
     try:
         # an overflow or invalid value on the way to an output is an input error
         with np.errstate(over="raise", invalid="raise"):
-            return args.fn(args)
+            report, code = args.fn(args)
+            if report is not None:
+                _dump({**report, "seed": args.seed}, args.out)
+            return code
     except FloatingPointError as err:
         print(f"error: {args.command}: floating-point {err}", file=sys.stderr)
         return 2

@@ -64,7 +64,8 @@ class Inequality:
 
     @property
     def degenerate(self) -> bool:
-        return self.rhs == 0.0
+        """Both sides vanish, so there is nothing to compare; rhs == 0 < lhs is a violation."""
+        return self.lhs == 0.0 and self.rhs == 0.0
 
 
 def at_most(lhs, rhs, scale) -> bool:

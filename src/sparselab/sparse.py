@@ -675,13 +675,15 @@ def dyadic_maximal(f: GridFunction, p0: float = 1.0, sigma: GridFunction | None 
     """Cellwise sup over dyadic cubes of local averages.
 
     Plain mode returns sup_Q <f>_{Q,p0}; with sigma it returns the
-    sigma-weighted maximal function sup_Q sigma(Q)^-1 int_Q |f| sigma.
+    sigma-weighted maximal function sup_Q sigma(Q)^-1 int_Q |f| sigma (p0 stays 1).
     The averages come from the inputs' mean pyramids, and one running
     maximum is carried top-down from the root to level maxlevel.
     """
     n, L = f.dim, f.level
     maxlevel = top_level(maxlevel, L)
     if sigma is not None:
+        if p0 != 1:
+            raise DomainError(f"p0 is not read with sigma: it must be 1, got {p0}")
         _match(f, sigma)
         if np.any(sigma.values <= 0):
             raise DomainError("sigma must be strictly positive")

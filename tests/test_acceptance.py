@@ -72,8 +72,8 @@ def test_criterion_1a_lerner_formula():
         f = random_signed_function(rng, N1, L8)
         dec = lerner_decompose(f, R1)
         worst = max(worst, dec.max_violation(f))
+        assert dec.verify(f)
         assert verify_sparse(dec.family)
-    assert worst <= TOL
     print(f"\nACCEPTANCE 1a Lerner formula: PASS "
           f"(500 trials, max violation {worst:.2e}, {time.time() - t0:.1f}s)")
 

@@ -288,6 +288,49 @@ def test_sweep_empty_grid():
         sweep({"experiment": "theorem-a", "k": [], "trials": 2, "seed": 1})
 
 
+def test_sweep_csv_skips_degenerate_records(monkeypatch):
+    # trials 0 and 2 draw the zero function: both sides vanish and the record compares nothing
+    from sparselab import samples
+
+    draw, calls = samples.random_function, []
+
+    def zero_on_even(rng, n, L):
+        f = draw(rng, n, L)
+        calls.append(len(calls))
+        return GridFunction.constant(n, L, 0.0) if calls[-1] in (0, 2) else f
+
+    monkeypatch.setattr(samples, "random_function", zero_on_even)
+    res = sweep({"experiment": "buckley", "L": 4, "trials": 4, "p": [2.0],
+                 "weight_family": {"type": "power", "alpha_grid": [0.3]}})
+    records = [r.to_dict() for r in res.records]
+    assert [r["degenerate"] for r in records] == [True, False, True, False]
+    assert [r["ratio"] is None for r in records] == [True, False, True, False]
+    ratios = sorted(r["ratio"] for r in records if r["ratio"] is not None)
+    row, = res.summary
+    assert row["records"] == 4
+    assert row["ratio_max"] == ratios[-1] and row["ratio_median"] == ratios[1]
+
+
+def test_record_round_trip():
+    # one record of each experiment, then a degenerate buckley record (both sides 0)
+    rng = rng_from(12)
+    fs = [random_function(rng, 1, 6)]
+    t = ones_tuple(m=1, p=(2.0,), L=6)
+    w = GridFunction.constant(1, 6, 1.0)
+    records = [
+        certify_theorem_a(random_carleson(rng, 1, 6), 1, 1.0, fs, 2.0, seed=3),
+        certify_theorem_b(random_sparse_family(rng, 1, 6), t, fs),
+        certify_theorem_c(HilbertOperator(), t, fs, 1.0),
+        certify_buckley(w, 2.0, fs[0]),
+        certify_buckley(w, 2.0, GridFunction.constant(1, 6, 0.0)),
+    ]
+    assert [r.degenerate for r in records] == [False] * 4 + [True]
+    for rec in records:
+        back = CertificationRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+        assert back.to_dict() == rec.to_dict()
+        assert back.degenerate == rec.degenerate
+
+
 def test_sweep_two_points():
     cfg = {"experiment": "buckley", "L": 5, "p": [2.0], "trials": 2, "seed": 3,
            "weight_family": {"type": "power", "alpha_grid": [-0.3, 0.3]}}

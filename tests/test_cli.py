@@ -236,6 +236,31 @@ def test_carleson_level_above_max_level(capsys, tmp_path, function_file, command
     assert "line 2: level 40 out of range" in err
 
 
+# --- one report writer ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--weight", "{w}", "--p", "2"],
+    ["decompose", "--function", "{f}"],
+    ["select", "--alpha", "{a}", "--f", "{f}", "--k", "2"],
+    ["dominate", "--alpha", "{a}", "--f", "{f}", "--k", "2"],
+    ["certify-a", "--alpha", "{a}", "--f", "{f}"],
+    ["certify-buckley", "--weight", "{f}", "--function", "{f}"],
+    ["check-symbol", "--symbol", "identity", "--N", "64"],
+    ["check-h2", "--kernel", "hilbert", "--L", "8"],
+], ids=lambda argv: argv[0])
+def test_every_report_carries_its_seed_and_one_text(capsys, tmp_path, weight_file,
+                                                    function_file, alpha_file, argv):
+    argv = [t.format(w=weight_file, f=function_file, a=alpha_file) for t in argv]
+    code, out, err = run(capsys, *argv, "--seed", "7")
+    assert code == 0, err
+    assert json.loads(out)["seed"] == 7
+    path = tmp_path / "report.json"
+    code, stdout, err = run(capsys, *argv, "--seed", "7", "--out", str(path))
+    assert code == 0, err
+    assert stdout == "" and path.read_bytes() == out.encode("ascii")
+
+
 # --- certification -------------------------------------------------------------------
 
 
@@ -270,8 +295,8 @@ def test_certify_buckley_maxlevel_is_read(capsys, function_file, tmp_path):
     argv = ["certify-buckley", "--weight", str(w), "--function", function_file, "--seed", "3"]
     code, out, err = run(capsys, *argv, "--maxlevel", "2")
     assert code == 0, err
-    rec = certify_buckley(read_weight(w), 2.0, read_gfn(function_file), maxlevel=2, seed=3)
-    assert json.loads(out) == rec.to_dict()
+    rec = certify_buckley(read_weight(w), 2.0, read_gfn(function_file), maxlevel=2)
+    assert json.loads(out) == {**rec.to_dict(), "seed": 3}
     full = json.loads(run(capsys, *argv)[1])
     assert json.loads(out)["constants"]["ap"] != full["constants"]["ap"]
 

@@ -787,6 +787,9 @@ def test_nan_p0_is_rejected():
                  lambda: select_sparse(a, 0, nan, fs), lambda: dominate(a, 1, nan, fs),
                  lambda: cz_decompose(fs, 1.0, nan, 1, root_cube(1)),
                  lambda: dyadic_maximal(fs[0], nan), lambda: average(fs[0], root_cube(1), nan),
+                 # with sigma the maximal function reads no p0, so any p0 but 1 is refused
+                 lambda: dyadic_maximal(fs[0], nan, sigma=fs[0]),
+                 lambda: dyadic_maximal(fs[0], 2.0, sigma=fs[0]),
                  lambda: beta_exponent((2.0, 3.0), nan), lambda: weighted_norm(fs[0], nan),
                  lambda: weak_norm(fs[0], nan), lambda: rearrangement(fs[0], nan)):
         with pytest.raises(DomainError):
