@@ -16,7 +16,7 @@ n, L = 1, 8
 print("k  pieces  selected  cell-constant   norm ratio/(k+1)")
 for k in (0, 1, 2, 3):
     a = random_carleson(rng, n, L, k_grid=k)
-    assert verify_carleson(a).ok
+    assert verify_carleson(a).holds
     fs = [random_function(rng, n, L)]
     res = dominate(a, k, 1.0, fs)
     for sel in res.selections:

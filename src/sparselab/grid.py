@@ -46,7 +46,7 @@ def check_resolution(n: int, L: int) -> None:
 
 @dataclass(frozen=True)
 class Inequality:
-    """A measured left side against its bound; ``holds`` allows rounding of 1e-9 relative."""
+    """A measured left side against its bound; ``holds`` is ``at_most`` at the scale of rhs."""
 
     lhs: float
     rhs: float
@@ -60,7 +60,7 @@ class Inequality:
 
     @property
     def holds(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + 1e-9)
+        return at_most(self.lhs, self.rhs, self.rhs)
 
     @property
     def degenerate(self) -> bool:

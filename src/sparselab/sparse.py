@@ -102,13 +102,6 @@ class CarlesonSequence:
         return CarlesonSequence(self.root, {j: v * (1.0 / ratio) for j, v in self.levels.items()})
 
 
-@dataclass(frozen=True)
-class CarlesonReport:
-    ok: bool
-    worst_cube: DyadicCube
-    ratio: float
-
-
 def packing(a: CarlesonSequence) -> tuple[float, DyadicCube]:
     """sup_Q |Q|^-1 sum_{T subset Q} alpha_T |T| and the attaining cube, bottom-up."""
     n, dense = a.dim, a.levels
@@ -121,10 +114,9 @@ def packing(a: CarlesonSequence) -> tuple[float, DyadicCube]:
     return argmax_cube((j, S[j] / 2.0 ** (-n * j)) for j in reversed(S))
 
 
-def verify_carleson(a: CarlesonSequence) -> CarlesonReport:
-    """Whether the packing normalization sup <= 1 holds, by ``grid.at_most`` at scale 1."""
-    ratio, worst = packing(a)
-    return CarlesonReport(at_most(ratio, 1.0, 1.0), worst, ratio)
+def verify_carleson(a: CarlesonSequence) -> Inequality:
+    """The packing normalization sup <= 1; ``packing`` also names the attaining cube."""
+    return Inequality(packing(a)[0], 1.0)
 
 
 def beta_sequence(a: CarlesonSequence, k: int) -> CarlesonSequence:
@@ -549,6 +541,8 @@ def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Inequalit
     """Check (sum_Q alpha_Q (prod <f_i>_Q)^q |Q|)^(1/q) <= prod p_i' ||f_i||_{p_i}."""
     from .weights import conjugate
 
+    if not q > 0:
+        raise DomainError(f"need q > 0, got {q}")
     n, L = _check_tuple(fs, a.dim)
     ps = tuple(float(p) for p in ps)
     if len(ps) != len(fs):

@@ -282,13 +282,10 @@ def power_weight(alpha: float, center=None, n: int = 1, L: int = 8) -> GridFunct
     return GridFunction(2, L, np.maximum(vals, WEIGHT_FLOOR))
 
 
-def holder_identity_slack(t: WeightTuple, Q: DyadicCube) -> tuple[float, float]:
-    """Per-cube Holder bound: |Q| <= nu(Q)^(1/(ma)) prod sigma_i(Q)^(1/(ma_i')), a = p/p0.
-
-    Returns (lhs, rhs) as plain numbers with lhs = |Q|.
-    """
+def holder_identity_slack(t: WeightTuple, Q: DyadicCube) -> Inequality:
+    """Per-cube Holder bound: |Q| <= nu(Q)^(1/(ma)) prod sigma_i(Q)^(1/(ma_i')), a = p/p0."""
     vol = Q.volume
     rhs = (float(t.nu().on(Q).mean()) * vol) ** (1.0 / (t.m * (t.p / t.p0)))
     for s, ai in zip(t.dual_weights(), t.a_i()):
         rhs *= (float(s.on(Q).mean()) * vol) ** (1.0 / (t.m * conjugate(ai)))
-    return vol, rhs
+    return Inequality(vol, rhs)

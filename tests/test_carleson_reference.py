@@ -20,6 +20,7 @@ from sparselab.grid import (
     DimensionError,
     DyadicCube,
     argmax_cube,
+    at_most,
     block_reduce,
     dilate_products,
     mean_pyramid,
@@ -213,7 +214,7 @@ def reference_embedding(a, q, ps, fs):
     rhs = 1.0
     for f, p in zip(fs, ps):
         rhs *= conjugate(p) * float((f.values**p).mean() ** (1.0 / p))
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
+    return lhs, rhs, at_most(lhs, rhs, rhs)
 
 
 def reference_support_check(a, k):

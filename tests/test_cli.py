@@ -284,7 +284,7 @@ def test_certify_a_weight_is_read(capsys, alpha_file, function_file, tmp_path):
     assert code == 0, err
     rec = certify_theorem_a(read_carleson(alpha_file), 2, 1.0, [read_gfn(function_file)], 2.0,
                             read_weight(w), seed=3)
-    assert json.loads(out) == rec.to_dict()
+    assert json.loads(out) == {**rec.to_dict(), "seed": 3}
     assert json.loads(out)["lhs"] != json.loads(run(capsys, *argv)[1])["lhs"]
 
 
@@ -535,6 +535,34 @@ def test_resume_with_another_seed_appends(capsys, tmp_path):
     first = (tmp_path / "tb.ndjson").read_bytes()
     assert run(capsys, "sweep", "--config", resume2, "--resume")[0] == 0
     assert (tmp_path / "tb.ndjson").read_bytes() == first + (tmp_path / "s2.ndjson").read_bytes()
+
+
+def test_resume_of_sweep_with_degenerate_trial_runs_nothing(capsys, tmp_path, monkeypatch):
+    # every second input drawn is zero: trial 2's sides both vanish, and its record is kept
+    from sparselab import samples
+
+    draw, calls = samples.random_function, []
+
+    def zero_on_odd(rng, n, L):
+        calls.append(len(calls))
+        f = draw(rng, n, L)
+        return GridFunction.constant(n, L, 0.0) if calls[-1] % 2 else f
+
+    monkeypatch.setattr(samples, "random_function", zero_on_odd)
+    path = write_sweep(tmp_path, "cfg.json", L=4, m=1, p=[2.0], trials=3,
+                       weight_family={"type": "power", "alpha_grid": [0.3]})
+    outputs = [tmp_path / "tb.ndjson", tmp_path / "tb.csv"]
+    assert run(capsys, "sweep", "--config", path)[0] == 0
+    fresh = [f.read_bytes() for f in outputs]
+    records = [json.loads(ln) for ln in fresh[0].splitlines()]
+    assert [(r["degenerate"], r["ratio"] is None) for r in records] == [(False, False)] * 2 + [
+        (True, True)]
+    header, row = fresh[1].decode().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["records"] == "3"
+    drawn = len(calls)
+    assert run(capsys, "sweep", "--config", path, "--resume")[0] == 0
+    assert len(calls) == drawn
+    assert [f.read_bytes() for f in outputs] == fresh
 
 
 # --- symbol / kernel checks ------------------------------------------------------------

@@ -9,6 +9,7 @@ from sparselab.grid import (
     DyadicCube,
     FormatError,
     GridFunction,
+    Inequality,
     average,
     dilate,
     format_gfn,
@@ -303,6 +304,14 @@ def test_weak_below_strong():
         f = GridFunction(1, 5, rng.normal(size=32))
         for q in (0.5, 1.0, 2.0):
             assert weak_norm(f, q) <= weighted_norm(f, q) + 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-60, 2.0**60])
+@pytest.mark.parametrize("lhs, rhs, verdict", [(1.0 + 2.0**-52, 1.0, True),
+                                               (1.0 + 1e-10, 1.0, False), (0.0, 0.0, True)])
+def test_inequality_holds_up_to_rounding_at_the_scale_of_rhs(lhs, rhs, verdict, scale):
+    # one ulp of rhs passes and 1e-10 relative fails, whatever the magnitude of both sides
+    assert Inequality(lhs * scale, rhs * scale).holds is verdict
 
 
 # --- partition exactness -----------------------------------------------------

@@ -78,21 +78,21 @@ def oracle_packing(a, maxlevel):
 def test_verify_carleson_delta():
     a = seq({R1: 1.0})
     rep = verify_carleson(a)
-    assert rep.ok and rep.worst_cube == R1 and rep.ratio == pytest.approx(1.0)
+    assert rep.holds and packing(a)[1] == R1 and rep.ratio == pytest.approx(1.0)
 
 
 def test_verify_carleson_overpacked():
     a = seq({R1: 1.0, DyadicCube(1, (0,)): 1.0})
     rep = verify_carleson(a)
-    assert not rep.ok
+    assert not rep.holds
     assert rep.ratio == pytest.approx(1.5)
-    assert rep.worst_cube == R1
+    assert packing(a)[1] == R1
     b, w = oracle_packing(a, 3)
-    assert rep.ratio == pytest.approx(b) and rep.worst_cube == w
+    assert rep.ratio == pytest.approx(b) and packing(a)[1] == w
 
 
 def test_verify_carleson_zero():
-    assert verify_carleson(seq({})).ok
+    assert verify_carleson(seq({})).holds
 
 
 def test_verify_carleson_rejects_negative():
@@ -489,7 +489,7 @@ def test_beta_preserves_carleson():
         for _ in range(10):
             a = random_carleson(rng, 1, 6)
             b = beta_sequence(a, k)
-            assert verify_carleson(b).ok
+            assert verify_carleson(b).holds
 
 
 # --- CZ decomposition ----------------------------------------------------------------
@@ -791,7 +791,9 @@ def test_nan_p0_is_rejected():
                  lambda: dyadic_maximal(fs[0], nan, sigma=fs[0]),
                  lambda: dyadic_maximal(fs[0], 2.0, sigma=fs[0]),
                  lambda: beta_exponent((2.0, 3.0), nan), lambda: weighted_norm(fs[0], nan),
-                 lambda: weak_norm(fs[0], nan), lambda: rearrangement(fs[0], nan)):
+                 lambda: weak_norm(fs[0], nan), lambda: rearrangement(fs[0], nan),
+                 lambda: carleson_embedding_check(a, 0.0, [2.0], fs),
+                 lambda: carleson_embedding_check(a, nan, [2.0], fs)):
         with pytest.raises(DomainError):
             call()
 

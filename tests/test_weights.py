@@ -255,8 +255,7 @@ def test_holder_identity_per_cube():
     for _ in range(10):
         t = WeightTuple((rand_weight(rng, 1, 4), rand_weight(rng, 1, 4)), (3.0, 6.0), p0=1.5)
         for Q in [root_cube(1), DyadicCube(2, (1,)), DyadicCube(4, (9,))]:
-            lhs, rhs = holder_identity_slack(t, Q)
-            assert lhs <= rhs * (1 + 1e-9)
+            assert holder_identity_slack(t, Q).holds
 
 
 # --- duality inequality -----------------------------------------------------------
@@ -291,7 +290,6 @@ def test_duality_random_trials():
         w = GridFunction(1, 4, np.exp2(rng.uniform(-3, 3, 16)))
         rep = duality_inequality_check(w, 1.2, 3.0)
         assert rep.holds
-        assert rep.lhs <= rep.rhs * (1 + 1e-9)
 
 
 def test_duality_rejects_out_of_range():
