@@ -381,28 +381,76 @@ def measure_weak_norm(a: CarlesonSequence, k: int, p0: float, m: int,
     """Empirical lower estimate of the L^p0 x ... x L^p0 -> L^(p0/m,inf) norm.
 
     Runs seeded random tuples normalized in L^p0 and keeps the running max;
-    the estimate never decreases as trials grow.
+    the estimate never decreases as trials grow.  A selection's default
+    ``cstar`` reads only max(1, estimate), which it finds without evaluating
+    the operator on a trial whose L^1 bound is below one: when q = p0/m <= 1
+    the weak norm is at most the L^1 norm.
     """
     if not p0 >= 1:
         raise DomainError(f"p0 must be >= 1, got {p0}")
     if trials < 1:
         raise DomainError("need at least one trial")
-    n = a.dim
-    L_res = max(a.levels, default=a.root.level)
-    rng = np.random.default_rng(seed)
     best = 0.0
-    shape = (1 << L_res,) * n
+    for trial in _weak_trials(a, p0, m, trials, seed):
+        best = max(best, _trial_weak_norm(a, k, p0, m, trial))
+    return best
+
+
+def _weak_trials(a: CarlesonSequence, p0: float, m: int, trials: int, seed: int):
+    """The estimate's seeded trials: per trial, a list of (vals, vals**p0, ||vals||_p0) for
+    the m inputs on the sequence's finest level, emptied when the next trial is asked for.
+    A trial with a zero input is drawn up to that input and skipped."""
+    rng = np.random.default_rng(seed)
+    shape = (1 << max(a.levels, default=a.root.level),) * a.dim
     for _ in range(trials):
-        fs = []
+        trial = []
         for _ in range(m):
             vals = rng.uniform(0.0, 1.0, shape)
-            nrm = (vals**p0).mean() ** (1.0 / p0)
-            if nrm == 0:  # a trial with a zero input is skipped
+            power = vals**p0
+            nrm = power.mean() ** (1.0 / p0)
+            if nrm == 0:
                 break
-            fs.append(GridFunction(n, L_res, vals / nrm))
+            trial.append((vals, power, nrm))
         else:
-            best = max(best, weak_norm(eval_sparse_A(a, k, p0, fs), p0 / m))
+            yield trial
+            trial.clear()  # one trial's arrays alive at a time
+
+
+def _trial_weak_norm(a: CarlesonSequence, k: int, p0: float, m: int, trial) -> float:
+    """weak_norm of the operator on one trial's normalized inputs vals / nrm."""
+    L_res = max(a.levels, default=a.root.level)
+    fs = [GridFunction(a.dim, L_res, vals / nrm) for vals, _, nrm in trial]
+    return weak_norm(eval_sparse_A(a, k, p0, fs), p0 / m)
+
+
+def _weak_floor(a: CarlesonSequence, k: int, p0: float, m: int, seed: int) -> float:
+    """max(1.0, measure_weak_norm(a, k, p0, m, seed=seed)) bit for bit, over its 8 trials.
+
+    With q = p0/m <= 1, weak_norm's t^(1/q) g*(t) is at most t g*(t) <= ||g||_1
+    for t <= 1 (Grafakos, Classical Fourier Analysis, 1.1), so a trial whose
+    ||Af||_1 is below one (``at_most``) cannot lift the floor.  The operator is
+    evaluated only on the other trials, and on every trial when q > 1.
+    """
+    n, L_res = a.dim, max(a.levels, default=a.root.level)
+    # |Q| alpha_Q summed onto the level of the k-th ancestors Q^(k)
+    mass = {j - k: block_reduce(arr, n, j, j - k, "sum") * 2.0 ** (-n * j)
+            for j, arr in a.levels.items() if j - k >= a.root.level}
+    best = 1.0
+    for trial in _weak_trials(a, p0, m, 8, seed):
+        if p0 / m <= 1 and not at_most(1.0, _trial_l1(mass, n, L_res, p0, trial), 1.0):
+            continue
+        best = max(best, _trial_weak_norm(a, k, p0, m, trial))
     return best
+
+
+def _trial_l1(mass: dict[int, np.ndarray], n: int, L_res: int, p0: float, trial) -> float:
+    """||Af||_1 = sum_Q alpha_Q |Q| prod_i <f_i>_{Q^(k),p0} on one trial's normalized
+    inputs: per ancestor level, ``mass`` against the product of the inputs' averages."""
+    pyramids = [mean_pyramid(power, n, L_res) for _, power, _ in trial]
+    inv = 1.0 / p0
+    total = sum(float(functools.reduce(lambda t, pyr: t * pyr[lvl] ** inv, pyramids, c).sum())
+                for lvl, c in mass.items())
+    return total / math.prod(nrm for _, _, nrm in trial)
 
 
 def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
@@ -414,8 +462,11 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
     gamma_P the largest coefficient k generations below P; selection tops
     the budget up by cstar times the local product, and every step down
     pays the child's own coefficient times the product.  The default cstar
-    is 2^(2(m+1)) times twice the measured weak-norm estimate (floored at
-    one, which the single-generation averaging operator always attains).
+    is 2^(2(m+1)) times w_hat, twice the 8-trial weak-norm estimate floored
+    at one (which the single-generation averaging operator always attains).
+    A trial whose L^1 bound is below one is certified under the floor
+    without evaluating the operator; trials are evaluated only when
+    q = p0/m > 1 or when the bound reaches one.
     """
     _operator_args(a, k, p0, fs)
     return _select(a, k, p0, fs, cstar, seed, _power_pyramids(fs, p0))
@@ -436,7 +487,7 @@ def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, see
                 raise DomainError(f"complexity-{k} selection needs support on levels "
                                   f"root+j*k; found {argmax_cube([(j, arr > 0)])[1]}")
     if cstar is None:
-        w_hat = 2.0 * max(1.0, measure_weak_norm(a, k, p0, m, seed=seed))
+        w_hat = 2.0 * _weak_floor(a, k, p0, m, seed)
         cstar = 2.0 ** (2 * (m + 1)) * w_hat
     else:
         w_hat = None
@@ -547,6 +598,9 @@ def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Inequalit
     ps = tuple(float(p) for p in ps)
     if len(ps) != len(fs):
         raise DomainError("need one exponent per function")
+    for p in ps:
+        if not p >= 1:
+            raise DomainError(f"every exponent p_i must be >= 1, got {p}")
     if abs(1.0 / q - sum(1.0 / p for p in ps)) > 1e-12:
         raise DomainError("exponents must satisfy 1/q = sum 1/p_i")
     for f in fs:

@@ -597,6 +597,28 @@ def test_measure_weak_norm_deterministic():
     assert measure_weak_norm(a, 0, 1.5, 2, 5, seed=7) == measure_weak_norm(a, 0, 1.5, 2, 5, seed=7)
 
 
+def test_default_cstar_evaluates_only_uncertified_trials(monkeypatch):
+    import sparselab.sparse as sparse_mod
+
+    # lhs and rhs come from _ancestor_sum, so every counted call is an estimate trial
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eval_sparse_A(*args)
+
+    monkeypatch.setattr(sparse_mod, "eval_sparse_A", counted)
+    rng = rng_from(1)
+    a = random_carleson(rng, 2, 6)
+    fs = [random_function(rng, 2, 6) for _ in range(2)]
+    # q = p0/m = 0.75: every trial's L^1 bound is below one, so none is evaluated
+    assert select_sparse(a, 0, 1.5, fs).w_hat == 2.0
+    assert len(calls) == 0
+    # q = 2 has no L^1 bound: all 8 trials are evaluated
+    assert select_sparse(a, 0, 2.0, fs[:1]).w_hat == 2.0
+    assert len(calls) == 8
+
+
 # --- dyadic maximal --------------------------------------------------------------------
 
 
@@ -793,7 +815,10 @@ def test_nan_p0_is_rejected():
                  lambda: beta_exponent((2.0, 3.0), nan), lambda: weighted_norm(fs[0], nan),
                  lambda: weak_norm(fs[0], nan), lambda: rearrangement(fs[0], nan),
                  lambda: carleson_embedding_check(a, 0.0, [2.0], fs),
-                 lambda: carleson_embedding_check(a, nan, [2.0], fs)):
+                 lambda: carleson_embedding_check(a, nan, [2.0], fs),
+                 lambda: carleson_embedding_check(a, 1.0, [0.0], fs),
+                 lambda: carleson_embedding_check(a, 1.0, [nan], fs),
+                 lambda: carleson_embedding_check(a, 1.0, [0.5], fs)):
         with pytest.raises(DomainError):
             call()
 
