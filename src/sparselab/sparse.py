@@ -279,26 +279,28 @@ def eval_sparse_A(obj, k: int, p0: float, fs) -> GridFunction:
     Cubes whose k-th ancestor is not contained in the root are skipped.
     """
     alpha, rootlvl, n, L = _operator_args(obj, k, p0, fs)
-    return GridFunction(n, L, _ancestor_sum(alpha, rootlvl, k, p0, _power_pyramids(fs, p0)))
+    top = max((j - k for j in alpha if j - k >= rootlvl), default=0)
+    return GridFunction(n, L, _ancestor_sum(alpha, rootlvl, k, _average_pyramids(fs, p0, top),
+                                            n, L))
 
 
-def _power_pyramids(fs, p0: float) -> list[list[np.ndarray]]:
-    """The mean pyramid of |f_i|^p0 for every input."""
-    return [mean_pyramid(np.abs(f.values) ** p0, f.dim, f.level) for f in fs]
-
-
-def _ancestor_sum(alpha: dict[int, np.ndarray], rootlvl: int, k: int, p0: float,
-                  pyramids) -> np.ndarray:
-    """Cell values of the ancestor-type operator from the inputs' power pyramids."""
+def _average_pyramids(fs, p0: float, top: int) -> list[list[np.ndarray]]:
+    """Every input's p0-averages <f_i>_{Q,p0} on levels 0..top: the mean pyramid of |f_i|^p0,
+    each level raised to 1/p0 once."""
     inv = 1.0 / p0
+    return [[lvl ** inv for lvl in mean_pyramid(np.abs(f.values) ** p0, f.dim, f.level)[:top + 1]]
+            for f in fs]
+
+
+def _ancestor_sum(alpha: dict[int, np.ndarray], rootlvl: int, k: int, pyramids, n: int,
+                  L: int) -> np.ndarray:
+    """Cell values of the ancestor-type operator from the inputs' average pyramids."""
 
     def term(j: int, arr: np.ndarray) -> np.ndarray:
-        return functools.reduce(lambda t, pyr: t * upsample(pyr[j - k] ** inv, 1 << k),
-                                pyramids, arr)
+        return functools.reduce(lambda t, avg: t * upsample(avg[j - k], 1 << k), pyramids, arr)
 
     # top-down: every level adds its term onto the sum of the coarser ones
-    return fold_down(((j, term(j, arr)) for j, arr in alpha.items() if j - k >= rootlvl),
-                     pyramids[0][0].ndim, len(pyramids[0]) - 1)
+    return fold_down(((j, term(j, arr)) for j, arr in alpha.items() if j - k >= rootlvl), n, L)
 
 
 def eval_sparse_T(obj, k: int, p0: float, fs) -> GridFunction:
@@ -398,22 +400,23 @@ def measure_weak_norm(a: CarlesonSequence, k: int, p0: float, m: int,
 
 def _weak_trials(a: CarlesonSequence, p0: float, m: int, trials: int, seed: int):
     """The estimate's seeded trials: per trial, a list of (vals, vals**p0, ||vals||_p0) for
-    the m inputs on the sequence's finest level, emptied when the next trial is asked for.
-    A trial with a zero input is drawn up to that input and skipped."""
+    the m inputs on the sequence's finest level.  Every input's two arrays are refilled in
+    place by the next trial, so one trial's arrays are alive at a time.  A trial with a
+    zero input is drawn up to that input and skipped."""
     rng = np.random.default_rng(seed)
     shape = (1 << max(a.levels, default=a.root.level),) * a.dim
+    buffers = [(np.empty(shape), np.empty(shape)) for _ in range(m)]
     for _ in range(trials):
         trial = []
-        for _ in range(m):
-            vals = rng.uniform(0.0, 1.0, shape)
-            power = vals**p0
+        for vals, power in buffers:
+            rng.random(out=vals)  # rng.uniform(0.0, 1.0, shape) bit for bit
+            np.power(vals, p0, out=power)
             nrm = power.mean() ** (1.0 / p0)
             if nrm == 0:
                 break
             trial.append((vals, power, nrm))
         else:
             yield trial
-            trial.clear()  # one trial's arrays alive at a time
 
 
 def _trial_weak_norm(a: CarlesonSequence, k: int, p0: float, m: int, trial) -> float:
@@ -445,11 +448,16 @@ def _weak_floor(a: CarlesonSequence, k: int, p0: float, m: int, seed: int) -> fl
 
 def _trial_l1(mass: dict[int, np.ndarray], n: int, L_res: int, p0: float, trial) -> float:
     """||Af||_1 = sum_Q alpha_Q |Q| prod_i <f_i>_{Q^(k),p0} on one trial's normalized
-    inputs: per ancestor level, ``mass`` against the product of the inputs' averages."""
+    inputs: per ancestor level, ``mass`` against the product of the inputs' power means,
+    raised to 1/p0 once.  Over one cell an input's p0-average is its value."""
     pyramids = [mean_pyramid(power, n, L_res) for _, power, _ in trial]
-    inv = 1.0 / p0
-    total = sum(float(functools.reduce(lambda t, pyr: t * pyr[lvl] ** inv, pyramids, c).sum())
-                for lvl, c in mass.items())
+    total = 0.0
+    for lvl, c in mass.items():
+        if lvl == L_res:
+            prod = functools.reduce(np.multiply, [vals for vals, _, _ in trial])
+        else:
+            prod = functools.reduce(np.multiply, [pyr[lvl] for pyr in pyramids]) ** (1.0 / p0)
+        total += float(np.vdot(c, prod))
     return total / math.prod(nrm for _, _, nrm in trial)
 
 
@@ -468,13 +476,13 @@ def select_sparse(a: CarlesonSequence, k: int, p0: float, fs,
     without evaluating the operator; trials are evaluated only when
     q = p0/m > 1 or when the bound reaches one.
     """
-    _operator_args(a, k, p0, fs)
-    return _select(a, k, p0, fs, cstar, seed, _power_pyramids(fs, p0))
+    L = _operator_args(a, k, p0, fs)[3]
+    return _select(a, k, p0, fs, cstar, seed, _average_pyramids(fs, p0, L))
 
 
 def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, seed: int,
             pyramids) -> SelectionResult:
-    """``select_sparse`` on checked arguments and the inputs' |f_i|^p0 mean pyramids."""
+    """``select_sparse`` on checked arguments and the inputs' p0-average pyramids."""
     n, L = a.dim, len(pyramids[0]) - 1
     for f in fs:
         if np.any(f.values < 0):
@@ -491,12 +499,11 @@ def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, see
         cstar = 2.0 ** (2 * (m + 1)) * w_hat
     else:
         w_hat = None
-    if cstar <= 0:
-        raise DomainError("cstar must be positive")
+    if not 0 < cstar < math.inf:
+        raise DomainError(f"cstar must be positive and finite, got {cstar}")
 
     step = max(k, 1)
     alpha = a.levels
-    inv = 1.0 / p0
 
     # support-at-or-below flags: below the root, the walk visits exactly these cubes
     # (a level with none is absent)
@@ -511,8 +518,8 @@ def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, see
         if j > rl:
             reach = sab.get(j, False)
         prod = 1.0
-        for pyr in pyramids:
-            prod = prod * pyr[j] ** inv
+        for avg in pyramids:
+            prod = prod * avg[j]
         # gamma: block max of the coefficients k levels deeper
         g = block_reduce(alpha[j + k], n, j + k, j, "max") if j + k in alpha else 0.0
         hit = reach & (delta - prod * g < 0.0)
@@ -528,8 +535,8 @@ def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, see
             delta = upsample(base, 1 << k) - alpha.get(j + k, 0.0) * upsample(prod, 1 << k)
 
     family = greedy_witness(hits, n, L)
-    lhs = _ancestor_sum(alpha, rl, k, p0, pyramids)
-    rhs = _ancestor_sum(family.masks, 0, 0, p0, pyramids)
+    lhs = _ancestor_sum(alpha, rl, k, pyramids, n, L)
+    rhs = _ancestor_sum(family.masks, 0, 0, pyramids, n, L)
     pointwise, covered = _cell_ratio(lhs, rhs)
     return SelectionResult(family, float(cstar), w_hat, pointwise, covered, lhs, rhs)
 
@@ -571,8 +578,8 @@ def dominate(a: CarlesonSequence, k: int, p0: float, fs,
     """
     _, _, n, L = _operator_args(a, k, p0, fs)
     pieces = slice_scales(a, k) if k else [SlicePiece(0, a.root, a)]
-    # every piece's selection shares one pyramid per input
-    pyramids = _power_pyramids(fs, p0)
+    # every piece's selection shares one average pyramid per input
+    pyramids = _average_pyramids(fs, p0, L)
     selections = [_select(p.seq, k, p0, fs, cstar, seed + 101 * i, pyramids)
                   for i, p in enumerate(pieces)]
     # the pieces reassemble the operator, so their sides add up to the whole

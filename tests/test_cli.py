@@ -426,6 +426,15 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
     ({"experiment": "theorem-a", "L": 3, "trials": 1, "k": [], "out": "o"}, None),
     ({"experiment": "buckley", "L": 3, "trials": 1, "out": "o", "plot": {"out": "p.svg"},
       "weight_family": {"type": "power", "alpha_grid": []}}, None),
+    # a cstar that is not positive and finite fails before the selection runs
+    pytest.param("2 1 0.5\n", ["select", "--alpha", "IN", "--f", "F", "--cstar", "nan"],
+                 id="select-nan-cstar"),
+    pytest.param("2 1 0.5\n", ["select", "--alpha", "IN", "--f", "F", "--cstar", "inf"],
+                 id="select-inf-cstar"),
+    pytest.param("2 1 0.5\n", ["dominate", "--alpha", "IN", "--f", "F", "--cstar", "nan"],
+                 id="dominate-nan-cstar"),
+    pytest.param("2 1 0.5\n", ["dominate", "--alpha", "IN", "--f", "F", "--cstar", "inf"],
+                 id="dominate-inf-cstar"),
 ])
 def test_bad_sweep_inputs_exit_2(capsys, tmp_path, monkeypatch, function_file, config, argv):
     # a string config is the text of the input file named IN

@@ -379,6 +379,20 @@ def test_select_rejects_negative_f():
         select_sparse(a, 0, 1.0, [f])
 
 
+@pytest.mark.parametrize("cstar", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("run", [select_sparse, dominate])
+def test_select_rejects_cstar_outside_positive_finite(monkeypatch, run, cstar):
+    import sparselab.sparse as sparse_mod
+
+    def no_walk(*args):
+        raise AssertionError("the selection walk ran")
+
+    monkeypatch.setattr(sparse_mod, "greedy_witness", no_walk)
+    a = random_carleson(rng_from(10), 1, 5)
+    with pytest.raises(DomainError, match=f"cstar must be positive and finite, got {cstar}"):
+        run(a, 0, 1.0, [GridFunction.constant(1, 5, 1.0)], cstar=cstar)
+
+
 def test_select_rejects_off_grid_support():
     a = seq({DyadicCube(3, (1,)): 0.5})
     fs = [GridFunction.constant(1, 4, 1.0)]

@@ -1,16 +1,25 @@
 """The weak-norm floor of the default cstar against the sampling loop it replaces,
 bit for bit: ``max(1.0, measure_weak_norm(...))`` and that loop kept here as written
-before trials under the floor were certified by their L^1 bound."""
+before trials under the floor were certified by their L^1 bound.  The certificate's
+L^1 bound is checked against its first form, which powered every input's averages
+on their own."""
+
+import functools
+import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import sparselab.sparse as sparse_mod
-from sparselab.grid import DyadicCube, GridFunction, weak_norm
+from sparselab.grid import DyadicCube, GridFunction, at_most, block_reduce, mean_pyramid, weak_norm
 from sparselab.samples import random_carleson, rng_from
 from sparselab.sparse import (
     CarlesonSequence,
+    _trial_l1,
+    _trial_weak_norm,
     _weak_floor,
+    _weak_trials,
     eval_sparse_A,
     measure_weak_norm,
     slice_scales,
@@ -35,6 +44,23 @@ def reference_weak_norm(a, k, p0, m, trials=8, seed=0):
         else:
             best = max(best, weak_norm(eval_sparse_A(a, k, p0, fs), p0 / m))
     return best
+
+
+def ancestor_mass(a, k):
+    """|Q| alpha_Q summed onto the level of the k-th ancestors Q^(k)."""
+    n = a.dim
+    return {j - k: block_reduce(arr, n, j, j - k, "sum") * 2.0 ** (-n * j)
+            for j, arr in a.levels.items() if j - k >= a.root.level}
+
+
+def reference_trial_l1(mass, n, L_res, p0, trial):
+    """The L^1 bound with one power per input and cube: per ancestor level, ``mass``
+    against the product of the inputs' averages, each raised to 1/p0 on its own."""
+    pyramids = [mean_pyramid(power, n, L_res) for _, power, _ in trial]
+    inv = 1.0 / p0
+    total = sum(float(functools.reduce(lambda t, pyr: t * pyr[lvl] ** inv, pyramids, c).sum())
+                for lvl, c in mass.items())
+    return total / math.prod(nrm for _, _, nrm in trial)
 
 
 def scaled(a, s):
@@ -76,6 +102,35 @@ def test_floor_matches_estimate(case):
     est = measure_weak_norm(a, k, p0, m, seed=seed)
     assert est == reference_weak_norm(a, k, p0, m, seed=seed)
     assert _weak_floor(a, k, p0, m, seed=seed) == max(1.0, est)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(floor_case())
+def test_l1_bound_matches_reference_and_certifies(case):
+    a, k, p0, m, seed = case
+    n, L_res = a.dim, max(a.levels, default=a.root.level)
+    mass = ancestor_mass(a, k)
+    for trial in _weak_trials(a, p0, m, 8, seed):
+        bound = _trial_l1(mass, n, L_res, p0, trial)
+        ref = reference_trial_l1(mass, n, L_res, p0, trial)
+        assert abs(bound - ref) <= 1e-13 * ref
+        if p0 / m <= 1:  # the weak L^q norm on the unit cube is at most the L^1 norm
+            wn = _trial_weak_norm(a, k, p0, m, trial)
+            assert at_most(wn, bound, max(wn, bound))
+
+
+def test_floor_holds_one_trial_at_a_time():
+    # n=2 L=8, m=2: two inputs' value and power arrays are 2 MB, their pyramids and the
+    # ancestor masses about 1 MB more; every trial here is certified under the floor,
+    # and holding the 8 trials at once would take 14 MB more
+    a = random_carleson(rng_from(1), 2, 8)
+    tracemalloc.start()
+    try:
+        assert _weak_floor(a, 0, 1.5, 2, seed=0) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # (n, L, seed, k, scale, m, p0): q = p0/m <= 1 under the floor and above it, q > 1,
