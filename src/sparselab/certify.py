@@ -381,6 +381,12 @@ def validate_config(config: dict) -> dict:
     if not _grid_points(out):
         grid = "k" if exp == "theorem-a" else "weight_family.alpha_grid"
         raise DomainError(f"{exp} needs at least one point in config '{grid}'")
+    # a power family weighs by dist^alpha, and theorem-b's second weight by dist^-alpha
+    n = out["n"]
+    hi = n if exp == "theorem-b" and out["m"] >= 2 else math.inf
+    if family["type"] == "power" and not all(-n < a < hi for a in family["alpha_grid"]):
+        raise DomainError(f"{exp} needs {-n} < alpha < {hi} in config "
+                          f"'weight_family.alpha_grid', got {family['alpha_grid']}")
     p0, m = out["p0"], out["m"]
     lengths = sorted({1, m}) if exp in ("theorem-b", "theorem-c") else [1]
     if len(out["p"]) not in lengths:

@@ -364,29 +364,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_decompose)
 
-    p = sub.add_parser("select", help="sparse selection for one coefficient sequence")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--f", action="append", required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--p0", type=float, default=1.0)
+    def sequence(name, help, k):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--alpha", required=True)
+        p.add_argument("--f", action="append", required=True)
+        p.add_argument("--k", type=int, default=k)
+        p.add_argument("--p0", type=float, default=1.0)
+        return p
+
+    p = sequence("select", "sparse selection for one coefficient sequence", 0)
     p.add_argument("--cstar", type=float, default=None)
     common(p)
     p.set_defaults(fn=cmd_select)
 
-    p = sub.add_parser("dominate", help="slice, select and compare cellwise")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--f", action="append", required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--p0", type=float, default=1.0)
+    p = sequence("dominate", "slice, select and compare cellwise", 1)
     p.add_argument("--cstar", type=float, default=None)
     common(p)
     p.set_defaults(fn=cmd_dominate)
 
-    p = sub.add_parser("certify-a", help="complexity-collapse certification")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--f", action="append", required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--p0", type=float, default=1.0)
+    p = sequence("certify-a", "complexity-collapse certification", 0)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--weight", default=None)
     common(p)

@@ -179,14 +179,11 @@ class GridFunction:
     def integral(self) -> float:
         return float(self.values.sum() * self.cell_volume)
 
-    def _wrap(self, arr) -> "GridFunction":
-        return GridFunction(self.dim, self.level, arr)
-
     def __mul__(self, other):
         if isinstance(other, GridFunction):
             _match(self, other)
-            return self._wrap(self.values * other.values)
-        return self._wrap(self.values * other)
+            other = other.values
+        return GridFunction(self.dim, self.level, self.values * other)
 
     def __repr__(self):
         return f"GridFunction(n={self.dim}, L={self.level})"

@@ -374,12 +374,6 @@ class KernelSample:
         self.level = side.bit_length() - 1
         self.table = table
 
-    def diff(self, x: int, xbar: int, ys: tuple[np.ndarray, ...]) -> np.ndarray:
-        """K(x, y...) - K(xbar, y...) on arrays of y cell indices."""
-        N = 1 << self.level
-        return (self.table[np.ix_(*((x - y) % N for y in ys))]
-                - self.table[np.ix_(*((xbar - y) % N for y in ys))])
-
 
 def kernel_from_symbol(m: Symbol) -> KernelSample:
     """Inverse-transform table K(x, y...) = mcheck(x - y_1, ..., x - y_m), one y per

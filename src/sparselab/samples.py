@@ -60,6 +60,10 @@ def random_sparse_family(rng, n: int, L: int) -> SparseFamily:
     Cubes are (level, index) pairs flagged in one bool mask per level; child
     c of (j, idx) is (j + 1, 2 * idx + unravel_index(c, (2,) * n)), row-major.
     """
+    unit = {0: np.ones((1,) * n, dtype=bool)}
+    if L == 0:
+        # the unit cube is the only sparse family on a one-cell grid
+        return greedy_witness(unit, n, 0)
     masks: dict[int, np.ndarray] = {}
 
     def descend(j: int, idx: tuple):
@@ -81,4 +85,4 @@ def random_sparse_family(rng, n: int, L: int) -> SparseFamily:
     picks = rng.choice(side**n, size=count, replace=False)
     for flat in picks:
         descend(lvl, np.unravel_index(flat, (side,) * n))
-    return greedy_witness(masks or {0: np.ones((1,) * n, dtype=bool)}, n, L)
+    return greedy_witness(masks or unit, n, L)

@@ -316,16 +316,9 @@ def eval_sparse_T(obj, k: int, p0: float, fs) -> GridFunction:
 # Scale slicing
 
 
-@dataclass(frozen=True)
-class SlicePiece:
-    ell: int
-    root: DyadicCube
-    seq: CarlesonSequence
-
-
-def slice_scales(a: CarlesonSequence, k: int) -> list[SlicePiece]:
-    """Split by scale residue: piece (ell, P) keeps the cubes of P whose depth
-    below the root is congruent to ell mod k and at least k.
+def slice_scales(a: CarlesonSequence, k: int) -> list[CarlesonSequence]:
+    """Split by scale residue: for 0 <= ell < k, the piece under a cube P ell levels
+    below a's root keeps the cubes of P whose depth below P is a positive multiple of k.
 
     The pieces reassemble the complexity-k operator exactly, cube by cube.
     """
@@ -344,9 +337,9 @@ def slice_scales(a: CarlesonSequence, k: int) -> list[SlicePiece]:
             P = DyadicCube(top, tuple(idx))
             mine = np.zeros(used.shape, dtype=bool)
             mine[P.index] = True
-            seq = CarlesonSequence(P, {j: np.where(upsample(mine, 1 << (j - top)), arr, 0.0)
-                                       for j, arr in levels.items()})
-            pieces.append(SlicePiece(ell, P, seq))
+            pieces.append(CarlesonSequence(P, {
+                j: np.where(upsample(mine, 1 << (j - top)), arr, 0.0)
+                for j, arr in levels.items()}))
     return pieces
 
 
@@ -552,7 +545,7 @@ def _cell_ratio(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, bool]:
 class DominationResult:
     """Outcome of ``dominate``; lhs and rhs are the cellwise operator values it compared."""
 
-    pieces: list[SlicePiece]
+    pieces: list[CarlesonSequence]
     selections: list[SelectionResult]
     cell_constant: float
     covered: bool
@@ -577,10 +570,10 @@ def dominate(a: CarlesonSequence, k: int, p0: float, fs,
     complexity-0 operators.
     """
     _, _, n, L = _operator_args(a, k, p0, fs)
-    pieces = slice_scales(a, k) if k else [SlicePiece(0, a.root, a)]
+    pieces = slice_scales(a, k) if k else [a]
     # every piece's selection shares one average pyramid per input
     pyramids = _average_pyramids(fs, p0, L)
-    selections = [_select(p.seq, k, p0, fs, cstar, seed + 101 * i, pyramids)
+    selections = [_select(p, k, p0, fs, cstar, seed + 101 * i, pyramids)
                   for i, p in enumerate(pieces)]
     # the pieces reassemble the operator, so their sides add up to the whole
     lhs, rhs = np.zeros((1 << L,) * n), np.zeros((1 << L,) * n)
@@ -634,8 +627,7 @@ def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Inequalit
 @dataclass
 class CZDecomposition:
     """A CZ decomposition: ``masks[i]`` holds input i's stopping cubes, one bool
-    array per populated level in level order, and ``stopping[i]`` lists them in
-    (level, row-major) order, built on first read."""
+    array per populated level in level order."""
 
     base: DyadicCube
     lam: float
@@ -645,10 +637,6 @@ class CZDecomposition:
     bad: list[GridFunction]
     masks: list[dict[int, np.ndarray]]
     short_circuit: list[int]
-
-    @functools.cached_property
-    def stopping(self) -> list[list[DyadicCube]]:
-        return [list(mask_cubes(ms, self.base.dim)) for ms in self.masks]
 
     def verify(self, fs) -> bool:
         """Recheck every invariant of each input outside ``short_circuit``, one pass per

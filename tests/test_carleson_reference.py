@@ -287,8 +287,9 @@ def test_level_arrays_match_reference(case):
     if k >= 1:
         pieces = slice_scales(new, k)
         ref_pieces = reference_slice_scales(ref, k)
-        assert [(p.ell, p.root) for p in pieces] == [(ell, P) for ell, P, _ in ref_pieces]
-        pairs = [(p.seq, rseq) for p, (_, _, rseq) in zip(pieces, ref_pieces)]
+        assert ([(p.root.level - new.root.level, p.root) for p in pieces]
+                == [(ell, P) for ell, P, _ in ref_pieces])
+        pairs = [(p, rseq) for p, (_, _, rseq) in zip(pieces, ref_pieces)]
         for seq, rseq in pairs:
             assert_same_sequence(seq, rseq)
 

@@ -277,6 +277,18 @@ def test_validate_config_rejects_unknown():
         validate_config({"experiment": "buckley", "weight_family": {"type": "power", "x": 1}})
 
 
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "theorem-b", "m": 2, "weight_family": {"alpha_grid": [0.5, 1.0]}},
+    {"experiment": "theorem-b", "n": 2, "weight_family": {"alpha_grid": [-2.0]}},
+    {"experiment": "theorem-c", "weight_family": {"alpha_grid": [-1.5]}},
+    {"experiment": "buckley", "weight_family": {"alpha_grid": [0.5, -1.0]}},
+])
+def test_power_alphas_outside_the_weights_range(cfg):
+    # checked before the first point runs, naming the config field
+    with pytest.raises(DomainError, match="'weight_family.alpha_grid'"):
+        validate_config(cfg)
+
+
 def test_sweep_empty_grid():
     # a grid without points is a config error, raised before any trial runs
     cfg = {"experiment": "buckley", "weight_family": {"type": "power", "alpha_grid": []},

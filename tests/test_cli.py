@@ -435,6 +435,20 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
                  id="dominate-nan-cstar"),
     pytest.param("2 1 0.5\n", ["dominate", "--alpha", "IN", "--f", "F", "--cstar", "inf"],
                  id="dominate-inf-cstar"),
+    # config checks of every experiment
+    ({"L": 3, "trials": 1}, None),
+    ({"experiment": "buckley", "L": 3, "trials": 1, "weight_family": {"type": "nope"}}, None),
+    ({"experiment": "buckley", "L": 3, "trials": 1, "plot": {"out": 3}}, None),
+    ({"experiment": "buckley", "L": 3, "trials": 1, "out": 3}, None),
+    ({"experiment": "buckley", "L": 3, "trials": 1, "p": [1.0]}, None),
+    ({"experiment": "theorem-a", "L": 3, "trials": 1, "p": [0.0]}, None),
+    ({"experiment": "theorem-a", "L": 3, "trials": 1, "p0": 0.5}, None),
+    ({"experiment": "theorem-b", "L": 3, "trials": 1, "m": 2, "p": [2.0, 1.0]}, None),
+    # a power weight's exponent at or below -n fails before the first point runs
+    ({"experiment": "theorem-b", "n": 1, "m": 2, "L": 3, "trials": 1, "out": "o",
+      "weight_family": {"type": "power", "alpha_grid": [0.5, 1.0]}}, None),
+    ({"experiment": "buckley", "L": 3, "trials": 1, "out": "o",
+      "weight_family": {"type": "power", "alpha_grid": [0.5, -1.0]}}, None),
 ])
 def test_bad_sweep_inputs_exit_2(capsys, tmp_path, monkeypatch, function_file, config, argv):
     # a string config is the text of the input file named IN
@@ -837,6 +851,14 @@ def test_theorem_c_needs_level_6(capsys, tmp_path, L):
     else:
         assert code == 2 and out == ""
         assert "'L'" in err
+
+
+def test_theorem_b_sweep_on_one_cell(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "theorem-b", "L": 0, "trials": 1, "p": [2.0]}))
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 0
+    assert [json.loads(line)["params"]["family_size"] for line in out.splitlines()] == [1]
 
 
 def test_sweep_plot_x_defaults_to_the_point_column(capsys, tmp_path):

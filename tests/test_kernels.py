@@ -82,6 +82,19 @@ def test_plancherel_bound():
         assert np.linalg.norm(out.values) == pytest.approx(np.linalg.norm(oracle), rel=1e-9)
 
 
+def test_non_hermitian_symbol_reports_the_modulus():
+    # oracle: explicit inverse DFT of m fhat, complex for a symbol that is not Hermitian
+    rng = np.random.default_rng(4)
+    N = 64
+    F = dft_matrix(N)
+    sym = symbol_oscillating(N)
+    assert not sym.is_hermitian()
+    vals = rng.uniform(-1, 1, N)
+    oracle = F.conj() @ (np.fft.ifftshift(sym.values) * (F @ vals)) / N
+    out = apply_linear_multiplier(sym, GridFunction(1, 6, vals))
+    assert np.allclose(out.values, np.abs(oracle), atol=1e-12)
+
+
 def test_linearity():
     rng = np.random.default_rng(2)
     sym = symbol_sign(64)

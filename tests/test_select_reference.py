@@ -98,7 +98,7 @@ def selection_case(draw):
         # slice pieces with ell >= 1 are rooted below the unit cube
         pieces = slice_scales(a, k)
         if pieces:
-            a = pieces[draw(st.integers(0, len(pieces) - 1))].seq
+            a = pieces[draw(st.integers(0, len(pieces) - 1))]
     m = draw(st.integers(1, 2))
     fs = [random_function(rng, n, L) for _ in range(m)]
     p0 = draw(st.sampled_from([1.0, 1.5, 2.0]))

@@ -14,6 +14,7 @@ from sparselab.grid import (
     cube_levels,
     dilate,
     dilate_products,
+    mask_cubes,
     mean_pyramid,
     rearrangement,
     root_cube,
@@ -180,6 +181,16 @@ def test_random_sparse_family_builds_no_cube(built_cubes):
     assert built_cubes == []
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_sparse_family_on_one_cell_is_the_unit_cube(n):
+    rng = rng_from(0)
+    state = rng.bit_generator.state
+    fam = random_sparse_family(rng, n, 0)
+    assert list(fam.masks) == [0] and fam.masks[0].all() and verify_sparse(fam)
+    # no draw: the stream of a sampler at L >= 1 is unchanged
+    assert rng.bit_generator.state == state
+
+
 def reference_random_sparse_family(rng, n, L):
     """The sampler with its former `n == 1` branch for the children taken."""
     chosen = set()
@@ -321,7 +332,7 @@ def test_slice_k1_single_piece():
     a = seq({DyadicCube(2, (1,)): 0.5, DyadicCube(3, (5,)): 0.25})
     pieces = slice_scales(a, 1)
     assert len(pieces) == 1
-    assert pieces[0].ell == 0 and pieces[0].root == R1
+    assert pieces[0].root.level - a.root.level == 0 and pieces[0].root == R1
 
 
 def test_slice_reassembly():
@@ -332,17 +343,17 @@ def test_slice_reassembly():
         pieces = slice_scales(a, k)
         total = np.zeros(1 << 6)
         for p in pieces:
-            total += eval_sparse_A(p.seq, k, 1.0, fs).values
+            total += eval_sparse_A(p, k, 1.0, fs).values
         assert np.allclose(total, eval_sparse_A(a, k, 1.0, fs).values, atol=1e-13)
 
 
 def test_slice_levels_pattern():
     a = seq({DyadicCube(2, (1,)): 0.3, DyadicCube(3, (5,)): 0.2})
     pieces = slice_scales(a, 2)
-    ells = sorted(p.ell for p in pieces)
+    ells = sorted(p.root.level - a.root.level for p in pieces)
     assert ells == [0, 1]
     for p in pieces:
-        for Q, _ in p.seq.items():
+        for Q, _ in p.items():
             assert (Q.level - p.root.level) % 2 == 0
             assert Q.level - p.root.level >= 2
 
@@ -513,7 +524,7 @@ def test_cz_example():
     f = GridFunction(1, 4, 4.0 * (np.arange(16) < 4))
     dec = cz_decompose([f], 1.5, 1.0, 1, R1)
     assert dec.short_circuit == []
-    assert dec.stopping[0] == [DyadicCube(1, (0,))]
+    assert mask_cubes(dec.masks[0], 1) == (DyadicCube(1, (0,)),)
     b = dec.bad[0].values
     assert np.allclose(b[:8], f.values[:8] - 2.0)
     assert np.allclose(b[8:], 0.0)
@@ -524,7 +535,7 @@ def test_cz_example():
 def test_cz_zero():
     f = GridFunction.constant(1, 4, 0.0)
     dec = cz_decompose([f], 1.0, 1.0, 1, R1)
-    assert dec.stopping[0] == []
+    assert mask_cubes(dec.masks[0], 1) == ()
     assert np.allclose(dec.bad[0].values, 0.0)
     assert dec.verify([f])
 
@@ -532,7 +543,7 @@ def test_cz_zero():
 def test_cz_no_stopping_below_height():
     f = GridFunction.constant(1, 4, 0.5)
     dec = cz_decompose([f], 1.0, 1.0, 1, R1)
-    assert dec.stopping[0] == []
+    assert mask_cubes(dec.masks[0], 1) == ()
     assert np.allclose(dec.good[0].values, f.values)
     assert dec.verify([f])
 
@@ -741,11 +752,12 @@ def test_dominate_lhs_is_the_operator():
     # one piece and adds its cubes' terms in the order eval_sparse_A does
     odd = CarlesonSequence(a.root, {j: arr for j, arr in a.levels.items() if j % 2})
     res = dominate(odd, 2, 1.5, fs)
-    assert {(p.ell, p.root.level) for p in res.pieces} == {(1, 1)} and len(res.pieces) > 1
+    assert {(p.root.level - odd.root.level, p.root.level) for p in res.pieces} == {(1, 1)}
+    assert len(res.pieces) > 1
     assert np.array_equal(res.lhs, eval_sparse_A(odd, 2, 1.5, fs).values)
     # levels 2 to 5, two residues: each cell adds one sum per residue
     res = dominate(a, 2, 1.5, fs)
-    assert {p.ell for p in res.pieces} == {0, 1} and len(res.pieces) > 2
+    assert {p.root.level - a.root.level for p in res.pieces} == {0, 1} and len(res.pieces) > 2
     np.testing.assert_allclose(res.lhs, eval_sparse_A(a, 2, 1.5, fs).values, rtol=1e-12, atol=0)
 
 

@@ -87,7 +87,7 @@ def floor_case(draw):
         # a selection reads the estimate of a slice piece at k >= 1, of a itself at 0
         pieces = slice_scales(a, k) if k else []
         if pieces:
-            a = pieces[draw(st.integers(0, len(pieces) - 1))].seq
+            a = pieces[draw(st.integers(0, len(pieces) - 1))]
     # large coefficients lift the estimate above one, so the fallback runs
     a = scaled(a, draw(st.one_of(st.just(1.0), st.floats(10.0, 1000.0))))
     m = draw(st.integers(1, 3))
@@ -149,7 +149,7 @@ def test_fixed_cases_take_both_branches(monkeypatch):
     evaluated = []
     for n, L, s, k, scale, m, p0 in FIXED:
         a = random_carleson(rng_from(s), n, L)
-        a = scaled(slice_scales(a, k)[0].seq if k else a, scale)
+        a = scaled(slice_scales(a, k)[0] if k else a, scale)
         want = max(1.0, measure_weak_norm(a, k, p0, m, seed=s))
         monkeypatch.setattr(sparse_mod, "eval_sparse_A", counted)
         calls.clear()

@@ -269,6 +269,11 @@ def test_duality_trivial():
     assert rep.holds
 
 
+def test_conjugate_endpoints():
+    assert conjugate(1) == math.inf
+    assert conjugate(math.inf) == 1.0
+
+
 def test_duality_two_valued():
     w = two_valued()
     rep = duality_inequality_check(w, 1.2, 3.0)
