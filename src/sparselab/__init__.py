@@ -46,11 +46,8 @@ from .sparse import (
     verify_sparse,
 )
 from .kernels import (
-    BilinearMultiplierOperator,
     H2Report,
-    HilbertOperator,
     KernelSample,
-    LinearMultiplierOperator,
     Symbol,
     apply_bilinear_multiplier,
     apply_linear_multiplier,

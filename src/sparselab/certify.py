@@ -28,7 +28,7 @@ from .grid import (
     root_cube,
     weighted_norm,
 )
-from .kernels import H2Report, HilbertOperator, check_h2, hilbert_kernel
+from .kernels import H2Report, check_h2, hilbert_kernel, hilbert_transform
 from .oscillation import lerner_decompose
 from .sparse import (
     CarlesonSequence,
@@ -132,14 +132,22 @@ class CertificationRecord:
             raise DomainError(f"not a certification record: {d!r:.80}") from None
 
 
-def _weighted_bound(t: WeightTuple, fs) -> tuple[float, float, float]:
-    """[w]^beta prod_i ||f_i||_{L^{p_i}(w_i)}, with [w] the tuple's constant at r = p0."""
+def _weighted_record(experiment: str, t: WeightTuple, fs, u: GridFunction, params: dict,
+                     constants: dict) -> CertificationRecord:
+    """||u||_{L^p(nu)} against [w]^beta prod_i ||f_i||_{L^{p_i}(w_i)}, with [w] the tuple's
+    constant at r = p0; the tuple's shape joins ``params`` and [w], beta join ``constants``."""
+    lhs = weighted_norm(u, t.p, t.nu())
     const = multi_ap_constant(t, r=t.p0).value
     beta = beta_exponent(t.exponents, t.p0)
     rhs = const**beta
     for f, p_i, w in zip(fs, t.exponents, t.weights):
         rhs *= weighted_norm(f, p_i, w)
-    return const, beta, rhs
+    return CertificationRecord(
+        experiment,
+        {"m": t.m, "p0": t.p0, "p": list(t.exponents), "L": t.level, "n": t.dim, **params},
+        lhs, rhs,
+        constants={"multi_ap": const, "beta": beta, **constants},
+    )
 
 
 def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs) -> CertificationRecord:
@@ -149,15 +157,8 @@ def certify_theorem_b(S: SparseFamily, t: WeightTuple, fs) -> CertificationRecor
             raise DomainError("certification inputs must be nonnegative")
     if len(fs) != t.m:
         raise DomainError("tuple arity does not match the weights")
-    lhs = weighted_norm(eval_sparse_A(S, 0, t.p0, fs), t.p, t.nu())
-    const, beta, rhs = _weighted_bound(t, fs)
-    return CertificationRecord(
-        "theorem-b",
-        {"m": t.m, "p0": t.p0, "p": list(t.exponents), "L": t.level, "n": t.dim,
-         "family_size": len(S)},
-        lhs, rhs,
-        constants={"multi_ap": const, "beta": beta},
-    )
+    return _weighted_record("theorem-b", t, fs, eval_sparse_A(S, 0, t.p0, fs),
+                            {"family_size": len(S)}, {})
 
 
 def certify_theorem_a(a: CarlesonSequence, k: int, p0: float, fs, p: float,
@@ -184,16 +185,17 @@ def certify_theorem_a(a: CarlesonSequence, k: int, p0: float, fs, p: float,
 def certify_theorem_c(op, t: WeightTuple, fs, h2) -> CertificationRecord:
     """End-to-end operator bound through the oscillation decomposition.
 
-    Applies the operator, runs the sparse decomposition of the output, logs
-    the per-cube oscillation ratios against the ring series, and compares
-    ||T f||_{L^p(nu)} with [w]^beta prod ||f_i||.
+    Applies the operator, a function of the inputs called as ``op(*fs)``, runs
+    the sparse decomposition of the output, logs the per-cube oscillation
+    ratios against the ring series, and compares ||T f||_{L^p(nu)} with
+    [w]^beta prod ||f_i||.
     """
     delta0 = h2.delta0 if isinstance(h2, H2Report) else float(h2)
     if delta0 is None or delta0 <= 0:
         raise DomainError("need a positive effective decay rate delta0")
     if len(fs) != t.m:
         raise DomainError("tuple arity does not match the weights")
-    u = op.apply(fs)
+    u = op(*fs)
     dec = lerner_decompose(u, root_cube(fs[0].dim))
     # omega(Q) over the ring series of Q, one level of family cubes at a time
     dil = dilate_products(fs, dec.osc, t.p0)
@@ -202,22 +204,12 @@ def certify_theorem_c(op, t: WeightTuple, fs, h2) -> CertificationRecord:
         s = sum(2.0 ** (-ell * delta0) * v for ell, v in enumerate(dil[j]))
         ratio = np.divide(om, s, out=np.zeros_like(om), where=s > 0)
         osc_ratio_sup = max(osc_ratio_sup, float(ratio.max()))
-    lhs = weighted_norm(u, t.p, t.nu())
-    const, beta, rhs = _weighted_bound(t, fs)
-    return CertificationRecord(
-        "theorem-c",
-        {"operator": getattr(op, "name", type(op).__name__), "m": t.m, "p0": t.p0,
-         "p": list(t.exponents), "L": t.level, "n": t.dim},
-        lhs, rhs,
-        constants={
-            "multi_ap": const,
-            "beta": beta,
-            "delta0": delta0,
-            "family_size": len(dec.family),
-            "median": dec.base_median,
-            "osc_ratio_sup": osc_ratio_sup,
-        },
-    )
+    return _weighted_record("theorem-c", t, fs, u, {}, {
+        "delta0": delta0,
+        "family_size": len(dec.family),
+        "median": dec.base_median,
+        "osc_ratio_sup": osc_ratio_sup,
+    })
 
 
 def certify_buckley(w: GridFunction, p: float, f: GridFunction,
@@ -461,11 +453,11 @@ def _run_point(cfg: dict, point: dict, point_index: int,
                 return rec
         else:
             # the reference singular operator; h2 is fitted once per sweep
-            op = HilbertOperator()
-
             def trial(ti: int) -> CertificationRecord:
                 fs = [samples.random_function(rng, n, L) for _ in range(m)]
-                return certify_theorem_c(op, t, fs, h2)
+                rec = certify_theorem_c(hilbert_transform, t, fs, h2)
+                rec.params["operator"] = "hilbert"
+                return rec
     records: list[CertificationRecord] = []
     for ti in range(cfg["trials"]):
         rec = trial(ti)
@@ -505,7 +497,9 @@ def sweep(config: dict, done_keys: dict | None = None) -> SweepResult:
     ``to_dict``), which makes interrupted sweeps resumable.  A point whose
     trials all have a key there is finished: it does not run, and its CSV
     row is built from those records.  The other points run, and only their
-    records whose key is missing from ``done_keys`` are returned.
+    records whose key is missing from ``done_keys`` are returned.  A point that
+    fails with a FloatingPointError or DomainError re-raises it with the
+    point's index and grid value in the message.
     """
     cfg = validate_config(config)
     points = _grid_points(cfg)
@@ -521,7 +515,11 @@ def sweep(config: dict, done_keys: dict | None = None) -> SweepResult:
         h2 = hilbert_h2_fit(cfg["L"], cfg["p0"])
     records: list[CertificationRecord] = []
     for i in todo:
-        results[i] = _run_point(cfg, points[i], i, h2)
+        try:
+            results[i] = _run_point(cfg, points[i], i, h2)
+        except (FloatingPointError, DomainError) as err:
+            where = ", ".join(f"{k} = {v}" for k, v in points[i].items())
+            raise type(err)(f"{err} at point {i} ({where})") from err
         for rec in results[i]:
             rec.sweep_key = keys[i][rec.params["trial"]]
             if rec.sweep_key not in done:

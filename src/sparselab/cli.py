@@ -40,12 +40,12 @@ from .grid import (
     root_cube,
 )
 from .kernels import (
-    NAMED_KERNELS,
     NAMED_SYMBOLS,
     Symbol,
     check_h2,
     check_hormander_bilinear,
     check_msl,
+    hilbert_kernel,
     kernel_from_symbol,
 )
 from .oscillation import lerner_decompose
@@ -302,24 +302,17 @@ def cmd_sweep(args) -> tuple[None, int]:
 
 
 def cmd_check_symbol(args) -> tuple[dict, int]:
-    if args.bilinear:
-        _options(args, "with --bilinear", ("s",))
-        from .kernels import symbol_cone, symbol_smooth_bump
-
-        named = {"cone": symbol_cone, "bump": symbol_smooth_bump}
-        if args.symbol in named:
-            sym = named[args.symbol](args.N)
-        else:
-            raise DomainError(f"unknown bilinear symbol {args.symbol!r}")
-        return check_hormander_bilinear(sym, int(args.l)).to_dict(), 0
+    _options(args, "with --bilinear", ("s",) if args.bilinear else ())
     sym = _load_symbol(args.symbol, args.N)
+    if args.bilinear:
+        return check_hormander_bilinear(sym, int(args.l)).to_dict(), 0
     return check_msl(sym, 2.0 if args.s is None else args.s, int(args.l)).to_dict(), 0
 
 
 def cmd_check_h2(args) -> tuple[dict, int]:
     check_resolution(1, args.L)
-    if args.kernel in NAMED_KERNELS:
-        K = NAMED_KERNELS[args.kernel](args.L)
+    if args.kernel == "hilbert":
+        K = hilbert_kernel(args.L)
     elif args.kernel.startswith("symbol:"):
         sym = _load_symbol(args.kernel.split(":", 1)[1], 1 << args.L)
         if sym.freq_dim != 1:

@@ -196,6 +196,20 @@ def _match(f: GridFunction, g: GridFunction) -> None:
         )
 
 
+def check_tuple(fs, dim: int | None = None) -> tuple[int, int]:
+    """The dimension n and level L that every input of a nonempty tuple shares, and which
+    equal ``dim`` when it is given."""
+    if not fs:
+        raise DomainError("need at least one input function")
+    n, L = fs[0].dim, fs[0].level
+    for f in fs:
+        if f.dim != n or f.level != L:
+            raise DimensionError("input tuple mixes grids")
+    if dim is not None and dim != n:
+        raise DimensionError(f"dimension {dim} does not match the functions' dimension {n}")
+    return n, L
+
+
 _COMBINE = {"sum": np.add, "any": np.logical_or, "min": np.minimum, "max": np.maximum}
 
 
@@ -372,7 +386,7 @@ def dilate_products(fs, levels, p0: float) -> dict[int, np.ndarray]:
     """
     if not p0 >= 1:
         raise DomainError(f"p0 must be >= 1, got {p0}")
-    n, L = fs[0].dim, fs[0].level
+    n, L = check_tuple(fs)
     levels = sorted(set(levels))
     if levels and levels[-1] > L:
         raise DimensionError(f"resolution {L} too coarse for level-{levels[-1]} cubes")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (DomainError, DimensionError, DyadicCube, GridFunction, _window_start, at_most,
-                   dilate)
+                   check_tuple, dilate)
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,11 @@ def symbol_smooth_bump(N: int, width: float = 0.25) -> Symbol:
 
 
 NAMED_SYMBOLS = {
-    "identity": lambda N: symbol_identity(N),
+    "identity": symbol_identity,
     "sign": symbol_sign,
     "riesz1d": symbol_sign,
+    "cone": symbol_cone,
+    "bump": symbol_smooth_bump,
 }
 
 
@@ -144,11 +146,8 @@ def apply_linear_multiplier(m: Symbol, f: GridFunction) -> GridFunction:
         raise DimensionError("symbol rank does not match function dimension")
     if m.N != 1 << f.level:
         raise DimensionError("symbol lattice does not match function resolution")
-    spec = np.fft.fftn(f.values) * m.fft_order()
-    out = np.fft.ifftn(spec)
-    if m.is_hermitian():
-        return GridFunction(f.dim, f.level, out.real)
-    return GridFunction(f.dim, f.level, np.abs(out))
+    out = np.fft.ifftn(np.fft.fftn(f.values) * m.fft_order())
+    return GridFunction(f.dim, f.level, out.real if m.is_hermitian() else np.abs(out))
 
 
 def hilbert_transform(f: GridFunction) -> GridFunction:
@@ -171,45 +170,12 @@ def apply_bilinear_multiplier(m: Symbol, f: GridFunction, g: GridFunction) -> Gr
     """
     if m.freq_dim != 2:
         raise DimensionError("bilinear multiplier needs a rank-2 symbol")
-    if f.dim != 1 or g.dim != 1:
-        raise DimensionError("bilinear multiplier is implemented on the 1d torus")
-    if f.level != g.level:
-        raise DimensionError("input functions must share a resolution")
-    if m.N != 1 << f.level:
+    _, L = check_tuple([f, g], 1)
+    if m.N != 1 << L:
         raise DimensionError("symbol lattice does not match function resolution")
     A = np.fft.ifftshift(m.values) * np.fft.fft(f.values)[:, None] * np.fft.fft(g.values)
     out = np.fft.ifft2(A).diagonal()
-    if m.is_hermitian():
-        return GridFunction(1, f.level, out.real)
-    return GridFunction(1, f.level, np.abs(out))
-
-
-class LinearMultiplierOperator:
-    def __init__(self, symbol: Symbol):
-        self.symbol = symbol
-        self.name = symbol.name
-
-    def apply(self, fs) -> GridFunction:
-        (f,) = fs
-        return apply_linear_multiplier(self.symbol, f)
-
-
-class HilbertOperator:
-    name = "hilbert"
-
-    def apply(self, fs) -> GridFunction:
-        (f,) = fs
-        return hilbert_transform(f)
-
-
-class BilinearMultiplierOperator:
-    def __init__(self, symbol: Symbol):
-        self.symbol = symbol
-        self.name = symbol.name
-
-    def apply(self, fs) -> GridFunction:
-        f, g = fs
-        return apply_bilinear_multiplier(self.symbol, f, g)
+    return GridFunction(1, L, out.real if m.is_hermitian() else np.abs(out))
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +197,25 @@ def _derivative(sym: Symbol, alpha: tuple[int, ...]) -> tuple[np.ndarray, np.nda
         band[order:vals.shape[ax] - order] = True
         valid &= band.reshape([-1 if a == ax else 1 for a in range(vals.ndim)])
     if sum(alpha) > 0:
-        stencil = sum(alpha)
-        grids = np.meshgrid(*[np.abs(sym.frequencies())] * sym.freq_dim, indexing="ij")
-        near0 = np.ones(vals.shape, dtype=bool)
-        for g in grids:
-            near0 &= g <= stencil
-        valid &= ~near0
+        valid &= ~np.all(_abs_frequencies(sym) <= sum(alpha), axis=0)
     return vals, valid
+
+
+def _abs_frequencies(m: Symbol) -> np.ndarray:
+    """|xi_a| on the lattice, one grid per frequency axis a, stacked along axis 0."""
+    return np.abs(np.stack(np.meshgrid(*[m.frequencies().astype(float)] * m.freq_dim,
+                                       indexing="ij")))
+
+
+def _octaves(values: np.ndarray, radius: np.ndarray, radii, valid: np.ndarray,
+             reduce) -> list[float]:
+    """reduce(values) over the valid points of each annulus R < radius <= 2R, 0.0 on an
+    empty one."""
+    out = []
+    for R in radii:
+        ring = (radius > R) & (radius <= 2 * R) & valid
+        out.append(float(reduce(values[ring])) if ring.any() else 0.0)
+    return out
 
 
 def _multi_indices(dim: int, max_order: int):
@@ -290,20 +268,14 @@ def check_msl(m: Symbol, s: float, l: int) -> MslReport:
     radii = [1 << j for j in range(1, max(2, int(math.log2(N)) - 2))]
     if 2 * radii[-1] > N // 2:
         raise DomainError("largest radius exceeds the frequency lattice")
-    grids = np.meshgrid(*[np.abs(m.frequencies().astype(float))] * d, indexing="ij")
-    radius = np.maximum.reduce(grids)  # sup-norm radius on the lattice
+    radius = _abs_frequencies(m).max(0)  # sup-norm radius on the lattice
     terms: dict[tuple[int, ...], list[float]] = {}
     member = True
     for alpha in _multi_indices(d, l):
         deriv, valid = _derivative(m, alpha)
-        vals = []
-        for R in radii:
-            ring = (radius > R) & (radius <= 2 * R) & valid
-            if not ring.any():
-                vals.append(0.0)
-                continue
-            total = float((np.abs(deriv[ring]) ** s).sum())
-            vals.append((float(R) ** (s * sum(alpha) - d) * total) ** (1.0 / s))
+        # powered ring by ring: a value outside every scanned annulus may not overflow
+        sums = _octaves(np.abs(deriv), radius, radii, valid, lambda v: np.sum(v**s))
+        vals = [(float(R) ** (s * sum(alpha) - d) * t) ** (1.0 / s) for R, t in zip(radii, sums)]
         terms[alpha] = vals
         if _too_steep(vals) or not all(map(math.isfinite, vals)):
             member = False
@@ -335,9 +307,7 @@ def check_hormander_bilinear(m: Symbol, s: int) -> HormanderReport:
         raise DimensionError("bilinear Hormander check needs a rank-2 symbol")
     if s < 0:
         raise DomainError("s must be nonnegative")
-    freqs = m.frequencies().astype(float)
-    X, Y = np.meshgrid(np.abs(freqs), np.abs(freqs), indexing="ij")
-    weight = X + Y
+    weight = _abs_frequencies(m).sum(0)
     N = m.N
     radii = [1 << j for j in range(1, max(2, int(math.log2(N)) - 1))]
     constants: dict = {}
@@ -347,11 +317,7 @@ def check_hormander_bilinear(m: Symbol, s: int) -> HormanderReport:
         w = weight ** (a + b) * np.abs(deriv)
         w = np.where(valid & (weight > 0), w, 0.0)
         constants[((a,), (b,))] = float(w.max())
-        octs = []
-        for R in radii:
-            ring = (weight > R) & (weight <= 2 * R) & valid
-            octs.append(float(w[ring].max()) if ring.any() else 0.0)
-        if _too_steep(octs):
+        if _too_steep(_octaves(w, weight, radii, valid, np.max)):
             member = False
     return HormanderReport(s, constants, member)
 
@@ -399,11 +365,6 @@ def hilbert_kernel(level: int) -> KernelSample:
     nz = z != 0.0
     table[nz] = 1.0 / np.tan(np.pi * z[nz])
     return KernelSample(table)
-
-
-NAMED_KERNELS = {
-    "hilbert": hilbert_kernel,
-}
 
 
 @dataclass

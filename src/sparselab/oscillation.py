@@ -161,15 +161,15 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
 
 
 def osc_profile(op, fs, Q: DyadicCube, lam: float, p0: float, delta0: float) -> Inequality:
-    """Compare omega_lam(T f; Q) with sum_l 2^(-l delta0) prod_i <f_i>_{2^l Q, p0}.
+    """Compare omega_lam(T f; Q) with sum_l 2^(-l delta0) prod_i <f_i>_{2^l Q, p0}, where
+    T f is ``op(*fs)``.
 
     The series runs over l = 0..Q.level, the last dilate saturating; the
     ratio is the measured stand-in for the operator's oscillation constant.
     """
     if delta0 <= 0:
         raise DomainError(f"decay rate delta0 must be positive, got {delta0}")
-    u = op.apply(fs)
-    lhs = local_osc(u, Q, lam)
+    lhs = local_osc(op(*fs), Q, lam)
     rings = dilate_products(fs, [Q.level], p0)[Q.level][(slice(None), *Q.index)].tolist()
     rhs = sum(2.0 ** (-ell * delta0) * v for ell, v in enumerate(rings))
     return Inequality(lhs, rhs)

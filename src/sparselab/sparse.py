@@ -25,6 +25,7 @@ from .grid import (
     argmax_cube,
     at_most,
     block_reduce,
+    check_tuple,
     cube_levels,
     dilate_products,
     fold_down,
@@ -255,22 +256,10 @@ def _operator_args(obj, k: int, p0: float, fs) -> tuple[dict[int, np.ndarray], i
         alpha, rootlvl = obj.masks, 0
     else:
         raise DimensionError(f"cannot evaluate a sparse operator from {type(obj).__name__}")
-    n, L = _check_tuple(fs, obj.dim)
+    n, L = check_tuple(fs, obj.dim)
     if max(alpha, default=0) > L:
         raise DimensionError(f"resolution {L} too coarse for level-{max(alpha)} cubes")
     return alpha, rootlvl, n, L
-
-
-def _check_tuple(fs, dim: int | None = None) -> tuple[int, int]:
-    if not fs:
-        raise DomainError("need at least one input function")
-    n, L = fs[0].dim, fs[0].level
-    for f in fs:
-        if f.dim != n or f.level != L:
-            raise DimensionError("input tuple mixes grids")
-    if dim is not None and dim != n:
-        raise DimensionError(f"dimension {dim} does not match the functions' dimension {n}")
-    return n, L
 
 
 def eval_sparse_A(obj, k: int, p0: float, fs) -> GridFunction:
@@ -594,7 +583,7 @@ def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Inequalit
 
     if not q > 0:
         raise DomainError(f"need q > 0, got {q}")
-    n, L = _check_tuple(fs, a.dim)
+    n, L = check_tuple(fs, a.dim)
     ps = tuple(float(p) for p in ps)
     if len(ps) != len(fs):
         raise DomainError("need one exponent per function")
@@ -643,7 +632,7 @@ class CZDecomposition:
         level of stopping cubes, each by ``grid.at_most`` at the scale of what it compares:
         max |f_i|^p0 for cell values, the height lam^(p0/m) for averages, else the bound."""
         thr = self.lam ** (self.p0 / self.m)  # compare p0-th powers of averages
-        n, L = _check_tuple(fs)
+        n, L = check_tuple(fs)
         for i, f in enumerate(fs):
             if i in self.short_circuit:
                 continue
@@ -687,7 +676,7 @@ def cz_decompose(fs, lam: float, p0: float, m: int, P: DyadicCube) -> CZDecompos
         raise DomainError("p0 must be >= 1")
     if m != len(fs):
         raise DimensionError(f"m = {m} does not match {len(fs)} functions")
-    n, L = _check_tuple(fs)
+    n, L = check_tuple(fs)
     if P.dim != n or P.level > L:
         raise DimensionError(f"base cube {P} does not fit the n={n}, L={L} grid")
     thr_pow = lam ** (p0 / m)  # compare p0-th powers of averages

@@ -19,7 +19,6 @@ from sparselab.certify import (
 )
 from sparselab.grid import DyadicCube, GridFunction, root_cube, weighted_norm
 from sparselab.kernels import (
-    HilbertOperator,
     apply_bilinear_multiplier,
     apply_linear_multiplier,
     check_h2,
@@ -268,14 +267,14 @@ def test_criterion_5_theorem_c_end_to_end():
     ratios = []
     for _ in range(10):
         f = random_function(rng, N1, L8)
-        rec = certify_theorem_c(HilbertOperator(), ones, [f], h2)
+        rec = certify_theorem_c(hilbert_transform, ones, [f], h2)
         ratios.append(rec.ratio)
         assert 0.1 <= rec.ratio <= 10.0
     sweep_ratios = []
     for alpha in np.linspace(-0.9, 0.9, 7):
         wt = power_weight_tuple(float(alpha), (2.0,), 1.0, L=L8)
         f = random_function(rng, N1, L8)
-        rec = certify_theorem_c(HilbertOperator(), wt, [f], h2)
+        rec = certify_theorem_c(hilbert_transform, wt, [f], h2)
         assert math.isfinite(rec.ratio)
         sweep_ratios.append(rec.ratio)
     print(f"\nACCEPTANCE 5 end-to-end: PASS (flat-weight ratios "

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sparselab.certify import (
     validate_config,
 )
 from sparselab.grid import DomainError, GridFunction, root_cube
-from sparselab.kernels import HilbertOperator, LinearMultiplierOperator, symbol_identity
+from sparselab.kernels import apply_linear_multiplier, hilbert_transform, symbol_identity
 from sparselab.samples import random_carleson, random_function, random_sparse_family, rng_from
 from sparselab.weights import WeightTuple
 
@@ -183,7 +184,7 @@ def test_theorem_a_ratio_growth_bounded():
 
 def test_theorem_c_identity_operator():
     t = ones_tuple(m=1, p=(2.0,), p0=1.0, L=6)
-    op = LinearMultiplierOperator(symbol_identity(64))
+    op = partial(apply_linear_multiplier, symbol_identity(64))
     rng = rng_from(5)
     f = random_function(rng, 1, 6)
     rec = certify_theorem_c(op, t, [f], 1.0)
@@ -192,7 +193,7 @@ def test_theorem_c_identity_operator():
 
 def test_theorem_c_zero_input():
     t = ones_tuple(m=1, p=(2.0,), L=6)
-    rec = certify_theorem_c(HilbertOperator(), t, [GridFunction.constant(1, 6, 0.0)], 1.0)
+    rec = certify_theorem_c(hilbert_transform, t, [GridFunction.constant(1, 6, 0.0)], 1.0)
     assert rec.lhs == 0.0
 
 
@@ -203,7 +204,7 @@ def test_theorem_c_hilbert_sanity_band():
     rng = rng_from(6)
     for _ in range(5):
         f = random_function(rng, 1, 8)
-        rec = certify_theorem_c(HilbertOperator(), t, [f], h2)
+        rec = certify_theorem_c(hilbert_transform, t, [f], h2)
         assert 0.1 <= rec.ratio <= 10.0
 
 
@@ -211,7 +212,7 @@ def test_theorem_c_rejects_degenerate_decay():
     t = ones_tuple(m=1, p=(2.0,), L=6)
     f = GridFunction.constant(1, 6, 1.0)
     with pytest.raises(DomainError):
-        certify_theorem_c(HilbertOperator(), t, [f], 0.0)
+        certify_theorem_c(hilbert_transform, t, [f], 0.0)
 
 
 # --- Buckley --------------------------------------------------------------------
@@ -332,7 +333,7 @@ def test_record_round_trip():
     records = [
         certify_theorem_a(random_carleson(rng, 1, 6), 1, 1.0, fs, 2.0, seed=3),
         certify_theorem_b(random_sparse_family(rng, 1, 6), t, fs),
-        certify_theorem_c(HilbertOperator(), t, fs, 1.0),
+        certify_theorem_c(hilbert_transform, t, fs, 1.0),
         certify_buckley(w, 2.0, fs[0]),
         certify_buckley(w, 2.0, GridFunction.constant(1, 6, 0.0)),
     ]
@@ -423,7 +424,7 @@ def test_validate_config_plot_keys():
 
 def test_theorem_c_bilinear_operator():
     from sparselab.kernels import (
-        BilinearMultiplierOperator,
+        apply_bilinear_multiplier,
         check_h2,
         kernel_from_symbol,
         symbol_smooth_bump,
@@ -438,6 +439,11 @@ def test_theorem_c_bilinear_operator():
     t = power_weight_tuple(0.3, (3.0, 6.0), 1.5, L=L)
     rng = rng_from(9)
     fs = [random_function(rng, 1, L), random_function(rng, 1, L)]
-    rec = certify_theorem_c(BilinearMultiplierOperator(sym), t, fs, h2)
+    rec = certify_theorem_c(partial(apply_bilinear_multiplier, sym), t, fs, h2)
     assert math.isfinite(rec.ratio)
     assert rec.constants["beta"] == beta_exponent((3.0, 6.0), 1.5)
+
+
+def test_theorem_c_sweep_records_name_the_operator():
+    res = sweep({"experiment": "theorem-c", "L": 6, "trials": 2})
+    assert [r.params["operator"] for r in res.records] == ["hilbert", "hilbert"]

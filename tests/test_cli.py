@@ -11,6 +11,7 @@ from sparselab import cli
 from sparselab.certify import CertificationRecord, SweepResult, certify_buckley, certify_theorem_a
 from sparselab.cli import build_parser, emit_plot, main, read_carleson, read_weight, write_carleson
 from sparselab.grid import DomainError, FormatError, GridFunction, read_gfn, root_cube, write_gfn
+from sparselab.kernels import Symbol, check_hormander_bilinear, check_msl, symbol_cone
 from sparselab.samples import random_carleson, rng_from
 from sparselab.sparse import CarlesonSequence
 from sparselab.weights import power_weight
@@ -381,6 +382,11 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
 # --- sweep inputs and resume -------------------------------------------------------
 
 
+# point 0 runs; the extremal probe of alpha = 400 overflows in weighted_norm
+OVERFLOW_AT_POINT_1 = {"experiment": "theorem-b", "L": 6, "trials": 1,
+                       "weight_family": {"alpha_grid": [0.0, 400.0]}}
+
+
 @pytest.mark.parametrize("config, argv", [
     ({"experiment": "theorem-a", "n": 2, "L": 40}, None),
     ({"experiment": "buckley", "p": []}, None),
@@ -449,6 +455,8 @@ def test_sweep_non_finite_record(capsys, tmp_path, monkeypatch, to_file):
       "weight_family": {"type": "power", "alpha_grid": [0.5, 1.0]}}, None),
     ({"experiment": "buckley", "L": 3, "trials": 1, "out": "o",
       "weight_family": {"type": "power", "alpha_grid": [0.5, -1.0]}}, None),
+    # a point that overflows after the first has run
+    (OVERFLOW_AT_POINT_1, None),
 ])
 def test_bad_sweep_inputs_exit_2(capsys, tmp_path, monkeypatch, function_file, config, argv):
     # a string config is the text of the input file named IN
@@ -605,6 +613,33 @@ def test_check_symbol_bilinear_cli(capsys):
     assert json.loads(out)["member"] is True
 
 
+def test_sweep_failure_names_its_point(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**OVERFLOW_AT_POINT_1, "out": str(tmp_path / "o")}))
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: sweep: floating-point overflow encountered in power " \
+                  "at point 1 (alpha = 400.0)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_check_symbol_named_rank_2_symbol(capsys):
+    code, out, _ = run(capsys, "check-symbol", "--symbol", "cone", "--N", "64")
+    assert code == 0
+    assert json.loads(out) == {**check_msl(symbol_cone(64), 2.0, 2).to_dict(), "seed": 0}
+
+
+def test_check_symbol_bilinear_from_file(capsys, tmp_path):
+    path = tmp_path / "m.gfn"
+    freqs = np.arange(-8, 8)
+    write_gfn(path, GridFunction(2, 4, 1.0 / (1.0 + np.add.outer(freqs**2, freqs**2))))
+    code, out, err = run(capsys, "check-symbol", "--symbol", str(path), "--bilinear",
+                         "--N", "16")
+    assert code == 0, err
+    want = check_hormander_bilinear(Symbol(2, read_gfn(path).values), 2).to_dict()
+    assert json.loads(out) == {**want, "seed": 0}
+
+
 def test_check_h2_cli(capsys):
     code, out, _ = run(capsys, "check-h2", "--kernel", "hilbert", "--p0", "2", "--jmax", "5")
     assert code == 0
@@ -681,6 +716,7 @@ UNREAD = [
     ["check-symbol", "--symbol", "sign", "--N", "0"],
     ["check-symbol", "--symbol", "identity", "--N", "-4"],
     ["check-symbol", "--bilinear", "--symbol", "cone", "--N", "0"],
+    ["check-symbol", "--bilinear", "--symbol", "sign", "--N", "64"],  # rank 1
     ["constants", "--weight", "W", "--rh", "abc"],
     ["constants"],
     ["constants", "--weight", "."],
@@ -789,6 +825,18 @@ def test_check_symbol_from_file(capsys, tmp_path):
     write_gfn(path, GridFunction(1, 7, vals))
     code, out, _ = run(capsys, "check-symbol", "--symbol", str(path), "--N", "128")
     assert code == 0
+    assert json.loads(out)["member"] is True
+
+
+def test_check_symbol_powers_only_the_scanned_annuli(capsys, tmp_path):
+    # |xi| = 31 lies outside every annulus of N = 64 (radii up to 2 * 8), so its
+    # square, beyond the float range, is never taken
+    vals = 1.0 / (1.0 + np.abs(np.arange(-32, 32)))
+    vals[-1] = 1e200
+    path = tmp_path / "sym.gfn"
+    write_gfn(path, GridFunction(1, 6, vals))
+    code, out, err = run(capsys, "check-symbol", "--symbol", str(path), "--N", "64", "--l", "1")
+    assert code == 0, err
     assert json.loads(out)["member"] is True
 
 

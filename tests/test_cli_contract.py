@@ -195,12 +195,15 @@ def clean_cases(draw, big):
         opts = ["--weight", pick(GFN), "--function", pick(GFN), "--p", pick(EXPONENTS)]
         opts += ["--maxlevel", pick(GOOD[int])] if draw(st.booleans()) else []
     elif command == "check-symbol" and draw(st.booleans()):
-        opts = ["--bilinear", "--symbol", pick(["cone", "bump"]), "--N", pick(GOOD["N"]),
-                "--l", pick(["0", "1", "2"])]
+        # a rank-2 file is a bilinear symbol, its side its N
+        files = ["A.gfn"] if n == 2 else []
+        symbol = pick(["cone", "bump"] + files)
+        N = str(1 << L) if symbol in files else pick(GOOD["N"])
+        opts = ["--bilinear", "--symbol", symbol, "--N", N, "--l", pick(["0", "1", "2"])]
     elif command == "check-symbol":
         # the radii of the class check need N >= 8; a file's side is its N
         files = ["A.gfn"] if L >= 3 else []
-        symbol = pick(["sign", "identity", "riesz1d"] + files)
+        symbol = pick(["sign", "identity", "riesz1d", "cone", "bump"] + files)
         N = str(1 << L) if symbol in files else pick(["8", "16"])
         opts = ["--symbol", symbol, "--N", N, "--s", pick(["1.5", "2"]),
                 "--l", pick(["0", "1", "2"])]

@@ -12,6 +12,7 @@ from sparselab.grid import (
     Inequality,
     average,
     dilate,
+    dilate_products,
     format_gfn,
     parse_gfn,
     rearrangement,
@@ -357,3 +358,16 @@ def test_gridfunction_immutable():
         f.values[0] = 2.0
     with pytest.raises(AttributeError):
         f.level = 3
+
+
+@pytest.mark.parametrize("grids", [[(1, 5), (1, 6)], [(1, 6), (1, 5)], [(1, 4), (2, 4)]])
+def test_dilate_products_rejects_a_tuple_on_mixed_grids(grids):
+    # the first input's grid used to decide for all: gathered at its windows, or IndexError
+    fs = [GridFunction.constant(n, L, 1.0) for n, L in grids]
+    with pytest.raises(DimensionError, match="input tuple mixes grids"):
+        dilate_products(fs, [2], 1.0)
+
+
+def test_dilate_products_rejects_an_empty_tuple():
+    with pytest.raises(DomainError, match="at least one input"):
+        dilate_products([], [2], 1.0)

@@ -1,12 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from sparselab.grid import DomainError, DimensionError, DyadicCube, GridFunction
 from sparselab.kernels import (
-    BilinearMultiplierOperator,
-    HilbertOperator,
     KernelSample,
     Symbol,
     _derivative,
@@ -220,6 +219,16 @@ def test_bilinear_matches_double_sum_oracle():
     out = apply_bilinear_multiplier(Symbol(2, mvals), f, g)
     oracle = oracle_bilinear(mvals, f, g)
     assert np.allclose(out.values, np.abs(oracle), atol=1e-11)
+
+
+@pytest.mark.parametrize("f, g", [
+    (GridFunction.constant(2, 4, 1.0), GridFunction.constant(2, 4, 1.0)),
+    (GridFunction.constant(1, 4, 1.0), GridFunction.constant(1, 5, 1.0)),
+    (GridFunction.constant(1, 4, 1.0), GridFunction.constant(2, 4, 1.0)),
+])
+def test_bilinear_rejects_inputs_off_one_1d_grid(f, g):
+    with pytest.raises(DimensionError):
+        apply_bilinear_multiplier(symbol_identity(16, 2), f, g)
 
 
 def test_bilinear_bilinearity():
@@ -439,7 +448,7 @@ def test_operator_wrappers():
     rng = np.random.default_rng(11)
     f = GridFunction(1, 6, rng.uniform(0, 1, 64))
     g = GridFunction(1, 6, rng.uniform(0, 1, 64))
-    h = HilbertOperator().apply([f])
+    h = hilbert_transform(f)
     assert h.dim == 1
-    prod = BilinearMultiplierOperator(symbol_identity(64, 2)).apply([f, g])
+    prod = partial(apply_bilinear_multiplier, symbol_identity(64, 2))(f, g)
     assert np.allclose(prod.values, f.values * g.values, atol=1e-11)

@@ -325,11 +325,9 @@ def reference_osc_ratio_sup(omegas, fs, p0, delta0):
     return max(ratios, default=0.0)
 
 
-class _FirstInput:
+def _first_input(*fs):
     """The operator f -> f_1, whatever the other inputs are."""
-
-    def apply(self, fs):
-        return fs[0]
+    return fs[0]
 
 
 @st.composite
@@ -349,7 +347,7 @@ def test_osc_ratio_sup_matches_reference(case):
     fs, p0, delta0 = case
     n, L = fs[0].dim, fs[0].level
     t = WeightTuple([GridFunction.constant(n, L, 1.0)] * len(fs), [2.0] * len(fs), p0)
-    rec = certify_theorem_c(_FirstInput(), t, fs, delta0)
+    rec = certify_theorem_c(_first_input, t, fs, delta0)
     omegas = lerner_decompose(fs[0], DyadicCube(0, (0,) * n)).omegas
     assert rec.constants["osc_ratio_sup"] == reference_osc_ratio_sup(omegas, fs, p0, delta0)
 

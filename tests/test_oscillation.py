@@ -219,14 +219,13 @@ def test_lerner_records():
 # --- oscillation profile ----------------------------------------------------------------
 
 
-class _IdentityOp:
-    def apply(self, fs):
-        return fs[0]
+def _identity_op(f):
+    return f
 
 
 def test_osc_profile_zero_input():
     f = GridFunction.constant(1, 6, 0.0)
-    prof = osc_profile(_IdentityOp(), [f], DyadicCube(2, (1,)), 0.125, 1.0, 1.0)
+    prof = osc_profile(_identity_op, [f], DyadicCube(2, (1,)), 0.125, 1.0, 1.0)
     assert prof.lhs == 0.0 and prof.rhs == 0.0
     assert prof.degenerate and prof.ratio == 0.0
 
@@ -238,16 +237,16 @@ def test_osc_profile_ring_truncation():
     assert len(rings) == Q.level + 1
     assert all(r == pytest.approx(1.0) for r in rings)
     # one term per ring l = 0..Q.level, each 2^-l times a unit product
-    prof = osc_profile(_IdentityOp(), [f], Q, 0.125, 2.0, 1.0)
+    prof = osc_profile(_identity_op, [f], Q, 0.125, 2.0, 1.0)
     assert prof.rhs == pytest.approx(sum(2.0 ** -ell for ell in range(Q.level + 1)))
 
 
 def test_osc_profile_rejects_mismatched_cube():
     f = GridFunction.constant(2, 3, 1.0)
     with pytest.raises(DimensionError):
-        osc_profile(_IdentityOp(), [f], DyadicCube(2, (1,)), 0.125, 1.0, 1.0)
+        osc_profile(_identity_op, [f], DyadicCube(2, (1,)), 0.125, 1.0, 1.0)
     with pytest.raises(DimensionError):
-        osc_profile(_IdentityOp(), [f], DyadicCube(4, (1, 1)), 0.125, 1.0, 1.0)
+        osc_profile(_identity_op, [f], DyadicCube(4, (1, 1)), 0.125, 1.0, 1.0)
 
 
 def test_lerner_decompose_rejects_mismatched_cube():
@@ -259,7 +258,7 @@ def test_osc_profile_identity_ratio():
     rng = rng_from(9)
     f = GridFunction(1, 6, rng.uniform(0.5, 1.5, 64))
     Q = DyadicCube(2, (1,))
-    prof = osc_profile(_IdentityOp(), [f], Q, 0.125, 1.0, 1.0)
+    prof = osc_profile(_identity_op, [f], Q, 0.125, 1.0, 1.0)
     assert prof.rhs > 0
     assert prof.ratio < 1.0  # oscillation is far below the average series
 
@@ -267,21 +266,21 @@ def test_osc_profile_identity_ratio():
 def test_osc_profile_rejects_bad_delta0():
     f = GridFunction.constant(1, 5, 1.0)
     with pytest.raises(DomainError):
-        osc_profile(_IdentityOp(), [f], DyadicCube(1, (0,)), 0.125, 1.0, 0.0)
+        osc_profile(_identity_op, [f], DyadicCube(1, (0,)), 0.125, 1.0, 0.0)
 
 
 def test_osc_profile_hilbert_far_support():
-    from sparselab.kernels import HilbertOperator
+    from sparselab.kernels import hilbert_transform
 
     f = GridFunction.indicator(1, 8, DyadicCube(3, (0,)))  # support [0, 1/8)
     Q = DyadicCube(4, (12,))  # [3/4, 13/16), far from the support
-    prof = osc_profile(HilbertOperator(), [f], Q, 0.125, 1.0, 0.9)
+    prof = osc_profile(hilbert_transform, [f], Q, 0.125, 1.0, 0.9)
     assert prof.lhs < 0.05
     assert math.isfinite(prof.ratio)
 
 
 def test_osc_profile_ratio_sup_stable_across_resolution():
-    from sparselab.kernels import HilbertOperator
+    from sparselab.kernels import hilbert_transform
 
     sups = {}
     for L in (8, 10):
@@ -291,7 +290,7 @@ def test_osc_profile_ratio_sup_stable_across_resolution():
             f = GridFunction(1, L, rng.uniform(0.0, 1.0, 1 << L))
             lvl = int(rng.integers(2, 5))
             Q = DyadicCube(lvl, (int(rng.integers(0, 1 << lvl)),))
-            prof = osc_profile(HilbertOperator(), [f], Q, 0.125, 1.0, 0.9)
+            prof = osc_profile(hilbert_transform, [f], Q, 0.125, 1.0, 0.9)
             if not prof.degenerate:
                 sup = max(sup, prof.ratio)
         sups[L] = sup

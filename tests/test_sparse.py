@@ -21,7 +21,7 @@ from sparselab.grid import (
     weak_norm,
     weighted_norm,
 )
-from sparselab.kernels import HilbertOperator
+from sparselab.kernels import hilbert_transform
 from sparselab.oscillation import osc_profile
 from sparselab.samples import (
     random_carleson,
@@ -858,7 +858,7 @@ def test_p0_below_1_is_rejected(name, p0):
     fs = [random_function(rng, 1, 5)]
     call = {"measure_weak_norm": lambda: measure_weak_norm(a, 0, p0, 1),
             "dilate_products": lambda: dilate_products(fs, [2], p0),
-            "osc_profile": lambda: osc_profile(HilbertOperator(), fs, DyadicCube(2, (1,)),
+            "osc_profile": lambda: osc_profile(hilbert_transform, fs, DyadicCube(2, (1,)),
                                                0.25, p0, 1.0)}[name]
     with pytest.raises(DomainError, match="p0 must be >= 1"):
         call()
