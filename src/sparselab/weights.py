@@ -257,16 +257,23 @@ def power_weight(alpha: float, center=None, n: int = 1, L: int = 8) -> GridFunct
 
     In one dimension the cell averages are exact (piecewise closed form);
     in two dimensions they use a midpoint rule with 8^2 points per cell,
-    which keeps the weight strictly positive and finite.
+    which keeps the weight strictly positive, and finite unless alpha < 0 and
+    the centre is one of the rule's points.  The rule is summed one
+    y-subsample at a time, so it holds a few (2^L, 2^L) arrays at once; the
+    sums are combined in the order numpy's pairwise sum takes over the 64
+    points of a cell, so the values are bit for bit those of the mean over a
+    (2^L, 2^L, 8, 8) tensor.
     """
-    if alpha <= -n:
-        raise DomainError(f"power weight needs alpha > -n = {-n}, got {alpha}")
+    if not -n < alpha < math.inf:
+        raise DomainError(f"power weight needs finite alpha > -n = {-n}, got {alpha}")
     if center is None:
         center = (0.0,) * n
     if np.isscalar(center):
         center = (float(center),)
     if len(center) != n:
         raise DimensionError("center must have one coordinate per dimension")
+    if not all(math.isfinite(c) for c in center):
+        raise DomainError(f"power weight needs a finite center, got {tuple(center)}")
     if n == 1:
         vals = _power_cell_averages_1d(alpha, center[0], L)
         return GridFunction(1, L, np.maximum(vals, WEIGHT_FLOOR))
@@ -277,8 +284,13 @@ def power_weight(alpha: float, center=None, n: int = 1, L: int = 8) -> GridFunct
     dx = np.minimum(dx, 1.0 - dx)
     dy = np.abs(pts - center[1]) % 1.0
     dy = np.minimum(dy, 1.0 - dy)
-    r2 = dx[:, None, :, None] ** 2 + dy[None, :, None, :] ** 2  # (N, N, ss, ss)
-    vals = (r2 ** (alpha / 2.0)).mean(axis=(2, 3))
+    dx2, dy2 = dx**2, dy**2
+    # sums[b] adds the points of y-subsample b in x order
+    sums = [sum((dx2[:, None, a] + dy2[None, :, b]) ** (alpha / 2.0) for a in range(ss))
+            for b in range(ss)]
+    while len(sums) > 1:
+        sums = [sums[i] + sums[i + 1] for i in range(0, len(sums), 2)]
+    vals = sums[0] / (ss * ss)
     return GridFunction(2, L, np.maximum(vals, WEIGHT_FLOOR))
 
 

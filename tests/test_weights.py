@@ -349,6 +349,17 @@ def test_power_weight_rejects_nonintegrable():
         power_weight(-1.0, n=1, L=5)
 
 
+@pytest.mark.parametrize("alpha,center,n", [
+    (math.nan, None, 1), (math.nan, None, 2),  # were all-NaN weights
+    (math.inf, None, 1), (math.inf, None, 2),  # were the 1e-300 floor everywhere
+    (0.3, math.inf, 1),  # was NaN after a RuntimeWarning
+    (0.3, math.nan, 1), (0.3, (math.nan, 0.0), 2), (0.3, (0.0, -math.inf), 2),
+])
+def test_power_weight_rejects_non_finite_inputs(alpha, center, n):
+    with pytest.raises(DomainError):
+        power_weight(alpha, center, n=n, L=3)
+
+
 def test_power_weight_2d_positive():
     w = power_weight(-0.5, n=2, L=4)
     assert w.dim == 2
