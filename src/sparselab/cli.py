@@ -60,7 +60,7 @@ def read_weight(path) -> GridFunction:
 
 def read_carleson(path) -> CarlesonSequence:
     """Sequence file: one cube per line, 'level index... alpha', level at most MAX_LEVEL[n]."""
-    coeffs, lines = {}, {}
+    levels, lines = {}, {}
     n = None
     for ln, line in enumerate(read_text(path).splitlines(), start=1):
         toks = line.split()
@@ -87,13 +87,15 @@ def read_carleson(path) -> CarlesonSequence:
             raise FormatError(f"line {ln}: non-finite coefficient {toks[-1]}")
         if alpha < 0:
             raise FormatError(f"line {ln}: negative coefficient {toks[-1]}")
-        Q = DyadicCube(level, index)
-        if Q in lines:
-            raise FormatError(f"line {ln}: repeats the cube of line {lines[Q]}")
-        coeffs[Q], lines[Q] = alpha, ln
+        if (level, index) in lines:
+            raise FormatError(f"line {ln}: repeats the cube of line {lines[level, index]}")
+        lines[level, index] = ln
+        if level not in levels:
+            levels[level] = np.zeros((1 << level,) * n)
+        levels[level][index] = alpha
     if n is None:
         raise FormatError("line 1: empty coefficient file")
-    return CarlesonSequence.from_cubes(root_cube(n), coeffs)
+    return CarlesonSequence(root_cube(n), levels)
 
 
 def write_carleson(path, a: CarlesonSequence) -> None:

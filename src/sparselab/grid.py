@@ -74,6 +74,12 @@ def at_most(lhs, rhs, scale) -> bool:
     return bool(np.all(lhs <= rhs + 1e-12 * scale))
 
 
+def check_p0(p0: float) -> None:
+    """The one p0 rule of the averages: p0 >= 1 (NaN fails it)."""
+    if not p0 >= 1:
+        raise DomainError(f"p0 must be >= 1, got {p0}")
+
+
 def top_level(maxlevel: int | None, L: int) -> int:
     """The deepest level a supremum scans: maxlevel capped at L (None means L)."""
     if maxlevel is not None and maxlevel < 0:
@@ -100,10 +106,6 @@ class DyadicCube:
     @property
     def dim(self) -> int:
         return len(self.index)
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
 
     @property
     def volume(self) -> float:
@@ -176,17 +178,11 @@ class GridFunction:
         """The block of cell values covered by ``cube``."""
         return self.values[_cells_of(cube, self.dim, self.level)]
 
-    def integral(self) -> float:
-        return float(self.values.sum() * self.cell_volume)
-
     def __mul__(self, other):
         if isinstance(other, GridFunction):
             _match(self, other)
             other = other.values
         return GridFunction(self.dim, self.level, self.values * other)
-
-    def __repr__(self):
-        return f"GridFunction(n={self.dim}, L={self.level})"
 
 
 def _match(f: GridFunction, g: GridFunction) -> None:
@@ -213,13 +209,19 @@ def check_tuple(fs, dim: int | None = None) -> tuple[int, int]:
 _COMBINE = {"sum": np.add, "any": np.logical_or, "min": np.minimum, "max": np.maximum}
 
 
-def block_reduce(values: np.ndarray, n: int, L: int, j: int, op: str = "mean") -> np.ndarray:
-    """Reduce level-L cell values to one number per level-j cube (op: mean/sum/min/max/any).
+def _level(arr: np.ndarray) -> int:
+    """The level L of a (2^L,)*n level array."""
+    return arr.shape[0].bit_length() - 1
+
+
+def block_reduce(values: np.ndarray, j: int, op: str = "mean") -> np.ndarray:
+    """Reduce a level array to one number per level-j cube (op: mean/sum/min/max/any).
 
     One level below the root halves each axis with the fold's ufuncs, last axis
     first, which is numpy's reduce bit for bit and dtype for dtype (see README);
     the root and deeper reductions are numpy's.
     """
+    n, L = values.ndim, _level(values)
     if j > L:
         raise DimensionError(f"cannot reduce to level {j} from resolution {L}")
     v = values.reshape((1 << j, 1 << (L - j)) * n)
@@ -246,18 +248,17 @@ def upsample(arr: np.ndarray, s: int) -> np.ndarray:
     return grown.reshape([m * s for m in arr.shape])
 
 
-def fold_up(terms: dict[int, np.ndarray], n: int, hi: int, lo: int,
-            op: str) -> dict[int, np.ndarray]:
+def fold_up(terms: dict[int, np.ndarray], lo: int, op: str) -> dict[int, np.ndarray]:
     """Fine-to-coarse fold: S_j = block_reduce(S_(j+1), op) combined by op with terms[j].
 
-    The reduction comes first.  Returns {j: S_j} for lo <= j <= hi in
+    The reduction comes first.  Returns {j: S_j} for lo <= j <= max(terms) in
     ascending order, leaving out a level with neither a term nor a finer S.
     """
     out: dict[int, np.ndarray] = {}
     acc = None
-    for j in range(hi, lo - 1, -1):
+    for j in range(max(terms, default=-1), lo - 1, -1):
         if acc is not None:
-            acc = block_reduce(acc, n, j + 1, j, op)
+            acc = block_reduce(acc, j, op)
         if j in terms:
             acc = terms[j] if acc is None else _COMBINE[op](acc, terms[j])
         if acc is not None:
@@ -286,19 +287,6 @@ def maximal(flags: dict[int, np.ndarray], covered: np.ndarray) -> dict[int, np.n
             out[j] = stop
             covered = covered | stop
     return out
-
-
-def cube_levels(items, n: int) -> dict[int, np.ndarray]:
-    """(cube, value) pairs as one array per populated level, in level order, indexed by
-    Q.index: zero for cubes not listed, the last value for a repeated cube."""
-    out: dict[int, np.ndarray] = {}
-    for Q, a in items:
-        if Q.dim != n:
-            raise DimensionError(f"cube {Q} is not {n}-dimensional")
-        if Q.level not in out:
-            out[Q.level] = np.zeros((1 << Q.level,) * n)
-        out[Q.level][Q.index] = a
-    return dict(sorted(out.items()))
 
 
 def mask_ids(masks: dict[int, np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -330,16 +318,15 @@ def argmax_cube(levels) -> tuple[float, DyadicCube]:
     return value, DyadicCube(j, tuple(int(i) for i in idx))
 
 
-def mean_pyramid(values: np.ndarray, n: int, L: int) -> list[np.ndarray]:
-    """Per-cube means at every level 0..L, computed bottom-up by ``block_reduce``."""
-    cells = np.asarray(values, dtype=float).reshape((1 << L,) * n)
-    return list(fold_up({L: cells}, n, L, 0, "mean").values())
+def mean_pyramid(values: np.ndarray) -> list[np.ndarray]:
+    """Per-cube means of a level-L array at every level 0..L, bottom-up by ``block_reduce``."""
+    cells = np.asarray(values, dtype=float)
+    return list(fold_up({_level(cells): cells}, 0, "mean").values())
 
 
 def average(f: GridFunction, Q: DyadicCube, p0: float) -> float:
     """The local p0-average of f over Q, ((1/|Q|) * int_Q |f|^p0)^(1/p0)."""
-    if not p0 >= 1:
-        raise DomainError(f"p0 must be >= 1, got {p0}")
+    check_p0(p0)
     return float((np.abs(f.on(Q)) ** p0).mean() ** (1.0 / p0))
 
 
@@ -384,8 +371,7 @@ def dilate_products(fs, levels, p0: float) -> dict[int, np.ndarray]:
     (prefix-sum differences would), and a level's values do not depend on
     which other levels were requested.
     """
-    if not p0 >= 1:
-        raise DomainError(f"p0 must be >= 1, got {p0}")
+    check_p0(p0)
     n, L = check_tuple(fs)
     levels = sorted(set(levels))
     if levels and levels[-1] > L:

@@ -45,9 +45,6 @@ class Symbol:
     def N(self) -> int:
         return self.values.shape[0]
 
-    def frequencies(self) -> np.ndarray:
-        return _frequencies(self.N)
-
     def fft_order(self) -> np.ndarray:
         return np.fft.ifftshift(self.values)
 
@@ -203,7 +200,7 @@ def _derivative(sym: Symbol, alpha: tuple[int, ...]) -> tuple[np.ndarray, np.nda
 
 def _abs_frequencies(m: Symbol) -> np.ndarray:
     """|xi_a| on the lattice, one grid per frequency axis a, stacked along axis 0."""
-    return np.abs(np.stack(np.meshgrid(*[m.frequencies().astype(float)] * m.freq_dim,
+    return np.abs(np.stack(np.meshgrid(*[_frequencies(m.N).astype(float)] * m.freq_dim,
                                        indexing="ij")))
 
 
@@ -378,7 +375,11 @@ class H2Report:
     delta_hat: float | None
     residual: float | None
     pairs: int
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        """Fewer than three positive rings to fit, so no decay rate."""
+        return self.delta_hat is None
 
     @property
     def delta0(self) -> float | None:
@@ -501,6 +502,6 @@ def check_h2(K: KernelSample, p0: float, Q: DyadicCube, jmax: int,
     fit_js = [j for j, b in zip(js, b_values) if b > 0 and j >= 2]
     fit_bs = [b for j, b in zip(js, b_values) if b > 0 and j >= 2]
     if len(fit_js) < 3:
-        return H2Report(p0, Q, js, b_values, None, None, int(ia.size), True)
+        return H2Report(p0, Q, js, b_values, None, None, int(ia.size))
     slope, resid = _fit_slope(fit_js, np.log2(fit_bs))
-    return H2Report(p0, Q, js, b_values, -slope, resid, int(ia.size), False)
+    return H2Report(p0, Q, js, b_values, -slope, resid, int(ia.size))

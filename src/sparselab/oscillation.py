@@ -152,7 +152,7 @@ def lerner_decompose(f: GridFunction, Q0: DyadicCube) -> LernerDecomposition:
         E = np.zeros(f.values.shape, dtype=bool)
         _blocks(E, n, j)[here] = (g > t[:, None]).reshape((-1,) + (1 << (L - j),) * n)
         # excess counts of every deeper cube, then the maximal ones of density >= 2^-(n+1)
-        cnt = fold_up({L: E}, n, L, j + 1, "sum")
+        cnt = fold_up({L: E}, j + 1, "sum")
         dense = {i: c * (1 << (n + 1)) >= 1 << (n * (L - i)) for i, c in cnt.items()}
         stops = maximal(dense, np.zeros((1 << j,) * n, dtype=bool))
         visit.update((i, visit[i] | s) for i, s in stops.items())

@@ -21,12 +21,13 @@ from .grid import (
     DyadicCube,
     GridFunction,
     Inequality,
+    _level,
     _match,
     argmax_cube,
     at_most,
     block_reduce,
+    check_p0,
     check_tuple,
-    cube_levels,
     dilate_products,
     fold_down,
     fold_up,
@@ -78,11 +79,6 @@ class CarlesonSequence:
                 arr.flags.writeable = False
                 self.levels[j] = arr
 
-    @classmethod
-    def from_cubes(cls, root: DyadicCube, coeffs) -> "CarlesonSequence":
-        """The sequence with the given (cube, coefficient) pairs or cube-keyed mapping."""
-        return cls(root, cube_levels(dict(coeffs).items(), root.dim))
-
     @property
     def dim(self) -> int:
         return self.root.dim
@@ -110,8 +106,7 @@ def packing(a: CarlesonSequence) -> tuple[float, DyadicCube]:
         return 0.0, a.root
     # partial packing sums S(Q) accumulated from the deepest level upward;
     # ties go to the deepest cube
-    S = fold_up({j: arr * 2.0 ** (-n * j) for j, arr in dense.items()},
-                n, max(dense), a.root.level, "sum")
+    S = fold_up({j: arr * 2.0 ** (-n * j) for j, arr in dense.items()}, a.root.level, "sum")
     return argmax_cube((j, S[j] / 2.0 ** (-n * j)) for j in reversed(S))
 
 
@@ -126,10 +121,9 @@ def beta_sequence(a: CarlesonSequence, k: int) -> CarlesonSequence:
         raise DomainError("k must be nonnegative")
     if k == 0:
         return a
-    n = a.dim
-    factor = 2.0 ** (-n * k)
+    factor = 2.0 ** (-a.dim * k)
     return CarlesonSequence(a.root, {
-        j - k: factor * block_reduce(arr, n, j, j - k, "sum")
+        j - k: factor * block_reduce(arr, j - k, "sum")
         for j, arr in a.levels.items() if j - k >= a.root.level
     })
 
@@ -248,8 +242,7 @@ def _operator_args(obj, k: int, p0: float, fs) -> tuple[dict[int, np.ndarray], i
     """Coefficient level arrays (1 on family cubes), root level, n and L, all checked."""
     if k < 0:
         raise DomainError("complexity k must be nonnegative")
-    if not p0 >= 1:
-        raise DomainError("p0 must be >= 1")
+    check_p0(p0)
     if isinstance(obj, CarlesonSequence):
         alpha, rootlvl = obj.levels, obj.root.level
     elif isinstance(obj, SparseFamily):
@@ -277,7 +270,7 @@ def _average_pyramids(fs, p0: float, top: int) -> list[list[np.ndarray]]:
     """Every input's p0-averages <f_i>_{Q,p0} on levels 0..top: the mean pyramid of |f_i|^p0,
     each level raised to 1/p0 once."""
     inv = 1.0 / p0
-    return [[lvl ** inv for lvl in mean_pyramid(np.abs(f.values) ** p0, f.dim, f.level)[:top + 1]]
+    return [[lvl ** inv for lvl in mean_pyramid(np.abs(f.values) ** p0)[:top + 1]]
             for f in fs]
 
 
@@ -320,8 +313,7 @@ def slice_scales(a: CarlesonSequence, k: int) -> list[CarlesonSequence]:
         if not levels:
             continue
         # the level-top cubes P with support below them, row-major
-        used = fold_up({j: arr > 0 for j, arr in levels.items()}, a.dim, max(levels), top,
-                       "any")[top]
+        used = fold_up({j: arr > 0 for j, arr in levels.items()}, top, "any")[top]
         for idx in np.argwhere(used).tolist():
             P = DyadicCube(top, tuple(idx))
             mine = np.zeros(used.shape, dtype=bool)
@@ -370,13 +362,12 @@ def measure_weak_norm(a: CarlesonSequence, k: int, p0: float, m: int,
     the operator on a trial whose L^1 bound is below one: when q = p0/m <= 1
     the weak norm is at most the L^1 norm.
     """
-    if not p0 >= 1:
-        raise DomainError(f"p0 must be >= 1, got {p0}")
+    check_p0(p0)
     if trials < 1:
         raise DomainError("need at least one trial")
     best = 0.0
     for trial in _weak_trials(a, p0, m, trials, seed):
-        best = max(best, _trial_weak_norm(a, k, p0, m, trial))
+        best = max(best, _trial_weak_norm(a, k, p0, trial))
     return best
 
 
@@ -401,11 +392,10 @@ def _weak_trials(a: CarlesonSequence, p0: float, m: int, trials: int, seed: int)
             yield trial
 
 
-def _trial_weak_norm(a: CarlesonSequence, k: int, p0: float, m: int, trial) -> float:
+def _trial_weak_norm(a: CarlesonSequence, k: int, p0: float, trial) -> float:
     """weak_norm of the operator on one trial's normalized inputs vals / nrm."""
-    L_res = max(a.levels, default=a.root.level)
-    fs = [GridFunction(a.dim, L_res, vals / nrm) for vals, _, nrm in trial]
-    return weak_norm(eval_sparse_A(a, k, p0, fs), p0 / m)
+    fs = [GridFunction(vals.ndim, _level(vals), vals / nrm) for vals, _, nrm in trial]
+    return weak_norm(eval_sparse_A(a, k, p0, fs), p0 / len(trial))
 
 
 def _weak_floor(a: CarlesonSequence, k: int, p0: float, m: int, seed: int) -> float:
@@ -416,26 +406,25 @@ def _weak_floor(a: CarlesonSequence, k: int, p0: float, m: int, seed: int) -> fl
     ||Af||_1 is below one (``at_most``) cannot lift the floor.  The operator is
     evaluated only on the other trials, and on every trial when q > 1.
     """
-    n, L_res = a.dim, max(a.levels, default=a.root.level)
     # |Q| alpha_Q summed onto the level of the k-th ancestors Q^(k)
-    mass = {j - k: block_reduce(arr, n, j, j - k, "sum") * 2.0 ** (-n * j)
+    mass = {j - k: block_reduce(arr, j - k, "sum") * 2.0 ** (-a.dim * j)
             for j, arr in a.levels.items() if j - k >= a.root.level}
     best = 1.0
     for trial in _weak_trials(a, p0, m, 8, seed):
-        if p0 / m <= 1 and not at_most(1.0, _trial_l1(mass, n, L_res, p0, trial), 1.0):
+        if p0 / m <= 1 and not at_most(1.0, _trial_l1(mass, p0, trial), 1.0):
             continue
-        best = max(best, _trial_weak_norm(a, k, p0, m, trial))
+        best = max(best, _trial_weak_norm(a, k, p0, trial))
     return best
 
 
-def _trial_l1(mass: dict[int, np.ndarray], n: int, L_res: int, p0: float, trial) -> float:
+def _trial_l1(mass: dict[int, np.ndarray], p0: float, trial) -> float:
     """||Af||_1 = sum_Q alpha_Q |Q| prod_i <f_i>_{Q^(k),p0} on one trial's normalized
     inputs: per ancestor level, ``mass`` against the product of the inputs' power means,
     raised to 1/p0 once.  Over one cell an input's p0-average is its value."""
-    pyramids = [mean_pyramid(power, n, L_res) for _, power, _ in trial]
+    pyramids = [mean_pyramid(power) for _, power, _ in trial]
     total = 0.0
     for lvl, c in mass.items():
-        if lvl == L_res:
+        if lvl == len(pyramids[0]) - 1:
             prod = functools.reduce(np.multiply, [vals for vals, _, _ in trial])
         else:
             prod = functools.reduce(np.multiply, [pyr[lvl] for pyr in pyramids]) ** (1.0 / p0)
@@ -489,7 +478,7 @@ def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, see
 
     # support-at-or-below flags: below the root, the walk visits exactly these cubes
     # (a level with none is absent)
-    sab = fold_up({j: arr > 0 for j, arr in alpha.items()}, n, L, rl, "any")
+    sab = fold_up({j: arr > 0 for j, arr in alpha.items()}, rl, "any")
 
     # one tested level at a time: reach marks the visited cubes, delta their budgets
     hits: dict[int, np.ndarray] = {}
@@ -503,7 +492,7 @@ def _select(a: CarlesonSequence, k: int, p0: float, fs, cstar: float | None, see
         for avg in pyramids:
             prod = prod * avg[j]
         # gamma: block max of the coefficients k levels deeper
-        g = block_reduce(alpha[j + k], n, j + k, j, "max") if j + k in alpha else 0.0
+        g = block_reduce(alpha[j + k], j, "max") if j + k in alpha else 0.0
         hit = reach & (delta - prod * g < 0.0)
         hits[j] = hit
         if j + step > L:
@@ -583,7 +572,7 @@ def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Inequalit
 
     if not q > 0:
         raise DomainError(f"need q > 0, got {q}")
-    n, L = check_tuple(fs, a.dim)
+    n = check_tuple(fs, a.dim)[0]
     ps = tuple(float(p) for p in ps)
     if len(ps) != len(fs):
         raise DomainError("need one exponent per function")
@@ -595,7 +584,7 @@ def carleson_embedding_check(a: CarlesonSequence, q: float, ps, fs) -> Inequalit
     for f in fs:
         if np.any(f.values < 0):
             raise DomainError("embedding check needs nonnegative functions")
-    pyramids = [mean_pyramid(f.values, n, L) for f in fs]
+    pyramids = [mean_pyramid(f.values) for f in fs]
     total = 0.0
     for j, alpha in a.levels.items():
         prod = 1.0
@@ -621,7 +610,6 @@ class CZDecomposition:
     base: DyadicCube
     lam: float
     p0: float
-    m: int
     good: list[GridFunction]
     bad: list[GridFunction]
     masks: list[dict[int, np.ndarray]]
@@ -631,7 +619,7 @@ class CZDecomposition:
         """Recheck every invariant of each input outside ``short_circuit``, one pass per
         level of stopping cubes, each by ``grid.at_most`` at the scale of what it compares:
         max |f_i|^p0 for cell values, the height lam^(p0/m) for averages, else the bound."""
-        thr = self.lam ** (self.p0 / self.m)  # compare p0-th powers of averages
+        thr = self.lam ** (self.p0 / len(self.good))  # compare p0-th powers of averages
         n, L = check_tuple(fs)
         for i, f in enumerate(fs):
             if i in self.short_circuit:
@@ -647,9 +635,9 @@ class CZDecomposition:
                     and at_most(np.abs(g[self.base.cell_slices(L)]), bound, bound)):
                 return False
             for j, stop in self.masks[i].items():
-                avg = block_reduce(power, n, L, j)[stop]
-                parent = upsample(block_reduce(power, n, L, j - 1), 2)[stop]
-                if not (at_most(np.abs(block_reduce(b, n, L, j)[stop]), 0.0, scale)
+                avg = block_reduce(power, j)[stop]
+                parent = upsample(block_reduce(power, j - 1), 2)[stop]
+                if not (at_most(np.abs(block_reduce(b, j)[stop]), 0.0, scale)
                         and at_most(thr, avg, thr) and at_most(parent, thr, thr)):
                     return False
             l1 = float(np.abs(g).sum()) * f.cell_volume
@@ -660,8 +648,8 @@ class CZDecomposition:
         return True
 
 
-def cz_decompose(fs, lam: float, p0: float, m: int, P: DyadicCube) -> CZDecomposition:
-    """Stopping-time decomposition of (f_1^p0, ..., f_m^p0) at height lam.
+def cz_decompose(fs, lam: float, p0: float, P: DyadicCube) -> CZDecomposition:
+    """Stopping-time decomposition of (f_1^p0, ..., f_m^p0), m = len(fs), at height lam.
 
     Stopping cubes are the maximal strict dyadic subcubes R of P with
     <f_i>_{R,p0} above lam^(1/m); each bad part has exact zero mean on its
@@ -672,19 +660,17 @@ def cz_decompose(fs, lam: float, p0: float, m: int, P: DyadicCube) -> CZDecompos
     """
     if lam <= 0:
         raise DomainError(f"level lambda must be positive, got {lam}")
-    if not p0 >= 1:
-        raise DomainError("p0 must be >= 1")
-    if m != len(fs):
-        raise DimensionError(f"m = {m} does not match {len(fs)} functions")
+    check_p0(p0)
     n, L = check_tuple(fs)
     if P.dim != n or P.level > L:
         raise DimensionError(f"base cube {P} does not fit the n={n}, L={L} grid")
-    thr_pow = lam ** (p0 / m)  # compare p0-th powers of averages
-    outside = cube_levels([(P, 1.0)], n)[P.level] == 0  # the level-P.level cubes but P
+    thr_pow = lam ** (p0 / len(fs))  # compare p0-th powers of averages
+    outside = np.ones((1 << P.level,) * n, dtype=bool)  # the level-P.level cubes but P
+    outside[P.index] = False
     good, bad, masks, short = [], [], [], []
     for i, f in enumerate(fs):
         power = np.abs(f.values) ** p0
-        pyr = mean_pyramid(power, n, L)
+        pyr = mean_pyramid(power)
         if pyr[P.level][P.index] > thr_pow:
             short.append(i)
         stops = {} if i in short else maximal(
@@ -695,7 +681,7 @@ def cz_decompose(fs, lam: float, p0: float, m: int, P: DyadicCube) -> CZDecompos
         good.append(GridFunction(n, L, power - b))
         bad.append(GridFunction(n, L, b))
         masks.append(stops)
-    return CZDecomposition(P, lam, p0, m, good, bad, masks, short)
+    return CZDecomposition(P, lam, p0, good, bad, masks, short)
 
 
 # ---------------------------------------------------------------------------
@@ -719,11 +705,10 @@ def dyadic_maximal(f: GridFunction, p0: float = 1.0, sigma: GridFunction | None 
         _match(f, sigma)
         if np.any(sigma.values <= 0):
             raise DomainError("sigma must be strictly positive")
-        num = mean_pyramid(np.abs(f.values) * sigma.values, n, L)
-        levels = [a / s for a, s in zip(num[:maxlevel + 1], mean_pyramid(sigma.values, n, L))]
+        num = mean_pyramid(np.abs(f.values) * sigma.values)
+        levels = [a / s for a, s in zip(num[:maxlevel + 1], mean_pyramid(sigma.values))]
     else:
-        if not p0 >= 1:
-            raise DomainError("p0 must be >= 1")
-        levels = mean_pyramid(np.abs(f.values) ** p0, n, L)
+        check_p0(p0)
+        levels = mean_pyramid(np.abs(f.values) ** p0)
     out = fold_down(enumerate(levels[:maxlevel + 1]), n, L, np.maximum)
     return GridFunction(n, L, out if sigma is not None else out ** (1.0 / p0))

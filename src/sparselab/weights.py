@@ -21,6 +21,7 @@ from .grid import (
     GridFunction,
     Inequality,
     argmax_cube,
+    check_p0,
     fold_up,
     mean_pyramid,
     top_level,
@@ -99,14 +100,13 @@ def ap_constant(w: GridFunction, p: float, maxlevel: int | None = None) -> Const
     if not p >= 1:
         raise DomainError(f"A_p constant needs p >= 1, got {p}")
     _positive(w)
-    n, L = w.dim, w.level
-    mw = mean_pyramid(w.values, n, L)
+    mw = mean_pyramid(w.values)
     if p == 1:
-        levels = map(np.divide, mw, fold_up({L: w.values}, n, L, 0, "min").values())
+        levels = map(np.divide, mw, fold_up({w.level: w.values}, 0, "min").values())
     else:
-        dual = mean_pyramid(_dual(w, -1.0 / (p - 1.0)), n, L)
+        dual = mean_pyramid(_dual(w, -1.0 / (p - 1.0)))
         levels = (a * d ** (p - 1.0) for a, d in zip(mw, dual))
-    return _supremum(levels, maxlevel, L)
+    return _supremum(levels, maxlevel, w.level)
 
 
 def rh_constant(w: GridFunction, q: float, maxlevel: int | None = None) -> ConstantReport:
@@ -114,12 +114,11 @@ def rh_constant(w: GridFunction, q: float, maxlevel: int | None = None) -> Const
     if not q > 1:
         raise DomainError(f"RH_q constant needs q > 1, got {q}")
     _positive(w)
-    n, L = w.dim, w.level
     if math.isinf(q):
-        top = fold_up({L: w.values}, n, L, 0, "max").values()
+        top = fold_up({w.level: w.values}, 0, "max").values()
     else:
-        top = (a ** (1.0 / q) for a in mean_pyramid(w.values**q, n, L))
-    return _supremum(map(np.divide, top, mean_pyramid(w.values, n, L)), maxlevel, L)
+        top = (a ** (1.0 / q) for a in mean_pyramid(w.values**q))
+    return _supremum(map(np.divide, top, mean_pyramid(w.values)), maxlevel, w.level)
 
 
 class WeightTuple:
@@ -142,8 +141,7 @@ class WeightTuple:
         for p in exponents:
             if not (1.0 < p < math.inf):
                 raise DomainError(f"exponents must lie in (1, inf), got {p}")
-        if not p0 >= 1.0:
-            raise DomainError(f"p0 must be >= 1, got {p0}")
+        check_p0(p0)
         if p0 >= min(exponents):
             raise DomainError(f"p0 = {p0} must be below min p_i = {min(exponents)}")
         self.weights = weights
@@ -193,14 +191,13 @@ def multi_ap_constant(t: WeightTuple, r: float = 1.0, maxlevel: int | None = Non
         raise DomainError(f"r must be >= 1, got {r}")
     if r >= min(t.exponents):
         raise DomainError(f"r = {r} must be below min p_i = {min(t.exponents)}")
-    n, L = t.dim, t.level
     key = (float(r), maxlevel)
     if key not in t._constants:
-        levels = mean_pyramid(t.nu().values, n, L)
+        levels = mean_pyramid(t.nu().values)
         for s, ai in zip(t.dual_weights(r), t.a_i(r)):
             e = (t.p / r) / conjugate(ai)
-            levels = [acc * d**e for acc, d in zip(levels, mean_pyramid(s.values, n, L))]
-        t._constants[key] = _supremum(levels, maxlevel, L)
+            levels = [acc * d**e for acc, d in zip(levels, mean_pyramid(s.values))]
+        t._constants[key] = _supremum(levels, maxlevel, t.level)
     return t._constants[key]
 
 
@@ -257,8 +254,8 @@ def power_weight(alpha: float, center=None, n: int = 1, L: int = 8) -> GridFunct
 
     In one dimension the cell averages are exact (piecewise closed form);
     in two dimensions they use a midpoint rule with 8^2 points per cell,
-    which keeps the weight strictly positive, and finite unless alpha < 0 and
-    the centre is one of the rule's points.  The rule is summed one
+    which keeps the weight strictly positive and finite: a centre on one of
+    the rule's points is a DomainError when alpha < 0.  The rule is summed one
     y-subsample at a time, so it holds a few (2^L, 2^L) arrays at once; the
     sums are combined in the order numpy's pairwise sum takes over the 64
     points of a cell, so the values are bit for bit those of the mean over a
@@ -284,6 +281,9 @@ def power_weight(alpha: float, center=None, n: int = 1, L: int = 8) -> GridFunct
     dx = np.minimum(dx, 1.0 - dx)
     dy = np.abs(pts - center[1]) % 1.0
     dy = np.minimum(dy, 1.0 - dy)
+    if alpha < 0 and not dx.all() and not dy.all():
+        raise DomainError(f"power weight with alpha = {alpha} < 0 is infinite at its "
+                          f"center {tuple(center)}, a point of the midpoint rule at L={L}")
     dx2, dy2 = dx**2, dy**2
     # sums[b] adds the points of y-subsample b in x order
     sums = [sum((dx2[:, None, a] + dy2[None, :, b]) ** (alpha / 2.0) for a in range(ss))

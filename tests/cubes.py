@@ -10,8 +10,26 @@ import itertools
 
 import numpy as np
 
-from sparselab.grid import DyadicCube, cube_levels, dilate
-from sparselab.sparse import SparseFamily, greedy_witness
+from sparselab.grid import DimensionError, DyadicCube, dilate
+from sparselab.sparse import CarlesonSequence, SparseFamily, greedy_witness
+
+
+def cube_levels(items, n):
+    """(cube, value) pairs as one array per populated level, in level order, indexed by
+    Q.index: zero for cubes not listed, the last value for a repeated cube."""
+    out = {}
+    for Q, a in items:
+        if Q.dim != n:
+            raise DimensionError(f"cube {Q} is not {n}-dimensional")
+        if Q.level not in out:
+            out[Q.level] = np.zeros((1 << Q.level,) * n)
+        out[Q.level][Q.index] = a
+    return dict(sorted(out.items()))
+
+
+def from_cubes(root, coeffs):
+    """The CarlesonSequence with the given (cube, coefficient) pairs or cube-keyed mapping."""
+    return CarlesonSequence(root, cube_levels(dict(coeffs).items(), root.dim))
 
 
 def descendants(Q, k):

@@ -153,7 +153,7 @@ def test_criterion_1f_cz_invariants():
         p0 = (1.0, 1.5, 2.0)[done % 3]
         fs = [random_function(rng, N1, L8) for _ in range(m)]
         lam = float(rng.uniform(0.4, 1.6))
-        dec = cz_decompose(fs, lam, p0, m, R1)
+        dec = cz_decompose(fs, lam, p0, R1)
         if dec.short_circuit:
             continue
         assert dec.verify(fs)

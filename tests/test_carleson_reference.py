@@ -40,7 +40,7 @@ from sparselab.sparse import (
 )
 from sparselab.weights import conjugate
 
-from cubes import ancestor, contains
+from cubes import ancestor, contains, from_cubes
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def reference_packing(a):
         vol = 2.0 ** (-n * j)
         cur = np.zeros((1 << j,) * n)
         if S is not None:
-            cur += block_reduce(S, n, j + 1, j, "sum")
+            cur += block_reduce(S, j, "sum")
         if j in dense:
             cur += dense[j] * vol
         ratios.append((j, cur / vol))
@@ -203,7 +203,7 @@ def reference_eval_sparse_T(obj, k, p0, fs):
 def reference_embedding(a, q, ps, fs):
     """(lhs, rhs, holds) of carleson_embedding_check, summed cube by cube."""
     n, L = fs[0].dim, fs[0].level
-    pyramids = [mean_pyramid(f.values, n, L) for f in fs]
+    pyramids = [mean_pyramid(f.values) for f in fs]
     total = 0.0
     for Q, alpha in a.items():
         prod = 1.0
@@ -311,10 +311,10 @@ def test_level_arrays_match_reference(case):
             select_sparse(new, k, p0, fs, cstar=cstar)
         assert str(got.value) == str(err)
     for seq, rseq in pairs:
-        rebuilt = CarlesonSequence.from_cubes(rseq.root, rseq.coeffs)
+        rebuilt = from_cubes(rseq.root, rseq.coeffs)
         assert (outcome(lambda: select_sparse(seq, k, p0, fs, cstar=cstar).selected)
                 == outcome(lambda: select_sparse(rebuilt, k, p0, fs, cstar=cstar).selected))
-    rebuilt = CarlesonSequence.from_cubes(ref.root, ref.coeffs)
+    rebuilt = from_cubes(ref.root, ref.coeffs)
     assert (outcome(lambda: certify_theorem_a(new, k, p0, fs, 2.0, seed=3, cstar=cstar).to_dict())
             == outcome(lambda: certify_theorem_a(rebuilt, k, p0, fs, 2.0, seed=3,
                                                  cstar=cstar).to_dict()))

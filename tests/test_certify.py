@@ -23,7 +23,7 @@ from sparselab.kernels import apply_linear_multiplier, hilbert_transform, symbol
 from sparselab.samples import random_carleson, random_function, random_sparse_family, rng_from
 from sparselab.weights import WeightTuple
 
-from cubes import family
+from cubes import family, from_cubes
 
 R1 = root_cube(1)
 
@@ -150,7 +150,7 @@ def test_theorem_b_rejects_negative():
 def test_theorem_a_trivial():
     from sparselab.sparse import CarlesonSequence
 
-    a = CarlesonSequence.from_cubes(R1, {R1: 1.0})
+    a = from_cubes(R1, {R1: 1.0})
     fs = [GridFunction.constant(1, 5, 1.0)]
     rec = certify_theorem_a(a, 0, 1.0, fs, 2.0)
     assert rec.constants["raw_norm_ratio"] == pytest.approx(1.0)

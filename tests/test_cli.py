@@ -162,6 +162,22 @@ def test_carleson_reader_rejects_repeated_cube(tmp_path):
         read_carleson(path)
 
 
+def test_read_carleson_builds_no_cube_per_line(tmp_path, built_cubes):
+    a = random_carleson(rng_from(8), 2, 5)
+    path = tmp_path / "a2.seq"
+    write_carleson(path, a)
+    built_cubes.clear()
+    b = read_carleson(path)
+    # the lines go straight into level arrays; the one cube built is the root
+    assert len(b) == len(a) > 100
+    assert [(Q.level, Q.index) for Q in built_cubes] == [(0, (0, 0))]
+    assert b.levels.keys() == a.levels.keys()
+    assert all(np.array_equal(b.levels[j], a.levels[j]) for j in a.levels)
+    path.write_text("3 1 2 0.5\n1 0 1 0.25\n3 1 2 0.5\n")
+    with pytest.raises(FormatError, match="line 3: repeats the cube of line 1"):
+        read_carleson(path)
+
+
 @pytest.mark.parametrize("text, message", [
     ("2 1 0.5\n1 5 0.5\n", "line 2: index (5,) out of range at level 1"),
     ("1 0 nan\n", "line 1: non-finite coefficient nan"),
@@ -928,3 +944,12 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for argv in argvs:
         parser.parse_args(argv[1:])  # an option the parser lacks exits 2 here
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2 and all(math.isfinite(float(v)) for v in printed)

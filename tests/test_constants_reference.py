@@ -29,11 +29,11 @@ def reference_ap_levels(w, p, maxlevel=None):
     dual = None if p == 1 else vals ** (-1.0 / (p - 1.0))
     out = []
     for j in range(top_level(maxlevel, L) + 1):
-        mw = block_reduce(vals, n, L, j, "mean")
+        mw = block_reduce(vals, j, "mean")
         if p == 1:
-            out.append(mw / block_reduce(vals, n, L, j, "min"))
+            out.append(mw / block_reduce(vals, j, "min"))
         else:
-            out.append(mw * block_reduce(dual, n, L, j, "mean") ** (p - 1.0))
+            out.append(mw * block_reduce(dual, j, "mean") ** (p - 1.0))
     return out
 
 
@@ -42,11 +42,11 @@ def reference_rh_levels(w, q, maxlevel=None):
     vals = w.values
     out = []
     for j in range(top_level(maxlevel, L) + 1):
-        mw = block_reduce(vals, n, L, j, "mean")
+        mw = block_reduce(vals, j, "mean")
         if math.isinf(q):
-            out.append(block_reduce(vals, n, L, j, "max") / mw)
+            out.append(block_reduce(vals, j, "max") / mw)
         else:
-            out.append(block_reduce(vals**q, n, L, j, "mean") ** (1.0 / q) / mw)
+            out.append(block_reduce(vals**q, j, "mean") ** (1.0 / q) / mw)
     return out
 
 
@@ -60,9 +60,9 @@ def reference_multi_ap_levels(t, r, maxlevel=None):
     duals = [w.values ** (1.0 - conjugate(ai)) for w, ai in zip(t.weights, a_i)]
     out = []
     for j in range(top_level(maxlevel, L) + 1):
-        acc = block_reduce(nu_vals, n, L, j, "mean")
+        acc = block_reduce(nu_vals, j, "mean")
         for d, ai in zip(duals, a_i):
-            acc = acc * block_reduce(d, n, L, j, "mean") ** (a / conjugate(ai))
+            acc = acc * block_reduce(d, j, "mean") ** (a / conjugate(ai))
         out.append(acc)
     return out
 
@@ -73,13 +73,13 @@ def reference_maximal(f, p0=1.0, sigma=None, maxlevel=None):
     if sigma is not None:
         num = np.abs(f.values) * sigma.values
         for j in range(top_level(maxlevel, L) + 1):
-            ratio = (block_reduce(num, n, L, j, "mean")
-                     / block_reduce(sigma.values, n, L, j, "mean"))
+            ratio = (block_reduce(num, j, "mean")
+                     / block_reduce(sigma.values, j, "mean"))
             out = np.maximum(out, upsample(ratio, 1 << (L - j)))
         return out
     power = np.abs(f.values) ** p0
     for j in range(top_level(maxlevel, L) + 1):
-        out = np.maximum(out, upsample(block_reduce(power, n, L, j, "mean"), 1 << (L - j)))
+        out = np.maximum(out, upsample(block_reduce(power, j, "mean"), 1 << (L - j)))
     return out ** (1.0 / p0)
 
 

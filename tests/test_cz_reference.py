@@ -10,14 +10,13 @@ from sparselab.grid import (
     MAX_LEVEL,
     DyadicCube,
     GridFunction,
-    cube_levels,
     mask_cubes,
     mean_pyramid,
 )
 from sparselab.samples import random_function, rng_from
 from sparselab.sparse import cz_decompose
 
-from cubes import ancestor, children
+from cubes import ancestor, children, cube_levels
 
 
 # --- references: the per-cube code, kept as it was ----------------------------------------
@@ -31,7 +30,7 @@ def reference_cz(fs, lam, p0, m, P):
     good, bad, stopping, short = [], [], [], []
     for i, f in enumerate(fs):
         power = np.abs(f.values) ** p0
-        pyr = mean_pyramid(power, n, L)
+        pyr = mean_pyramid(power)
         if pyr[P.level][P.index] > thr_pow:
             short.append(i)
             good.append(power)
@@ -65,7 +64,7 @@ def reference_verify(dec, stopping, fs):
     """The per-cube check of CZDecomposition.verify, reading the stopping cubes from lists:
     inputs in short_circuit are skipped, and each bound allows 1e-12 times the scale of
     what it compares (the largest |f_i|^p0, the height lam^(p0/m), or the bound)."""
-    thr = dec.lam ** (dec.p0 / dec.m)
+    thr = dec.lam ** (dec.p0 / len(fs))
     n, L = fs[0].dim, fs[0].level
     for i, f in enumerate(fs):
         if i in dec.short_circuit:
@@ -128,7 +127,7 @@ def cz_case(draw):
     level = draw(st.integers(0, min(2, L - 1)))
     P = DyadicCube(level, tuple(int(i) for i in rng.integers(0, 1 << level, n)))
     # a height between the base average and e^2 times it, so stopping cubes occur
-    base = mean_pyramid(np.abs(fs[0].values) ** p0, n, L)[level][P.index]
+    base = mean_pyramid(np.abs(fs[0].values) ** p0)[level][P.index]
     thr_pow = max(base, 1e-3) * float(np.exp(rng.uniform(0.0, 2.0)))
     return fs, thr_pow ** (m / p0), p0, m, P, rng
 
@@ -162,7 +161,7 @@ def tamper(dec, ref_stopping, fs, kind, rng):
 @given(cz_case(), st.sampled_from(["none", "shift", "drop", "add"]))
 def test_cz_matches_frontier_walk_and_per_cube_verify(case, kind):
     fs, lam, p0, m, P, rng = case
-    dec = cz_decompose(fs, lam, p0, m, P)
+    dec = cz_decompose(fs, lam, p0, P)
     good, bad, stopping, short = reference_cz(fs, lam, p0, m, P)
     assert dec.short_circuit == short
     for i, f in enumerate(fs):
@@ -185,7 +184,7 @@ def test_cz_decompose_and_verify_build_no_cube(built_cubes):
     fs = [random_function(rng, 2, 6), random_function(rng, 2, 6)]
     P = DyadicCube(0, (0, 0))
     built_cubes.clear()
-    dec = cz_decompose(fs, 0.6, 1.5, 2, P)
+    dec = cz_decompose(fs, 0.6, 1.5, P)
     assert not dec.short_circuit and any(dec.masks)
     assert dec.verify(fs)
     assert built_cubes == []

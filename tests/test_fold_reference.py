@@ -68,7 +68,7 @@ def same_bits(a, b):
 def test_fold_up_matches_per_level_loop(case, op, data):
     n, L, terms = case
     lo = data.draw(st.integers(0, L))
-    got = fold_up(terms, n, L, lo, op)
+    got = fold_up(terms, lo, op)
     ref = reference_fold_up(terms, n, L, lo, op)
     assert list(got) == list(ref) == sorted(got)
     assert all(same_bits(got[j], ref[j]) for j in ref)
@@ -92,7 +92,7 @@ def test_fold_down_matches_flat_loop(case, op):
 
 
 def test_empty_folds():
-    assert fold_up({}, 2, 3, 0, "sum") == {}
+    assert fold_up({}, 0, "sum") == {}
     for n in (1, 2):
         assert same_bits(fold_down([], n, 3), np.zeros((8,) * n))
 
@@ -119,7 +119,7 @@ def one_level_case(draw):
 @given(one_level_case(), st.sampled_from(["sum", "mean", "min", "max", "any"]))
 def test_one_level_block_reduce_matches_numpy(case, op):
     n, L, vals = case
-    assert same_bits(block_reduce(vals, n, L, L - 1, op), numpy_reduce(vals, n, L - 1, op))
+    assert same_bits(block_reduce(vals, L - 1, op), numpy_reduce(vals, n, L - 1, op))
 
 
 def reference_maximal(flags, covered):

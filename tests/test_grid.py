@@ -54,8 +54,8 @@ def oracle_rearrangement(f, t):
 def oracle_dilate_cells(Q, k, L):
     # enumerate cell centers and test per-axis torus distance to the cube center
     n = Q.dim
-    side = min(1.0, 2.0**k * Q.side)
-    center = [(i + 0.5) * Q.side for i in Q.index]
+    side = min(1.0, 2.0 ** (k - Q.level))
+    center = [(i + 0.5) * 2.0**-Q.level for i in Q.index]
     N = 1 << L
     cells = set()
     ranges = [range(N)] * n
@@ -80,7 +80,7 @@ def oracle_dilate_cells(Q, k, L):
 
 def test_cube_volume_and_side():
     Q = DyadicCube(3, (5,))
-    assert Q.side == 2**-3
+    assert Q.cell_slices(5) == (slice(20, 24),)  # side 2^-3: four level-5 cells
     assert Q.volume == 2**-3
     R = DyadicCube(2, (1, 3))
     assert R.volume == 2**-4
@@ -321,7 +321,7 @@ def test_inequality_holds_up_to_rounding_at_the_scale_of_rhs(lhs, rhs, verdict, 
 def test_partition_exactness():
     rng = np.random.default_rng(13)
     f = GridFunction(2, 4, rng.normal(size=256))
-    total = f.integral()
+    total = float(f.values.sum() * f.cell_volume)
     for j in range(5):
         parts = [float(f.on(Q).sum()) * f.cell_volume for Q in cubes_at_level(2, j)]
         assert sum(parts) == pytest.approx(total, abs=1e-12)

@@ -91,9 +91,9 @@ def reference_check_h2(K, p0, Q, jmax, seed=0):
     fit_js = [j for j, b in zip(js, b_values) if b > 0 and j >= 2]
     fit_bs = [b for j, b in zip(js, b_values) if b > 0 and j >= 2]
     if len(fit_js) < 3:
-        return H2Report(p0, Q, js, b_values, None, None, len(pairs), True)
+        return H2Report(p0, Q, js, b_values, None, None, len(pairs))
     slope, resid = kernels._fit_slope(fit_js, np.log2(fit_bs))
-    return H2Report(p0, Q, js, b_values, -slope, resid, len(pairs), False)
+    return H2Report(p0, Q, js, b_values, -slope, resid, len(pairs))
 
 
 P0S = [1.0, 1.25, 1.5, 2.0, 3.0]

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselab.certify import certify_theorem_c
-from sparselab.grid import DyadicCube, GridFunction, cube_levels, dilate_products
+from sparselab.grid import DyadicCube, GridFunction, dilate_products
 from sparselab.oscillation import lerner_decompose, local_osc, median
 from sparselab.samples import rng_from
 from sparselab.sparse import SparsityError, verify_sparse
 from sparselab.weights import WeightTuple, power_weight
 
-from cubes import cells, family, witness_family
+from cubes import cells, cube_levels, family, witness_family
 
 
 # --- references: the per-cube code, kept verbatim in behaviour ----------------------

@@ -34,7 +34,7 @@ def pyramid_case(draw):
 @given(pyramid_case())
 def test_mean_pyramid_matches_block_reduce_chain(case):
     n, L, vals = case
-    got = mean_pyramid(vals, n, L)
+    got = mean_pyramid(vals)
     ref = reference_mean_pyramid(vals, n, L)
     assert len(got) == len(ref) == L + 1
     for j, (a, b) in enumerate(zip(got, ref)):

@@ -58,7 +58,7 @@ def test_cz_verdict_is_scale_free(seed, n, s, p0, m, height, short):
     for t in (0, s):
         c = 2.0**t
         gs = [scaled(f, t) for f in fs]
-        dec = cz_decompose(gs, (c * height) ** m, p0, m, root_cube(n))
+        dec = cz_decompose(gs, (c * height) ** m, p0, root_cube(n))
         assert dec.short_circuit == ([0] if short and m == 2 else [])
         assert dec.verify(gs)
         # shift the bad part of the input that was decomposed

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparselab.grid import DyadicCube, block_reduce, cube_levels, mean_pyramid, upsample
+from sparselab.grid import DyadicCube, block_reduce, mean_pyramid, upsample
 from sparselab.samples import random_carleson, random_function, rng_from
 from sparselab.sparse import SparsityError, select_sparse, slice_scales
 
-from cubes import descendants, family
+from cubes import cube_levels, descendants, family
 
 
 def reference_selection(a, k, p0, fs, cstar):
@@ -25,7 +25,7 @@ def reference_selection(a, k, p0, fs, cstar):
     rl = a.root.level
     step = k if k >= 1 else 1
     alpha = {j: arr for j, arr in a.levels.items() if j <= L}
-    pyramids = [mean_pyramid(f.values**p0, n, L) for f in fs]
+    pyramids = [mean_pyramid(f.values**p0) for f in fs]
     inv = 1.0 / p0
     prods = {}
     for j in range(L + 1):
@@ -41,7 +41,7 @@ def reference_selection(a, k, p0, fs, cstar):
         if j in alpha:
             cur |= alpha[j] > 0
         if prev is not None:
-            cur |= block_reduce(prev, n, j + 1, j, "any")
+            cur |= block_reduce(prev, j, "any")
         sab[j] = cur
         prev = cur
 
@@ -52,7 +52,7 @@ def reference_selection(a, k, p0, fs, cstar):
         if src not in alpha:
             return None
         if lvl not in gamma:
-            gamma[lvl] = block_reduce(alpha[src], n, src, lvl, "max")
+            gamma[lvl] = block_reduce(alpha[src], lvl, "max")
         return gamma[lvl]
 
     selected = []
@@ -126,7 +126,7 @@ def chain_pyramid(values, n, L):
     """Per-level means as a chain of block_reduce(..., "mean") calls."""
     out = [np.asarray(values, dtype=float).reshape((1 << L,) * n)]
     for j in range(L - 1, -1, -1):
-        out.insert(0, block_reduce(out[0], n, j + 1, j, "mean"))
+        out.insert(0, block_reduce(out[0], j, "mean"))
     return out
 
 
@@ -186,7 +186,7 @@ def cube_list_selection(a, k, p0, fs, cstar):
         if j in alpha:
             cur |= alpha[j] > 0
         if prev is not None:
-            cur |= block_reduce(prev, n, j + 1, j, "any")
+            cur |= block_reduce(prev, j, "any")
         sab[j] = cur
         prev = cur
     selected = []
@@ -199,7 +199,7 @@ def cube_list_selection(a, k, p0, fs, cstar):
         prod = 1.0
         for pyr in pyramids:
             prod = prod * pyr[j] ** inv
-        g = block_reduce(alpha[j + k], n, j + k, j, "max") if j + k in alpha else 0.0
+        g = block_reduce(alpha[j + k], j, "max") if j + k in alpha else 0.0
         hit = reach & (delta - prod * g < 0.0)
         selected.extend(DyadicCube(j, tuple(map(int, idx))) for idx in np.argwhere(hit))
         if j + step > L:

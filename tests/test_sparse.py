@@ -11,7 +11,6 @@ from sparselab.grid import (
     DyadicCube,
     GridFunction,
     average,
-    cube_levels,
     dilate,
     dilate_products,
     mask_cubes,
@@ -48,14 +47,16 @@ from sparselab.sparse import (
     verify_carleson,
     verify_sparse,
 )
+from sparselab.weights import WeightTuple
 
-from cubes import all_cubes, ancestor, children, contains, family, ring_mask, witness_family
+from cubes import (all_cubes, ancestor, children, contains, cube_levels, family, from_cubes,
+                   ring_mask, witness_family)
 
 R1 = root_cube(1)
 
 
 def seq(coeffs, root=R1):
-    return CarlesonSequence.from_cubes(root, coeffs)
+    return from_cubes(root, coeffs)
 
 
 def chain_family(L=4):
@@ -109,7 +110,7 @@ def test_verify_carleson_rejects_negative():
 ])
 def test_carleson_rejects_cubes_outside_the_root(coeffs):
     with pytest.raises(ValueError):
-        CarlesonSequence.from_cubes(DyadicCube(1, (0,)), coeffs)
+        from_cubes(DyadicCube(1, (0,)), coeffs)
 
 
 def test_packing_matches_oracle_random():
@@ -522,7 +523,7 @@ def test_beta_preserves_carleson():
 
 def test_cz_example():
     f = GridFunction(1, 4, 4.0 * (np.arange(16) < 4))
-    dec = cz_decompose([f], 1.5, 1.0, 1, R1)
+    dec = cz_decompose([f], 1.5, 1.0, R1)
     assert dec.short_circuit == []
     assert mask_cubes(dec.masks[0], 1) == (DyadicCube(1, (0,)),)
     b = dec.bad[0].values
@@ -534,7 +535,7 @@ def test_cz_example():
 
 def test_cz_zero():
     f = GridFunction.constant(1, 4, 0.0)
-    dec = cz_decompose([f], 1.0, 1.0, 1, R1)
+    dec = cz_decompose([f], 1.0, 1.0, R1)
     assert mask_cubes(dec.masks[0], 1) == ()
     assert np.allclose(dec.bad[0].values, 0.0)
     assert dec.verify([f])
@@ -542,7 +543,7 @@ def test_cz_zero():
 
 def test_cz_no_stopping_below_height():
     f = GridFunction.constant(1, 4, 0.5)
-    dec = cz_decompose([f], 1.0, 1.0, 1, R1)
+    dec = cz_decompose([f], 1.0, 1.0, R1)
     assert mask_cubes(dec.masks[0], 1) == ()
     assert np.allclose(dec.good[0].values, f.values)
     assert dec.verify([f])
@@ -550,14 +551,14 @@ def test_cz_no_stopping_below_height():
 
 def test_cz_short_circuit():
     f = GridFunction.constant(1, 4, 5.0)
-    dec = cz_decompose([f], 1.0, 1.0, 1, R1)
+    dec = cz_decompose([f], 1.0, 1.0, R1)
     assert dec.short_circuit == [0]
 
 
 def test_cz_partial_short_circuit_checks_the_other_input():
     # input 0's mean 100 is above the height 1, so only input 1 is decomposed
     fs = [GridFunction.constant(1, 5, 100.0), random_function(rng_from(0), 1, 5)]
-    dec = cz_decompose(fs, 1.0, 1.0, 2, R1)
+    dec = cz_decompose(fs, 1.0, 1.0, R1)
     assert dec.short_circuit == [0]
     assert dec.verify(fs)
     shifted = GridFunction(1, 5, dec.bad[1].values + 5.0)
@@ -570,7 +571,7 @@ def test_cz_invariants_randomized():
     while done < 25:
         f1, f2 = random_function(rng, 1, 6), random_function(rng, 1, 6)
         lam = float(rng.uniform(0.3, 1.5))
-        dec = cz_decompose([f1, f2], lam, 1.5, 2, R1)
+        dec = cz_decompose([f1, f2], lam, 1.5, R1)
         if dec.short_circuit:
             continue
         assert dec.verify([f1, f2])
@@ -581,13 +582,13 @@ def test_cz_invariants_randomized():
 def test_cz_rejects_base_cube_off_the_grid(P):
     f = GridFunction.constant(1, 4, 1.0)
     with pytest.raises(DimensionError, match="does not fit"):
-        cz_decompose([f], 1.0, 1.0, 1, P)
+        cz_decompose([f], 1.0, 1.0, P)
 
 
 def test_cz_rejects_bad_lambda():
     f = GridFunction.constant(1, 3, 1.0)
     with pytest.raises(DomainError):
-        cz_decompose([f], 0.0, 1.0, 1, R1)
+        cz_decompose([f], 0.0, 1.0, R1)
 
 
 # --- weak norm measurement ------------------------------------------------------------
@@ -731,9 +732,9 @@ def test_dominate_builds_one_pyramid_per_input(monkeypatch, k):
     fs = [random_function(rng, 1, 5), random_function(rng, 1, 5)]
     built = []
 
-    def counted(values, n, L):
-        built.append(L)
-        return mean_pyramid(values, n, L)
+    def counted(values):
+        built.append(values.shape)
+        return mean_pyramid(values)
 
     monkeypatch.setattr(sparse_mod, "mean_pyramid", counted)
     res = dominate(a, k, 1.0, fs, cstar=4.0)
@@ -833,7 +834,7 @@ def test_nan_p0_is_rejected():
     nan = float("nan")
     for call in (lambda: eval_sparse_A(a, 0, nan, fs), lambda: eval_sparse_T(a, 0, nan, fs),
                  lambda: select_sparse(a, 0, nan, fs), lambda: dominate(a, 1, nan, fs),
-                 lambda: cz_decompose(fs, 1.0, nan, 1, root_cube(1)),
+                 lambda: cz_decompose(fs, 1.0, nan, root_cube(1)),
                  lambda: dyadic_maximal(fs[0], nan), lambda: average(fs[0], root_cube(1), nan),
                  # with sigma the maximal function reads no p0, so any p0 but 1 is refused
                  lambda: dyadic_maximal(fs[0], nan, sigma=fs[0]),
@@ -850,15 +851,24 @@ def test_nan_p0_is_rejected():
 
 
 @pytest.mark.parametrize("p0", [0.0, 0.5, float("nan")])
-@pytest.mark.parametrize("name", ["measure_weak_norm", "dilate_products", "osc_profile"])
+@pytest.mark.parametrize("name", ["measure_weak_norm", "dilate_products", "osc_profile",
+                                  "average", "eval_sparse_A", "cz_decompose", "dyadic_maximal",
+                                  "WeightTuple"])
 def test_p0_below_1_is_rejected(name, p0):
-    # p0 = 0 divided by zero, and 0.5 and NaN returned values, before the check
+    # p0 = 0 divided by zero, and 0.5 and NaN returned values, before the check; every
+    # entry point states the one rule of grid.check_p0 in the same words
     rng = rng_from(4)
     a = random_carleson(rng, 1, 5)
     fs = [random_function(rng, 1, 5)]
     call = {"measure_weak_norm": lambda: measure_weak_norm(a, 0, p0, 1),
             "dilate_products": lambda: dilate_products(fs, [2], p0),
             "osc_profile": lambda: osc_profile(hilbert_transform, fs, DyadicCube(2, (1,)),
-                                               0.25, p0, 1.0)}[name]
-    with pytest.raises(DomainError, match="p0 must be >= 1"):
+                                               0.25, p0, 1.0),
+            "average": lambda: average(fs[0], DyadicCube(2, (1,)), p0),
+            "eval_sparse_A": lambda: eval_sparse_A(a, 0, p0, fs),
+            "cz_decompose": lambda: cz_decompose(fs, 1.0, p0, R1),
+            "dyadic_maximal": lambda: dyadic_maximal(fs[0], p0),
+            "WeightTuple": lambda: WeightTuple((random_weight(rng, 1, 5),), (2.0,), p0=p0)}[name]
+    with pytest.raises(DomainError) as err:
         call()
+    assert str(err.value) == f"p0 must be >= 1, got {p0}"

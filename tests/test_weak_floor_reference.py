@@ -48,15 +48,14 @@ def reference_weak_norm(a, k, p0, m, trials=8, seed=0):
 
 def ancestor_mass(a, k):
     """|Q| alpha_Q summed onto the level of the k-th ancestors Q^(k)."""
-    n = a.dim
-    return {j - k: block_reduce(arr, n, j, j - k, "sum") * 2.0 ** (-n * j)
+    return {j - k: block_reduce(arr, j - k, "sum") * 2.0 ** (-a.dim * j)
             for j, arr in a.levels.items() if j - k >= a.root.level}
 
 
-def reference_trial_l1(mass, n, L_res, p0, trial):
+def reference_trial_l1(mass, p0, trial):
     """The L^1 bound with one power per input and cube: per ancestor level, ``mass``
     against the product of the inputs' averages, each raised to 1/p0 on its own."""
-    pyramids = [mean_pyramid(power, n, L_res) for _, power, _ in trial]
+    pyramids = [mean_pyramid(power) for _, power, _ in trial]
     inv = 1.0 / p0
     total = sum(float(functools.reduce(lambda t, pyr: t * pyr[lvl] ** inv, pyramids, c).sum())
                 for lvl, c in mass.items())
@@ -108,14 +107,13 @@ def test_floor_matches_estimate(case):
 @given(floor_case())
 def test_l1_bound_matches_reference_and_certifies(case):
     a, k, p0, m, seed = case
-    n, L_res = a.dim, max(a.levels, default=a.root.level)
     mass = ancestor_mass(a, k)
     for trial in _weak_trials(a, p0, m, 8, seed):
-        bound = _trial_l1(mass, n, L_res, p0, trial)
-        ref = reference_trial_l1(mass, n, L_res, p0, trial)
+        bound = _trial_l1(mass, p0, trial)
+        ref = reference_trial_l1(mass, p0, trial)
         assert abs(bound - ref) <= 1e-13 * ref
         if p0 / m <= 1:  # the weak L^q norm on the unit cube is at most the L^1 norm
-            wn = _trial_weak_norm(a, k, p0, m, trial)
+            wn = _trial_weak_norm(a, k, p0, trial)
             assert at_most(wn, bound, max(wn, bound))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -326,7 +327,7 @@ def test_power_weight_exact_integral():
     for a in (-0.5, 0.7, 2.0):
         w = power_weight(a, n=1, L=8)
         exact = 2 * 0.5 ** (a + 1) / (a + 1)
-        assert w.integral() == pytest.approx(exact, rel=1e-12)
+        assert float(w.values.sum() * w.cell_volume) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("center", [0.0, 0.25, 0.5])
@@ -358,6 +359,24 @@ def test_power_weight_rejects_nonintegrable():
 def test_power_weight_rejects_non_finite_inputs(alpha, center, n):
     with pytest.raises(DomainError):
         power_weight(alpha, center, n=n, L=3)
+
+
+# centres on a point of the 8x8 midpoint rule: (1/4096, 1/4096) at L=8 and
+# (1/16, 3/16) at L=0, where a negative alpha has no finite cell value
+RULE_POINTS = [((1 / 4096, 1 / 4096), 8), ((1 / 16, 3 / 16), 0)]
+
+
+@pytest.mark.parametrize("center,L", RULE_POINTS)
+def test_power_weight_2d_rejects_negative_alpha_on_a_rule_point(center, L):
+    with pytest.raises(DomainError, match=re.escape(f"center {center}")):
+        power_weight(-0.5, center, n=2, L=L)
+
+
+@pytest.mark.parametrize("center,L", RULE_POINTS)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+def test_power_weight_2d_nonnegative_alpha_on_a_rule_point_is_finite(center, L, alpha):
+    w = power_weight(alpha, center, n=2, L=L)
+    assert np.all(np.isfinite(w.values)) and np.all(w.values > 0)
 
 
 def test_power_weight_2d_positive():
